@@ -71,9 +71,9 @@ def load_benchmark() -> dict:
 
 
 # ------------------------------------------------------------ metrics
-def end_to_end(outcome, import_s: float) -> dict[str, tuple[float, str]]:
+def end_to_end(outcome) -> dict[str, tuple[float, str]]:
     return {
-        "setup_s": (import_s + outcome.setup_s, "s"),
+        "setup_s": (outcome.setup_s, "s"),
         "units_per_s": (outcome.units / outcome.wall_s, "1/s"),
         "latency_s_p50": (outcome.latency_p50, "s"),
         "eta_s": (outcome.eta_s, "s"),
@@ -162,21 +162,23 @@ def load_reference(workload: str, seed: int) -> list[str] | None:
     return json.loads(REFERENCE.read_text())["workloads"].get(workload)
 
 
-def run_once(args, import_s: float, workdir: Path) -> int:
+def run_once(args, workdir: Path) -> int:
     import workloads
     from spans import Tracer
-    from stats import tail_percentile
+    from stats import MIN_BEYOND, supported_percentile, tail_percentile
 
     workload = workloads.make(args.workload, workdir)
     reference = load_reference(args.workload, args.seed)
     tracer = Tracer() if args.trace else None
-    outcome = workload.run(args.seed, args.seconds, tracer, reference, args.max_units)
+    outcome = workload.run(args.seed, args.seconds, tracer, reference)
 
     tally = outcome.tally
-    e2e = end_to_end(outcome, import_s)
+    e2e = end_to_end(outcome)
     samples = {"latency_s_p50": len(outcome.latencies)}
     print(f"workload {args.workload}  seed {args.seed}  seconds {args.seconds}  trace {args.trace}")
     print_metrics("end-to-end", e2e, samples)
+    if supported_percentile(outcome.latencies, 50) is None:
+        print(f"  WARNING: latency_s_p50 has fewer than {MIN_BEYOND} samples beyond it")
     extras = dict(outcome.extras)
     tail = tail_percentile(outcome.latencies)
     if tail is not None:
@@ -293,7 +295,7 @@ def steady(args) -> int:
             median, q1, q3, rel = spread(vals)
             bound = bounds.get(metric)
             flag = ""
-            if bound is not None and metric != "setup_s" and rel > bound / 3:
+            if bound is not None and rel > bound / 3:
                 flag = "  <-- above bound/3"
             print(f"  {metric:<16} {median:>12.6g} {q1:>12.6g} {q3:>12.6g} {rel:>8.2%} {bound!s:>6}{flag}")
             print("    runs: " + " ".join(f"{v:.4g}" for v in vals))
@@ -310,7 +312,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--max-units", type=int, default=None, help="stop after this many requests (smoke runs)")
     parser.add_argument("--steady", type=int, default=0, metavar="N")
     parser.add_argument("--steady-trace", action="store_true")
     parser.add_argument("--crosscheck", action="store_true")
@@ -323,12 +324,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(SRC), str(HERE)]
     if args.steady:
         return steady(args)
-    t0 = time.perf_counter()
-    import repro.experiments.api  # noqa: F401  (import time is set-up)
-    import repro.experiments.service  # noqa: F401
     import workloads
 
-    import_s = time.perf_counter() - t0
     if args.workload not in workloads.NAMES:
         parser.error(f"unknown workload {args.workload!r}; one of {', '.join(workloads.NAMES)}")
     workdir = OUT_DIR / f"work-{os.getpid()}"
@@ -338,7 +335,7 @@ def main(argv=None) -> int:
             return make_reference(args, workdir)
         if args.crosscheck:
             return crosscheck(args, workdir)
-        return run_once(args, import_s, workdir)
+        return run_once(args, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

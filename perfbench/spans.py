@@ -273,6 +273,18 @@ class Tracer:
             setattr(owner, attr, original)
         self._patches.clear()
 
+    @contextlib.contextmanager
+    def suspended(self):
+        """Nothing is recorded inside; the tracer is reinstalled after if
+        it was installed before."""
+        installed = bool(self._patches)
+        self.uninstall()
+        try:
+            yield
+        finally:
+            if installed:
+                self.install()
+
     def __enter__(self) -> "Tracer":
         return self.install()
 

@@ -157,10 +157,7 @@ def _run(*args, cwd=ROOT):
 )
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_smoke_run_prints_every_metric(workload, trace):
-    proc = _run(
-        "--workload", workload, "--seed", "0", "--seconds", "1",
-        "--trace", trace, "--max-units", "2",
-    )
+    proc = _run("--workload", workload, "--seed", "0", "--seconds", "0.5", "--trace", trace)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import random
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.experiments.api import SPEC_DIR, Campaign, CampaignSpec, figure_spec
 from repro.experiments.config import ExperimentConfig
@@ -37,10 +40,17 @@ from repro.experiments.store import open_store
 
 from stats import Tally
 
+HERE = Path(__file__).resolve().parent
 #: the seed whose outputs reference.json pins digest by digest
 REFERENCE_SEED = 0
-#: setups per run; ``setup_s`` is import time plus their median
-SETUP_REPEATS = 3
+#: set-up samples per run; ``setup_s`` is their median
+SETUP_REPEATS = 5
+#: what a fresh interpreter imports before it can run a workload
+IMPORT_PROBE = (
+    "import sys, time; t0 = time.perf_counter(); sys.path[:0] = sys.argv[1:]; "
+    "import repro.experiments.api, repro.experiments.service, workloads; "
+    "print(time.perf_counter() - t0)"
+)
 #: a unit (serial) or job (service) slower than this counts as failed
 UNIT_DEADLINE_S = 60.0
 JOB_DEADLINE_S = 30.0
@@ -83,18 +93,10 @@ class Outcome:
 
     @property
     def latency_p50(self) -> float:
-        """Stratified median: stratum medians weighted by each stratum's
-        share of the full campaign (a plain median for one stratum).  A
-        median of the pooled units would jump between the cost modes of
-        strata as different as figure 1 and figure 6."""
-        filled = {name: times for name, times in self.strata.items() if times}
-        if not filled:
-            return 0.0
-        total = sum(self.full_units[name] for name in filled)
-        return sum(
-            statistics.median(times) * self.full_units[name] / total
-            for name, times in filled.items()
-        )
+        """Median of all request latencies.  The round-robin plans give
+        every stratum an equal share of the requests, so the pooled
+        median is balanced across strata."""
+        return statistics.median(self.latencies) if self.latencies else 0.0
 
     @property
     def eta_s(self) -> float:
@@ -173,6 +175,55 @@ def _span(tracer, name: str, unit: Optional[str] = None):
     return tracer.span(name, unit) if tracer is not None else contextlib.nullcontext()
 
 
+# ---------------------------------------------------------------- set-up
+def import_seconds() -> float:
+    """Seconds a fresh interpreter takes to import what a run needs."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(HERE.parent / "src"), str(HERE)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+class SetupSamples:
+    """``SETUP_REPEATS`` set-up samples spread evenly over a run.
+
+    The machine's speed drifts over tens of seconds, so set-ups taken
+    back to back all see one state of it; spread over the run they see
+    the mix the measured window sees.  A sample is a fresh interpreter's
+    import plus the seconds ``set_up()`` returns.  Samples are taken
+    between requests with the tracer suspended, and ``paused`` counts
+    their time so the caller can take it out of the measured window.
+    """
+
+    def __init__(self, set_up: Callable[[], float], seconds: float, tracer=None) -> None:
+        self.set_up = set_up
+        self.every = seconds / SETUP_REPEATS
+        self.tracer = tracer
+        self.samples: list[float] = []
+        self.paused = 0.0
+
+    def add(self, set_up_s: float) -> None:
+        self.samples.append(import_seconds() + set_up_s)
+
+    def _take(self) -> None:
+        t0 = time.perf_counter()
+        with self.tracer.suspended() if self.tracer is not None else contextlib.nullcontext():
+            self.add(self.set_up())
+        self.paused += time.perf_counter() - t0
+
+    def due(self, elapsed: float) -> None:
+        """Take the next sample once ``elapsed`` measured seconds reach it."""
+        if len(self.samples) < SETUP_REPEATS and elapsed >= len(self.samples) * self.every:
+            self._take()
+
+    def median(self) -> float:
+        """Take the samples still missing; the median of all of them."""
+        while len(self.samples) < SETUP_REPEATS:
+            self._take()
+        return statistics.median(self.samples)
+
+
 # ------------------------------------------------------ serial workloads
 class SerialWorkload:
     """Units run one after another through ``run_rep`` on one core."""
@@ -243,34 +294,38 @@ class SerialWorkload:
         reference: Optional[list[str]] = None,
         max_units: Optional[int] = None,
     ) -> Outcome:
-        setups = []
-        for _ in range(SETUP_REPEATS):
+        def set_up() -> float:
             t0 = time.perf_counter()
             self.plan(seed)
             self.warmup()
-            setups.append(time.perf_counter() - t0)
+            return time.perf_counter() - t0
+
+        setups = SetupSamples(set_up, seconds, tracer)
+        setups.add(set_up())
         configs, units = self.plan(seed)
-        out = Outcome(setup_s=statistics.median(setups), full_units=self.full_units(configs))
+        out = Outcome(setup_s=0.0, full_units=self.full_units(configs))
         out.strata = {s: [] for s in configs}
         jobs = 0
         with tracer if tracer is not None else contextlib.nullcontext():
-            jobs = self._measure(out, units, seconds, tracer, reference, max_units)
+            jobs = self._measure(out, units, seconds, tracer, reference, max_units, setups)
+        out.setup_s = setups.median()
         if self.online:
             out.extras["jobs_per_s"] = (jobs / out.wall_s, "1/s")
         return out
 
-    def _measure(self, out, units, seconds, tracer, reference, max_units) -> int:
+    def _measure(self, out, units, seconds, tracer, reference, max_units, setups) -> int:
         """Run units until ``seconds`` of measured time have passed.
 
-        Picking the next unit (instance-size probing) is not measured:
-        its time is taken out of the window.
+        Picking the next unit (instance-size probing) and the set-up
+        samples are not measured: their time is taken out of the window.
         """
         jobs = 0
         planning = 0.0
         start = time.perf_counter()
-        while time.perf_counter() - planning < start + seconds and (
+        while (elapsed := time.perf_counter() - start - planning - setups.paused) < seconds and (
             max_units is None or out.units < max_units
         ):
+            setups.due(elapsed)
             t0 = time.perf_counter()
             unit = next(units)
             planning += time.perf_counter() - t0
@@ -295,7 +350,7 @@ class SerialWorkload:
             out.units += 1
             if self.online:
                 jobs += unit.config.arrival.jobs * len(unit.config.algorithms)
-        out.wall_s = time.perf_counter() - start - planning
+        out.wall_s = time.perf_counter() - start - planning - setups.paused
         return jobs
 
 
@@ -417,20 +472,29 @@ class ServiceChurn:
         reference: Optional[list[str]] = None,
         max_units: Optional[int] = None,
     ) -> Outcome:
-        setups = []
+        cycles = itertools.count()
+
+        def set_up() -> float:
+            # A later sample: a second service beside the measured one,
+            # stopped again.
+            t0 = time.perf_counter()
+            extra, _ = self._start(next(cycles))
+            set_up_s = time.perf_counter() - t0
+            extra.stop()
+            return set_up_s
+
         service = None
         try:
-            for cycle in range(SETUP_REPEATS):
-                if service is not None:
-                    service.stop()
-                t0 = time.perf_counter()
-                plan = self.plan(seed)
-                service, address = self._start(cycle)
-                setups.append(time.perf_counter() - t0)
-            out = Outcome(setup_s=statistics.median(setups), full_units={"job": CHURN_FULL_JOBS})
+            t0 = time.perf_counter()
+            plan = self.plan(seed)
+            service, address = self._start(next(cycles))
+            setups = SetupSamples(set_up, seconds, tracer)
+            setups.add(time.perf_counter() - t0)
+            out = Outcome(setup_s=0.0, full_units={"job": CHURN_FULL_JOBS})
             out.strata = {"job": []}
             with tracer if tracer is not None else contextlib.nullcontext():
-                handles = self._churn(out, plan, address, seconds, tracer, max_units)
+                handles = self._churn(out, plan, address, seconds, tracer, max_units, setups)
+            out.setup_s = setups.median()
         finally:
             if service is not None:
                 service.stop()
@@ -438,12 +502,17 @@ class ServiceChurn:
             self._read_back(out, handles, tracer, reference)
         return out
 
-    def _churn(self, out, plan, address, seconds, tracer, max_units):
+    def _churn(self, out, plan, address, seconds, tracer, max_units, setups):
+        """Closed loop: submit a job, poll it until it ends, repeat, until
+        ``seconds`` of measured time have passed (set-up samples, taken
+        between jobs, are not measured)."""
         first = []
         handles = []
         start = time.perf_counter()
-        deadline = start + seconds
-        while time.perf_counter() < deadline and (max_units is None or len(handles) < max_units):
+        while (elapsed := time.perf_counter() - start - setups.paused) < seconds and (
+            max_units is None or len(handles) < max_units
+        ):
+            setups.due(elapsed)
             spec, tenant = next(plan)
             problems = []
             handle = t_first = None
@@ -478,7 +547,7 @@ class ServiceChurn:
                 out.units += snap["total"]
                 if t_first is not None:
                     first.append(t_first)
-        out.wall_s = time.perf_counter() - start
+        out.wall_s = time.perf_counter() - start - setups.paused
         if first:
             out.extras["first_result_s_p50"] = (statistics.median(first), "s")
         return handles
