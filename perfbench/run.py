@@ -29,6 +29,7 @@ import json
 import os
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -176,7 +177,7 @@ def run_once(args, workdir: Path) -> int:
     e2e = end_to_end(outcome)
     samples = {"latency_s_p50": len(outcome.latencies)}
     print(f"workload {args.workload}  seed {args.seed}  seconds {args.seconds}  trace {args.trace}")
-    print_metrics("end-to-end", e2e, samples)
+    print_metrics("end-to-end (timings in reference-machine seconds)", e2e, samples)
     if supported_percentile(outcome.latencies, 50) is None:
         print(f"  WARNING: latency_s_p50 has fewer than {MIN_BEYOND} samples beyond it")
     extras = dict(outcome.extras)
@@ -184,6 +185,8 @@ def run_once(args, workdir: Path) -> int:
     if tail is not None:
         extras[f"latency_s_p{tail[0]}"] = (tail[1], "s")
     extras["failed_frac"] = (tally.failed_frac, "ratio")
+    extras["speed_p50"] = (statistics.median(outcome.speeds), "ratio")
+    extras["measured_units_per_s"] = (outcome.units / outcome.measured_wall_s, "1/s")
     print_metrics("workload extras (not in BENCHMARK.json)", extras, {})
     for reason in tally.reasons[:20]:
         print(f"  FAILED {reason}")

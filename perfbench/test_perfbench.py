@@ -61,6 +61,22 @@ def test_spread_matches_statistics_quantiles():
     assert spread(values) == (med, q1, q3, (q3 - q1) / med)
 
 
+def test_speed_probe_leaves_garbage_collection_as_it_was():
+    import gc
+
+    from workloads import speed
+
+    assert gc.isenabled()
+    assert speed() > 0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        speed()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_tally_counts_every_kind_of_failure():
     tally = Tally()
     tally.record([], "ok")

@@ -12,7 +12,9 @@ hold at every scale for any seed.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
+import heapq
 import itertools
 import json
 import random
@@ -23,6 +25,8 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional
+
+import numpy
 
 from repro.experiments.api import SPEC_DIR, Campaign, CampaignSpec, figure_spec
 from repro.experiments.config import ExperimentConfig
@@ -44,13 +48,17 @@ HERE = Path(__file__).resolve().parent
 #: the seed whose outputs reference.json pins digest by digest
 REFERENCE_SEED = 0
 #: set-up samples per run; ``setup_s`` is their median
-SETUP_REPEATS = 5
+SETUP_REPEATS = 3
 #: what a fresh interpreter imports before it can run a workload
 IMPORT_PROBE = (
     "import sys, time; t0 = time.perf_counter(); sys.path[:0] = sys.argv[1:]; "
     "import repro.experiments.api, repro.experiments.service, workloads; "
     "print(time.perf_counter() - t0)"
 )
+#: seconds the speed probe takes on the reference machine; timings are
+#: reported scaled to it (see ``Outcome.scale``)
+PROBE_REFERENCE_S = 0.010
+PROBE_STEPS = 6000
 #: a unit (serial) or job (service) slower than this counts as failed
 UNIT_DEADLINE_S = 60.0
 JOB_DEADLINE_S = 30.0
@@ -74,10 +82,16 @@ class PlannedUnit:
 
 @dataclass
 class Outcome:
-    """What one run measured; ``run.py`` turns it into metrics."""
+    """What one run measured; ``run.py`` turns it into metrics.
+
+    Times are in reference-machine seconds: each interval as measured,
+    times the :func:`speed` factor probed right before it.  Only
+    ``measured_wall_s`` is in measured seconds.
+    """
 
     setup_s: float
     wall_s: float = 0.0
+    measured_wall_s: float = 0.0
     units: int = 0
     latencies: list[float] = field(default_factory=list)
     #: stratum -> unit (or job) seconds, for the full-campaign projection
@@ -90,6 +104,8 @@ class Outcome:
     extras: dict[str, tuple[float, str]] = field(default_factory=dict)
     #: per-layer numbers only a workload knows (service read-back)
     layer: dict[str, float] = field(default_factory=dict)
+    #: the :func:`speed` factor probed before each request
+    speeds: list[float] = field(default_factory=list)
 
     @property
     def latency_p50(self) -> float:
@@ -127,7 +143,9 @@ def offline_problems(config: ExperimentConfig, rows: list[dict]) -> list[str]:
     if sorted(by_algo) != sorted(config.algorithms):
         return [f"algorithms {sorted(by_algo)} != {sorted(config.algorithms)}"]
     for algo, row in by_algo.items():
-        if not row["messages"] > 0:
+        # Zero is a valid count: some small m = 4 units of service-churn
+        # (job churn-s4-j43 of --seed 4) send no message at all.
+        if not row["messages"] >= 0:
             problems.append(f"{algo}: messages={row['messages']}")
         if not row["norm_latency"] >= 1 - TOL:
             problems.append(f"{algo}: latency below the critical path")
@@ -175,6 +193,50 @@ def _span(tracer, name: str, unit: Optional[str] = None):
     return tracer.span(name, unit) if tracer is not None else contextlib.nullcontext()
 
 
+# ----------------------------------------------------------- speed probe
+def probe_seconds() -> float:
+    """Seconds one pass of the speed probe takes now.
+
+    The probe is the benchmark's own code, so no change to the program
+    moves it: the kind of work the schedulers' inner loops do (heap
+    pushes and pops, dict updates, float arithmetic, argmin over a small
+    array).  Garbage collection is off while it runs, so the size of the
+    program's heap does not change it either.
+    """
+    rng = random.Random(0)
+    heap: list[tuple[float, int]] = []
+    loads: dict[int, float] = {}
+    ready = numpy.zeros(32)
+    finish = numpy.empty(32)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for i in range(PROBE_STEPS):
+            x = rng.random()
+            heapq.heappush(heap, (x, i))
+            if len(heap) > 64:
+                heapq.heappop(heap)
+            loads[i % 97] = loads.get(i % 97, 0.0) + x
+            numpy.add(ready, x, out=finish)
+            ready[int(finish.argmin())] += x
+        return time.perf_counter() - t0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def speed() -> float:
+    """The factor from measured seconds to reference-machine seconds for
+    the interval that starts now.
+
+    The machine's speed drifts by tens of percent within seconds, and the
+    program and the probe slow down together, so an interval scaled by a
+    probe taken right before it moves with the program and much less with
+    the machine."""
+    return PROBE_REFERENCE_S / probe_seconds()
+
+
 # ---------------------------------------------------------------- set-up
 def import_seconds() -> float:
     """Seconds a fresh interpreter takes to import what a run needs."""
@@ -191,7 +253,8 @@ class SetupSamples:
     The machine's speed drifts over tens of seconds, so set-ups taken
     back to back all see one state of it; spread over the run they see
     the mix the measured window sees.  A sample is a fresh interpreter's
-    import plus the seconds ``set_up()`` returns.  Samples are taken
+    import plus the seconds ``set_up()`` returns, scaled by the speed
+    probed before it.  Samples are taken
     between requests with the tracer suspended, and ``paused`` counts
     their time so the caller can take it out of the measured window.
     """
@@ -203,13 +266,14 @@ class SetupSamples:
         self.samples: list[float] = []
         self.paused = 0.0
 
-    def add(self, set_up_s: float) -> None:
-        self.samples.append(import_seconds() + set_up_s)
+    def add(self, set_up_s: float, factor: float) -> None:
+        self.samples.append((import_seconds() + set_up_s) * factor)
 
     def _take(self) -> None:
         t0 = time.perf_counter()
         with self.tracer.suspended() if self.tracer is not None else contextlib.nullcontext():
-            self.add(self.set_up())
+            factor = speed()
+            self.add(self.set_up(), factor)
         self.paused += time.perf_counter() - t0
 
     def due(self, elapsed: float) -> None:
@@ -301,7 +365,8 @@ class SerialWorkload:
             return time.perf_counter() - t0
 
         setups = SetupSamples(set_up, seconds, tracer)
-        setups.add(set_up())
+        factor = speed()
+        setups.add(set_up(), factor)
         configs, units = self.plan(seed)
         out = Outcome(setup_s=0.0, full_units=self.full_units(configs))
         out.strata = {s: [] for s in configs}
@@ -316,42 +381,51 @@ class SerialWorkload:
     def _measure(self, out, units, seconds, tracer, reference, max_units, setups) -> int:
         """Run units until ``seconds`` of measured time have passed.
 
-        Picking the next unit (instance-size probing) and the set-up
-        samples are not measured: their time is taken out of the window.
+        Picking the next unit (instance-size probing), the speed probe
+        and the set-up samples are not measured: their time is taken out
+        of the window.
         """
         jobs = 0
-        planning = 0.0
+        unmeasured = 0.0
         start = time.perf_counter()
-        while (elapsed := time.perf_counter() - start - planning - setups.paused) < seconds and (
+        while (elapsed := time.perf_counter() - start - unmeasured - setups.paused) < seconds and (
             max_units is None or out.units < max_units
         ):
             setups.due(elapsed)
             t0 = time.perf_counter()
             unit = next(units)
-            planning += time.perf_counter() - t0
-            label = f"{unit.config.name}|{unit.stratum}|g={unit.granularity!r}|rep={unit.rep}"
-            t0 = time.perf_counter()
-            try:
-                with _span(tracer, "unit", label):
-                    result = run_rep(unit.config, unit.granularity, unit.rep)
-            except Exception as exc:  # a failed unit is counted, not fatal
-                out.tally.record([f"raised {exc!r}"], label)
-                out.digests.append("")
-                continue
-            dt = time.perf_counter() - t0
-            value, problems = self.check(unit, result)
-            problems += reference_problems(reference, len(out.digests), value)
-            if dt > UNIT_DEADLINE_S:
-                problems.append(f"took {dt:.1f}s > {UNIT_DEADLINE_S:.0f}s")
-            out.tally.record(problems, label)
-            out.digests.append(value)
-            out.latencies.append(dt)
-            out.strata[unit.stratum].append(dt)
-            out.units += 1
-            if self.online:
-                jobs += unit.config.arrival.jobs * len(unit.config.algorithms)
-        out.wall_s = time.perf_counter() - start - planning - setups.paused
+            factor = speed()
+            out.speeds.append(factor)
+            t1 = time.perf_counter()
+            unmeasured += t1 - t0
+            jobs += self._unit(out, unit, factor, tracer, reference)
+            dt = time.perf_counter() - t1
+            out.measured_wall_s += dt
+            out.wall_s += dt * factor
         return jobs
+
+    def _unit(self, out, unit, factor, tracer, reference) -> int:
+        """Run and check one unit; the jobs it scheduled (online only)."""
+        label = f"{unit.config.name}|{unit.stratum}|g={unit.granularity!r}|rep={unit.rep}"
+        t0 = time.perf_counter()
+        try:
+            with _span(tracer, "unit", label):
+                result = run_rep(unit.config, unit.granularity, unit.rep)
+        except Exception as exc:  # a failed unit is counted, not fatal
+            out.tally.record([f"raised {exc!r}"], label)
+            out.digests.append("")
+            return 0
+        dt = time.perf_counter() - t0
+        value, problems = self.check(unit, result)
+        problems += reference_problems(reference, len(out.digests), value)
+        if dt > UNIT_DEADLINE_S:
+            problems.append(f"took {dt:.1f}s > {UNIT_DEADLINE_S:.0f}s")
+        out.tally.record(problems, label)
+        out.digests.append(value)
+        out.latencies.append(dt * factor)
+        out.strata[unit.stratum].append(dt * factor)
+        out.units += 1
+        return unit.config.arrival.jobs * len(unit.config.algorithms) if self.online else 0
 
 
 class PaperSlice(SerialWorkload):
@@ -485,11 +559,12 @@ class ServiceChurn:
 
         service = None
         try:
+            factor = speed()
             t0 = time.perf_counter()
             plan = self.plan(seed)
             service, address = self._start(next(cycles))
             setups = SetupSamples(set_up, seconds, tracer)
-            setups.add(time.perf_counter() - t0)
+            setups.add(time.perf_counter() - t0, factor)
             out = Outcome(setup_s=0.0, full_units={"job": CHURN_FULL_JOBS})
             out.strata = {"job": []}
             with tracer if tracer is not None else contextlib.nullcontext():
@@ -504,15 +579,21 @@ class ServiceChurn:
 
     def _churn(self, out, plan, address, seconds, tracer, max_units, setups):
         """Closed loop: submit a job, poll it until it ends, repeat, until
-        ``seconds`` of measured time have passed (set-up samples, taken
-        between jobs, are not measured)."""
+        ``seconds`` of measured time have passed (the speed probe and the
+        set-up samples, taken between jobs, are not measured)."""
         first = []
         handles = []
+        probing = 0.0
         start = time.perf_counter()
-        while (elapsed := time.perf_counter() - start - setups.paused) < seconds and (
+        while (elapsed := time.perf_counter() - start - probing - setups.paused) < seconds and (
             max_units is None or len(handles) < max_units
         ):
             setups.due(elapsed)
+            t0 = time.perf_counter()
+            factor = speed()
+            out.speeds.append(factor)
+            t1 = time.perf_counter()
+            probing += t1 - t0
             spec, tenant = next(plan)
             problems = []
             handle = t_first = None
@@ -542,12 +623,14 @@ class ServiceChurn:
                 problems.append(f"ended {snap['state']}: {snap.get('error')}")
             handles.append((spec, handle, problems))
             if not problems:
-                out.latencies.append(dt)
-                out.strata["job"].append(dt)
+                out.latencies.append(dt * factor)
+                out.strata["job"].append(dt * factor)
                 out.units += snap["total"]
                 if t_first is not None:
-                    first.append(t_first)
-        out.wall_s = time.perf_counter() - start - setups.paused
+                    first.append(t_first * factor)
+            dt = time.perf_counter() - t1
+            out.measured_wall_s += dt
+            out.wall_s += dt * factor
         if first:
             out.extras["first_result_s_p50"] = (statistics.median(first), "s")
         return handles
