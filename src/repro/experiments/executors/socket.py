@@ -1101,8 +1101,10 @@ def run_worker(
     the life of the connection so the master can tell "still computing"
     from "dead"; a second daemon owns all socket reads and feeds an
     inbox queue, so mid-lease control traffic — a v3 ``revoke`` — is
-    seen between units, not after the whole lease.  Revoked units still
-    pending locally are skipped (the master already re-leased them).
+    seen between units, not after the whole lease.  A revoke drops the
+    oldest pending copy of each named unit (the master already re-leased
+    it); ids this worker already started or finished leave no trace, so
+    a later lease of the same unit is computed.
     ``idle_timeout`` bounds how long the worker waits for the master's
     next message (keepalive plus a recv timeout), so a worker orphaned
     by a master host that died without closing the TCP connection exits
@@ -1184,7 +1186,6 @@ def run_worker(
     threading.Thread(target=_beat, name="campaign-heartbeat", daemon=True).start()
     threading.Thread(target=_read, name="campaign-worker-read", daemon=True).start()
     pending: deque[WorkUnit] = deque()
-    revoked: set[str] = set()
     done = 0
     try:
         while True:
@@ -1224,20 +1225,25 @@ def run_worker(
                                 file=sys.stderr,
                             )
                     else:
-                        revoked |= ids
                         if verbose:
                             print(
                                 f"worker {label}: master revoked "
                                 f"{len(ids)} unit(s)",
                                 file=sys.stderr,
                             )
+                        # Drop the oldest pending copy of each id.  A
+                        # unit already started is finished and acked
+                        # anyway, and a lease sent after the steal may
+                        # hand the same id back before this revoke lands.
+                        kept: deque[WorkUnit] = deque()
+                        for queued in pending:
+                            if queued.unit_id in ids:
+                                ids.discard(queued.unit_id)
+                            else:
+                                kept.append(queued)
+                        pending = kept
                 block = not pending
             unit = pending.popleft()
-            if unit.unit_id in revoked:
-                # The master stole this unit for an idle worker; skip it
-                # — computing it anyway would only lose first-ack-wins.
-                revoked.discard(unit.unit_id)
-                continue
             if wedge_after is not None and done >= wedge_after:
                 if verbose:
                     print(

@@ -49,9 +49,9 @@ from repro.experiments.arrival import ArrivalEvent, generate_arrivals
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import (
     ALGORITHM_RUNNERS,
-    FAULTFREE_RUNNERS,
     RepResult,
     campaign_network,
+    faultfree_latencies,
     generate_topology,
 )
 from repro.fault.model import FailureScenario, build_failure_model
@@ -178,6 +178,10 @@ class OnlineHarness:
             ev.index: stream.seed("algo", config.name, rate, rep, ev.index)
             for ev in self.events
         }
+        #: job index -> (fault-free latency per algorithm, CP bound); the
+        #: dedicated reference does not depend on the algorithm serving
+        #: the stream, so every ``run`` shares it
+        self._references: dict[int, tuple[dict[str, float], float]] = {}
 
     # ------------------------------------------------------------------
     def _job_model(self, sub_platform: Platform):
@@ -209,16 +213,26 @@ class OnlineHarness:
         )
         return sched
 
-    def _dedicated(self, algorithm: str, ev: ArrivalEvent) -> tuple[float, float]:
-        """Fault-free latency on the whole platform + the job's CP bound."""
+    def _dedicated(
+        self, algorithm: str, ev: ArrivalEvent
+    ) -> tuple[dict[str, float], float]:
+        """Fault-free latencies on the whole platform + the job's CP bound.
+
+        Latencies cover ``algorithm`` and every algorithm of the config,
+        so one call per job serves every ``run``.
+        """
         inst = ProblemInstance(
             ev.graph, self.platform, self._exec_costs[ev.index]
         )
         model = campaign_network(self.config, inst, self.topology)
-        sched = FAULTFREE_RUNNERS[algorithm](
-            inst, self._algo_seeds[ev.index], model, self.config.fast
+        latencies = faultfree_latencies(
+            dict.fromkeys((algorithm, *self.config.algorithms)),
+            inst,
+            self._algo_seeds[ev.index],
+            model,
+            self.config.fast,
         )
-        return sched.latency(), min_critical_path(inst)
+        return latencies, min_critical_path(inst)
 
     def _crash_latency(self, sched, grant: tuple[int, ...]) -> Optional[float]:
         """The job's makespan under the rep's scenario (``None`` = died)."""
@@ -259,7 +273,12 @@ class OnlineHarness:
                 makespan = sched.latency()
                 finish = now + makespan
                 heapq.heappush(running, (finish, idx, grant))
-                dedicated, cp = self._dedicated(algorithm, ev)
+                reference = self._references.get(idx)
+                if reference is None or algorithm not in reference[0]:
+                    reference = self._references[idx] = self._dedicated(
+                        algorithm, ev
+                    )
+                latencies, cp = reference
                 records[idx] = JobRecord(
                     index=idx,
                     arrival=ev.time,
@@ -269,7 +288,7 @@ class OnlineHarness:
                     priority=ev.priority,
                     procs=grant,
                     messages=float(sched.message_count()),
-                    dedicated=dedicated,
+                    dedicated=latencies[algorithm],
                     critical_path=cp,
                     crash_latency=self._crash_latency(sched, grant),
                 )

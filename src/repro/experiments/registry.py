@@ -114,6 +114,12 @@ class SchedulerEntry(NamedTuple):
 
 #: algorithm names a config's ``algorithms`` tuple may use
 SCHEDULERS = Registry("scheduler")
+#: scheduler name -> representative of its fault-free equivalence class
+#: (see :func:`register_scheduler`).  Kept beside ``SCHEDULERS`` rather
+#: than in each entry, so re-registering a wrapped entry with
+#: ``SCHEDULERS.register(..., overwrite=True)`` (as a profiler does)
+#: keeps the declaration.
+FAULTFREE_CLASSES: dict[str, str] = {}
 #: executor kinds (``--executor`` / ``executor.kind``)
 EXECUTORS = Registry("executor")
 #: results-store backends (``store.backend``)
@@ -125,6 +131,7 @@ def register_scheduler(
     runner: Callable,
     faultfree: Optional[Callable] = None,
     *,
+    faultfree_class: Optional[str] = None,
     overwrite: bool = False,
 ) -> Callable:
     """Register a scheduling algorithm under ``name``.
@@ -135,13 +142,37 @@ def register_scheduler(
     fault-free form is simply "no replication".  Registered names are
     valid in ``ExperimentConfig.algorithms`` and show up in every
     campaign's per-algorithm columns.  Returns ``runner``.
+
+    ``faultfree_class`` names the representative of the scheduler's
+    fault-free equivalence class; the representative names itself.  It
+    declares that this scheduler's fault-free schedule equals the
+    representative's whenever the representative certifies its own by
+    reporting ``schedule.metadata["near_ties"] == 0``.  The harnesses
+    then run one fault-free reference per class and fall back to each
+    member's own ``faultfree`` when the certificate fails.
     """
     if faultfree is None:
         def faultfree(inst, rng, model, fast=True, _runner=runner):
             return _runner(inst, 0, rng, model, fast)
 
     SCHEDULERS.register(name, SchedulerEntry(runner, faultfree), overwrite=overwrite)
+    if faultfree_class is None:
+        FAULTFREE_CLASSES.pop(name, None)
+    else:
+        FAULTFREE_CLASSES[name] = faultfree_class
     return runner
+
+
+def faultfree_representative(name: str) -> Optional[str]:
+    """The registered representative of ``name``'s fault-free class.
+
+    ``None`` when ``name`` declares no class, or when its representative
+    is not registered as the representative of its own class.
+    """
+    rep = FAULTFREE_CLASSES.get(name)
+    if rep is None or rep not in SCHEDULERS or FAULTFREE_CLASSES.get(rep) != rep:
+        return None
+    return rep
 
 
 def register_executor(
@@ -189,9 +220,11 @@ __all__ = [
     "Registry",
     "SchedulerEntry",
     "SCHEDULERS",
+    "FAULTFREE_CLASSES",
     "EXECUTORS",
     "STORES",
     "register_scheduler",
+    "faultfree_representative",
     "register_executor",
     "register_store",
     "register_network",

@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.platform.instance import ProblemInstance
 from repro.schedule.schedule import Schedule, ScheduleBuilder
 from repro.schedulers.base import (
+    TIE_EPS,
     FreeTaskList,
     ModelSpec,
     argmin_trial,
@@ -30,10 +31,22 @@ from repro.schedulers.base import (
 from repro.utils.rng import RngLike
 
 
+def _near_tie(trials) -> bool:
+    """Whether the runner-up trial finishes within ``TIE_EPS`` of the best."""
+    if len(trials) < 2:
+        return False
+    best = min(t.finish for t in trials)
+    return sum(t.finish <= best + TIE_EPS for t in trials) > 1
+
+
 def place_task_ftsa(
     builder: ScheduleBuilder, task: int, gen, reselect: bool
-) -> float:
-    """Place the ``ε+1`` replicas of ``task``; return the best finish time.
+) -> tuple[float, int]:
+    """Place the ``ε+1`` replicas of ``task``.
+
+    Returns ``(best finish time, near ties)``, where ``near ties`` counts
+    the placements whose runner-up trial finished within ``TIE_EPS`` of
+    the best one.
 
     With ``reselect=False`` (the paper's §4.2: "the first ε+1 processors
     that allow the minimum finish time of t are kept") all processors are
@@ -44,23 +57,26 @@ def place_task_ftsa(
     """
     sources = full_fanin_sources(builder, task)
     best_finish = float("inf")
+    near_ties = 0
     if reselect:
         for _ in range(builder.epsilon + 1):
             # each re-evaluation is a batched kernel sweep; rows whose
             # resources the previous commit did not touch come straight
             # from the epoch cache
             trials = builder.trial_batch(task, eligible_procs(builder, task), sources)
+            near_ties += _near_tie(trials)
             best = argmin_trial(trials, gen)
             replica = builder.commit(task, best.proc, sources, kind="greedy")
             best_finish = min(best_finish, replica.finish)
-        return best_finish
+        return best_finish, near_ties
 
     trials = builder.trial_batch(task, eligible_procs(builder, task), sources)
     trials.sort(key=lambda t: (t.finish, t.proc))
+    near_ties += _near_tie(trials)
     for trial in trials[: builder.epsilon + 1]:
         replica = builder.commit(task, trial.proc, sources, kind="greedy")
         best_finish = min(best_finish, replica.finish)
-    return best_finish
+    return best_finish, near_ties
 
 
 def ftsa(
@@ -80,6 +96,12 @@ def ftsa(
     each replica commit (a stronger variant, see the ablation bench).
     ``fast`` routes candidate evaluation through the vectorized placement
     kernel (bit-identical schedules).
+
+    ``schedule.metadata["near_ties"]`` counts the placements whose
+    runner-up trial finished within ``TIE_EPS`` of the best.  At ε = 0
+    with none, CAFT (either locking) draws no random tie-break and so
+    builds this very schedule — the certificate behind the shared
+    fault-free reference of ``experiments.harness``.
     """
     gen = seeded(rng)
     builder = make_builder(
@@ -87,10 +109,14 @@ def ftsa(
     )
     free = FreeTaskList(instance, gen, priority=priority, dynamic=dynamic)
 
+    near_ties = 0
     while free:
         task = free.pop()
-        best_finish = place_task_ftsa(builder, task, gen, reselect)
+        best_finish, ties = place_task_ftsa(builder, task, gen, reselect)
+        near_ties += ties
         builder.mark_task_done(task)
         free.task_scheduled(task, best_finish=best_finish)
 
-    return builder.finish()
+    schedule = builder.finish()
+    schedule.metadata["near_ties"] = near_ties
+    return schedule

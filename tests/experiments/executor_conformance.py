@@ -280,11 +280,13 @@ def run_cell(
             # whole time, so the dead-man deadline never fires) while
             # stealing is disabled: speculation alone must duplicate the
             # wedged lease's units onto the healthy worker.  A generous
-            # budget lets it rescue the whole stranded lease.
+            # budget lets it rescue the whole stranded lease.  The
+            # healthy worker is throttled so it cannot finish the whole
+            # campaign before the wedged one connects and takes a lease.
             executor = make_cell_executor(
                 "socket",
                 lease=2,
-                spawn=[["--wedge-after", "0"], []],
+                spawn=[["--wedge-after", "0"], ["--slow-factor", "4"]],
                 speculate=SpeculationPolicy(
                     enabled=True, budget_fraction=1.0, min_seconds=0.3
                 ),
@@ -353,11 +355,12 @@ def run_cell(
             # the unstarted tail, speculation duplicates the wedged head
             # — between them every unit the wedged worker holds must
             # complete, and the worker's injected-fault exit code stays
-            # distinct.
+            # distinct.  The healthy worker is throttled so the wedged
+            # one connects while units are still outstanding.
             executor = make_cell_executor(
                 "socket",
                 lease=total,
-                spawn=[["--wedge-after", "0"], []],
+                spawn=[["--wedge-after", "0"], ["--slow-factor", "4"]],
                 speculate="auto",
                 steal="auto",
             )

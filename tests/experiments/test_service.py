@@ -268,8 +268,11 @@ class TestServiceLifecycle:
     ):
         # A genuine crash (--die-after exits 1) is respawned — bounded
         # per slot per job — and the job still completes bit-identical.
+        # The healthy worker is throttled so the job outlasts the crash
+        # long enough for the supervisor's poll to respawn it.
         with CampaignService(
-            tmp_path / "svc", spawn_workers=[["--die-after", "1"], []]
+            tmp_path / "svc",
+            spawn_workers=[["--die-after", "1"], ["--slow-factor", "4"]],
         ) as service:
             service.start()
             client = ServiceClient(service.address)

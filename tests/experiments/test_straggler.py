@@ -5,7 +5,8 @@ The conformance matrix (``executor_conformance.py``) proves the
 *outcome* — bit-identical rows under wedged workers, revoked leases,
 and speculative duplicates.  This module pins the *mechanism*: policy
 arithmetic, the exact revoke a victim receives, first-ack-wins in both
-orders of the revoke-vs-stale-ack race, the v2-worker compatibility
+orders of the revoke-vs-stale-ack race, a worker computing a unit leased
+back to it after a late revoke, the v2-worker compatibility
 guarantee (never revoked, still completes), connect backoff, and the
 master's bounded respawn of crashed local workers.
 
@@ -23,8 +24,10 @@ from repro.experiments import SocketExecutor, run_campaign
 from repro.experiments.executors import SpeculationPolicy, parse_steal
 from repro.experiments.executors.socket import (
     WORKER_EXIT_ERROR,
+    WORKER_EXIT_OK,
     _connect_with_backoff,
     _LineConn,
+    run_worker,
     sockets_available,
 )
 from repro.experiments.grid import ScenarioGrid, WorkUnit
@@ -380,6 +383,56 @@ class TestScriptedStraggler:
             "duplicate_appends": 0, "replayed_rows": 0,
         }
         assert store.rep_rows() == _serial_rep_rows(pinned_config)
+
+
+@pytest.mark.distributed
+@pytest.mark.skipif(
+    not sockets_available(), reason="localhost sockets unavailable"
+)
+class TestScriptedMaster:
+    """Drive a real ``run_worker`` from a hand-rolled master."""
+
+    @staticmethod
+    def _next_result(lc):
+        while True:
+            message = lc.recv(timeout=10.0)
+            if message["type"] != "heartbeat":
+                assert message["type"] == "result", message
+                return message
+
+    def test_late_revoke_does_not_block_a_later_lease(self, pinned_config):
+        # A revoke that reaches the worker after it started the unit
+        # (here: after it acked it) is moot.  When a later steal leases
+        # the same id back to this worker, it must compute and ack it,
+        # or the master waits on that unit forever.
+        unit = ScenarioGrid.from_config(pinned_config).units()[0]
+        server = socket.create_server(("127.0.0.1", 0))
+        host, port = server.getsockname()[:2]
+        exit_codes = []
+        worker = threading.Thread(
+            target=lambda: exit_codes.append(
+                run_worker(host, port, heartbeat=0.3, idle_timeout=30.0)
+            )
+        )
+        worker.start()
+        conn, _ = server.accept()
+        lc = _LineConn(conn)
+        try:
+            assert lc.recv(timeout=10.0)["type"] == "hello"
+            lc.send({"type": "lease", "units": [unit.to_dict()]})
+            assert self._next_result(lc)["unit_id"] == unit.unit_id
+            lc.send({"type": "revoke", "unit_ids": [unit.unit_id]})
+            lc.send({"type": "lease", "units": [unit.to_dict()]})
+            again = self._next_result(lc)
+            assert again["unit_id"] == unit.unit_id
+            assert again["result"] == result_to_dict(unit.run())
+            lc.send({"type": "shutdown"})
+            worker.join(timeout=10.0)
+        finally:
+            lc.close()
+            server.close()
+            worker.join(timeout=10.0)
+        assert exit_codes == [WORKER_EXIT_OK]
 
 
 @pytest.mark.distributed
