@@ -31,18 +31,27 @@ A model whose ``kernel_caps()`` is ``None`` (or declares a combination
 the kernel cannot mirror) falls back to the exact slow path with a
 one-time ``logging`` warning — ``fast=True`` never changes results.
 
-Three evaluation paths, all producing **bit-identical** :class:`Trial`
-results (same IEEE-754 operations in the same order — the equivalence
-test suite asserts identical commit logs end to end):
+Four evaluation paths, all producing **bit-identical** results (same
+IEEE-754 operations in the same order — the equivalence test suite
+asserts identical commit logs end to end):
 
-* ``sweep_trials_batch`` — trials for arbitrary (task, candidate
-  processor) pairs in one batched call: FTBAR's full free-task × all-
-  processor re-scoring sweep, and (through ``batch_trials``) the
-  HEFT/FTSA per-task candidate loops.  The eq. (6) message prologue —
+* ``pressure_sweep`` — FTBAR's free-task × all-processor re-scoring
+  sweep.  One NumPy pass computes a sound **lower bound** on the start
+  of every stale (task, processor) row from the committed frontiers
+  (:meth:`TrialKernel._pressure_bounds`); only the rows whose bound could
+  still put them among their task's ε+1 minimum-``(σ, proc)`` rows are
+  evaluated exactly (:func:`select_pressure`), in as few batched rounds
+  as the bounds allow.  Exact starts, the commit versions they were
+  computed at and every free task's message tables live in per-schedule
+  arrays (:class:`_SweepState`), so no :class:`Trial` is built for a row
+  that is served from them or pruned.
+* ``batch_trials`` — trials for one task's candidate processors (the
+  HEFT/FTSA/CAFT candidate loops).  The eq. (6) message prologue —
   supplier pools, sender-side key bases, suppression tables — is built
   once per task and shared across every candidate processor; uncached
-  rows are evaluated together, one vectorized pass per evaluator family
-  once the sweep is big enough to pay for itself:
+  rows (and the rows the pressure sweep evaluates) are evaluated
+  together, one vectorized pass per evaluator family once the batch is
+  big enough to pay for itself:
 
   - scalar-frontier models lexsort the eq. (6) keys for every row at
     once and advance the serialization frontier matrices step by step
@@ -60,15 +69,16 @@ test suite asserts identical commit logs end to end):
 * ``trial_with_heads`` — one candidate with designated per-predecessor
   suppliers (CAFT's one-to-one rounds pick different heads per
   candidate) over the shared per-task entry state.
-* an **epoch cache** — FTBAR re-scores every free task against every
-  processor after every placement, but a placement only dirties the
-  processors (and, for routed models, directed links) it touched.  Each
-  committed replica/message bumps the epochs of the resources it
-  reserved; a cached trial is reused verbatim when the epochs of every
-  resource it read are unchanged and the supplier pools did not grow.
+* an **epoch cache** — a placement only dirties the processors (and,
+  for routed models, directed links) it touched.  Each committed
+  replica/message bumps the epochs of the resources it reserved; a
+  cached trial (``batch_trials``) or exact start (``pressure_sweep``) is
+  reused verbatim when the epochs of every resource it read are
+  unchanged and the supplier pools did not grow.
 
 ``kernel_stats()`` exposes the observability counters (evaluator
-family, epoch-cache hits/misses, batch vs scalar evaluation volumes).
+family, epoch-cache hits/misses, bounded and pruned sweep rows, batch vs
+scalar evaluation volumes).
 """
 
 from __future__ import annotations
@@ -465,6 +475,128 @@ class _TaskEntries:
         return cached
 
 
+class _SweepState:
+    """Per-schedule arrays behind :meth:`TrialKernel.pressure_sweep`.
+
+    ``start[t, p]`` is the exact start of ``t`` on ``p`` computed at
+    commit version ``version[t, p]`` (``-1`` = never).  The message
+    tables hold each loaded task's supplier pools on a ``(slot, k)``
+    grid — ``S`` slots (the graph's largest in-degree) by ``K`` pool
+    entries — with the per-processor transfer durations ``w`` and the
+    ``valid`` mask (remote, not suppressed) that the bound pass reads;
+    ``local[t, s, p]`` is the co-located supply (``inf`` when none,
+    ``-inf`` on padding slots so they never raise the data-ready max).
+    ``entries[t]`` is the :class:`_TaskEntries` the row was loaded from:
+    a new supplier pool means new entries, which reloads the tables and
+    forgets the task's exact starts.
+    """
+
+    __slots__ = ("start", "version", "entries", "src", "ready", "w", "valid", "local")
+
+    def __init__(self, n: int, m: int, slots: int, k: int) -> None:
+        self.start = np.zeros((n, m))
+        self.version = np.full((n, m), -1, dtype=np.int64)
+        self.entries: list[Optional[_TaskEntries]] = [None] * n
+        self.src = np.zeros((n, slots, k), dtype=np.int64)
+        self.ready = np.zeros((n, slots, k))
+        self.w = np.zeros((n, slots, k, m))
+        self.valid = np.zeros((n, slots, k, m), dtype=bool)
+        self.local = np.full((n, slots, m), -_INF)
+
+    def load(self, task: int, entries: _TaskEntries, delay, strict: bool) -> None:
+        grow = max(entries.sig, default=0) - self.src.shape[2]
+        if grow > 0:
+            # a pool wider than the grid: widen every message table
+            pad = ((0, 0), (0, 0), (0, grow))
+            self.src = np.pad(self.src, pad)
+            self.ready = np.pad(self.ready, pad)
+            self.w = np.pad(self.w, pad + ((0, 0),))
+            self.valid = np.pad(self.valid, pad + ((0, 0),))
+        self.entries[task] = entries
+        self.version[task] = -1
+        self.valid[task] = False
+        local = self.local[task]
+        local[:] = -_INF
+        for slot, pool in enumerate(entries.pools):
+            local[slot] = _INF
+            for p, finish in entries.local[slot].items():
+                local[slot, p] = finish
+            suppressed = list(entries.local[slot] if strict else entries.selfsuff[slot])
+            vol = entries.vols[slot]
+            for k, (_index, src, ready) in enumerate(pool):
+                self.src[task, slot, k] = src
+                self.ready[task, slot, k] = ready
+                self.w[task, slot, k] = vol * delay[src]
+                valid = self.valid[task, slot, k]
+                valid[:] = True
+                valid[src] = False
+                valid[suppressed] = False
+
+
+#: query rows per chunk of :func:`_earliest_gaps` times the widest
+#: timeline: keeps its temporaries near 256 KiB each
+_GAP_CHUNK = 1 << 15
+
+
+def _earliest_gaps(timelines, which, ready, w) -> np.ndarray:
+    """Per query ``q``: the earliest start ``>= ready[q]`` at which
+    ``w[q] > 0`` fits between the committed busy intervals of
+    ``timelines[which[q]]`` — :func:`repro.comm.base.earliest_gap`
+    vectorized over queries: the first gap ``j`` (from the end of
+    interval ``j-1`` to the start of interval ``j``) with ``max(gap
+    start, ready) + w <= gap end``, the walk's own fit test."""
+    used, row = np.unique(which, return_inverse=True)
+    vecs = [timelines[i].gap_vectors() for i in used.tolist()]
+    width = max(len(starts) for starts, _ends in vecs) + 1
+    gap_start = np.full((used.size, width), _INF)
+    gap_end = np.full((used.size, width), _INF)
+    gap_start[:, 0] = -_INF
+    for i, (starts, ends) in enumerate(vecs):
+        gap_start[i, 1 : len(ends) + 1] = ends
+        gap_end[i, : len(starts)] = starts
+    out = np.empty(row.size)
+    step = max(1, _GAP_CHUNK // width)
+    for lo in range(0, row.size, step):
+        r = row[lo : lo + step]
+        cand = np.maximum(gap_start[r], ready[lo : lo + step, None])
+        first = (cand + w[lo : lo + step, None] <= gap_end[r]).argmax(axis=1)
+        out[lo : lo + step] = cand[np.arange(r.size), first]
+    return out
+
+
+def select_pressure(starts, exact, bl, current_length, keep, evaluate=None):
+    """FTBAR's per-task ε+1 minimum-``(σ, proc)`` sets from row starts.
+
+    ``starts[i, p]`` is the start of task ``i`` on processor ``p`` —
+    exact where ``exact[i, p]``, else a lower bound.  ``σ = (start +
+    bl[i]) - current_length`` (FTBAR's arithmetic, monotone in the
+    start), so a row's bound-σ never exceeds its exact σ.  Each round
+    evaluates (through ``evaluate(rows, procs)``, which returns their
+    exact starts) every inexact row among the first ``keep`` of its task
+    in ``(σ, proc)`` order; the loop ends when those are all exact.
+    Then every other row's ``(σ, proc)`` — exact, or bounded below by its
+    bound's — sorts after them, so the kept sets, their order and the
+    urgencies are exactly those of evaluating every row.  Both arrays
+    are updated in place.
+
+    Returns one ``(urgency, procs)`` per task: the kept processors in
+    ``(σ, proc)`` order and the σ of the last one.
+    """
+    sigma = (starts + bl[:, None]) - current_length
+    tasks = np.arange(len(sigma))[:, None]
+    while True:
+        order = np.argsort(sigma, axis=1, kind="stable")[:, :keep]
+        rows, cols = np.nonzero(~exact[tasks, order])
+        if not rows.size:
+            break
+        procs = order[rows, cols]
+        starts[rows, procs] = evaluate(rows, procs)
+        exact[rows, procs] = True
+        sigma[rows, procs] = (starts[rows, procs] + bl[rows]) - current_length
+    urgency = sigma[tasks[:, 0], order[:, -1]]
+    return list(zip(urgency.tolist(), order.tolist()))
+
+
 class TrialKernel:
     """Exact, side-effect-free trial evaluation over frontier views."""
 
@@ -506,6 +638,7 @@ class TrialKernel:
         "_routemax",
         "_routemax_rows",
         "_linkcol_rows",
+        "_sweep",
         "_stats",
     )
 
@@ -554,10 +687,14 @@ class TrialKernel:
         self._routemax_rows: dict[int, list] = {}
         #: insertion: dst -> plain-list link-frontier column (scalar path)
         self._linkcol_rows: dict[int, list] = {}
+        #: pressure-sweep arrays (built on the first :meth:`pressure_sweep`)
+        self._sweep: Optional[_SweepState] = None
         #: observability counters (see :meth:`kernel_stats`)
         self._stats = {
             "cache_hits": 0,
             "cache_misses": 0,
+            "bound_rows": 0,
+            "pruned_rows": 0,
             "batch_calls": 0,
             "batch_rows": 0,
             "scalar_calls": 0,
@@ -703,13 +840,55 @@ class TrialKernel:
     ) -> list[Trial]:
         """Candidate trials for every processor in ``procs`` (one pass).
 
-        A single-task slice of :meth:`sweep_trials_batch`: the HEFT/FTSA
-        candidate loops share the same batched evaluators and (for
-        canonical supplier pools) the same epoch cache as FTBAR's sweep.
+        The HEFT/FTSA/CAFT candidate loops: cached rows (canonical
+        supplier pools only) whose input epochs are untouched are reused;
+        the rest share one eq. (6) prologue and are evaluated together —
+        one vectorized pass per evaluator family once the batch is big
+        enough to pay for itself.  Trials are aligned to ``procs``.
         """
-        return self.sweep_trials_batch(
-            (task,), {task: sources}, procs={task: procs}
-        )[task]
+        recv_changed = self._recv_changed
+        send_changed = self._send_changed
+        nooverlap = self.kind == "nooverlap"
+        routed = self.kind == "routed"
+        stats = self._stats
+        entries, cacheable = self._entries_for(task, sources)
+        if not cacheable:
+            # non-canonical pools must not alias the trial cache
+            self._cache.pop(task, None)
+            per_proc: dict[int, tuple[int, Trial]] = {}
+        else:
+            cached = self._cache.get(task)
+            if cached is None or cached[0] != entries.sig:
+                per_proc = {}
+                self._cache[task] = (entries.sig, per_proc)
+            else:
+                per_proc = cached[1]
+        srcs_changed = self._srcs_changed_after(entries)
+        trials: list[Optional[Trial]] = [None] * len(procs)
+        misses: list[tuple[_TaskEntries, int, int]] = []
+        slots: list[int] = []
+        for i, p in enumerate(procs):
+            hit = per_proc.get(p)
+            if hit is not None:
+                v = hit[0]
+                if (
+                    v >= srcs_changed
+                    and v >= recv_changed[p]
+                    and (not nooverlap or v >= send_changed[p])
+                    and (not routed or v >= self._hops_changed_after(entries, p))
+                ):
+                    trials[i] = hit[1]
+                    stats["cache_hits"] += 1
+                    continue
+            stats["cache_misses"] += 1
+            misses.append((entries, task, p))
+            slots.append(i)
+        if misses:
+            version = self._version
+            for i, trial in zip(slots, self._eval_misses(misses)):
+                per_proc[trial.proc] = (version, trial)
+                trials[i] = trial
+        return trials
 
     def trial_with_heads(
         self,
@@ -729,88 +908,178 @@ class TrialKernel:
         self._stats["scalar_rows"] += 1
         return self._eval(task, proc, entries, heads)
 
-    def sweep_trials(
-        self,
-        tasks: Sequence[int],
-        sources_map: Mapping[int, Mapping[int, Sequence[Replica]]],
-    ) -> dict[int, list[Trial]]:
-        """Trials for *every* (free task, processor) pair in one pass
-        (FTBAR's re-scoring sweep) — see :meth:`sweep_trials_batch`."""
-        return self.sweep_trials_batch(tasks, sources_map)
+    def pressure_sweep(
+        self, tasks: Sequence[int], bl: np.ndarray, current_length: float
+    ) -> list[tuple[float, list[int]]]:
+        """FTBAR's schedule-pressure step over every (free task, processor).
 
-    def sweep_trials_batch(
-        self,
-        tasks: Sequence[int],
-        sources_map: Mapping[int, Mapping[int, Sequence[Replica]]],
-        procs: Optional[Mapping[int, Sequence[int]]] = None,
-    ) -> dict[int, list[Trial]]:
-        """Trials for every requested (task, candidate processor) pair in
-        one batched call.
+        ``tasks`` are unscheduled tasks whose predecessors are all placed
+        (every processor eligible, full fan-in supply); ``bl[i]`` is the
+        bottom level of ``tasks[i]`` and ``current_length`` the schedule
+        length ``R``.  Rows whose exact start is still valid under the
+        epoch rules are served from the sweep arrays; every other row
+        gets a lower bound (:meth:`_pressure_bounds`), and
+        :func:`select_pressure` evaluates exactly only the rows whose
+        bound could still place them in their task's ε+1 set.
 
-        ``procs`` maps each task to its candidate processors; ``None``
-        means every processor for every task (FTBAR's step pattern:
-        re-score all free tasks against all processors after every
-        placement — free tasks have no replicas yet, so every processor
-        is eligible).  Cached rows whose input epochs are untouched are
-        reused; the remaining rows share one eq. (6) prologue per task
-        and are evaluated together — one vectorized pass per evaluator
-        family once the sweep is big enough to pay for itself.
-
-        Returns ``{task: trials}`` with ``trials`` aligned to the task's
-        candidate list (index == processor when ``procs`` is ``None``).
+        Returns one ``(urgency, kept processors)`` per task, in ``tasks``
+        order — exactly what evaluating every row would select.
         """
-        m = self._m
+        st = self._sweep
+        if st is None:
+            graph = self.graph
+            slots = max((len(graph.preds(t)) for t in range(graph.num_tasks)), default=0)
+            st = self._sweep = _SweepState(
+                graph.num_tasks, self._m, max(1, slots), self.builder.epsilon + 1
+            )
+        replicas = self.builder.schedule.replicas
+        ents = []
+        for t in tasks:
+            entries = st.entries[t]
+            if entries is None or entries.sig != tuple(
+                len(replicas[p]) for p in entries.preds
+            ):
+                entries, _ = self._entries_for(
+                    t, {p: replicas[p] for p in self.graph.preds(t)}
+                )
+                st.load(
+                    t, entries, self._frontiers.delay_np,
+                    self.builder.strict_local_suppression,
+                )
+            ents.append(entries)
+
         version = self._version
-        recv_changed = self._recv_changed
-        send_changed = self._send_changed
-        nooverlap = self.kind == "nooverlap"
-        routed = self.kind == "routed"
+        tix = np.asarray(tasks, dtype=np.int64)
+        starts = st.start[tix]
+        exact = st.version[tix] >= self._epochs_read(tix)
+        stale = ~exact
+        nstale = int(stale.sum())
         stats = self._stats
+        stats["cache_hits"] += exact.size - nstale
+        stats["bound_rows"] += nstale
+        if nstale:
+            bound, certified = self._pressure_bounds(tix)
+            starts[stale] = bound[stale]
+            # a bound with no contended message in it is the exact start
+            fresh = stale & certified
+            exact |= fresh
+            rows, procs = np.nonzero(fresh)
+            st.start[tix[rows], procs] = starts[rows, procs]
+            st.version[tix[rows], procs] = version
 
-        out: dict[int, list[Optional[Trial]]] = {}
-        misses: list[tuple[_TaskEntries, int, int]] = []
-        #: per miss: (task, index in the task's trial list, proc, cache dict)
-        slots: list[tuple[int, int, int, dict]] = []
-        for task in tasks:
-            plist = range(m) if procs is None else procs[task]
-            entries, cacheable = self._entries_for(task, sources_map[task])
-            if not cacheable:
-                # non-canonical pools must not alias the trial cache
-                self._cache.pop(task, None)
-                per_proc: dict[int, tuple[int, Trial]] = {}
+        def evaluate(rows, procs):
+            found = self._eval_misses(
+                [(ents[r], tasks[r], p) for r, p in zip(rows.tolist(), procs.tolist())]
+            )
+            stats["cache_misses"] += len(found)
+            out = [trial.start for trial in found]
+            st.start[tix[rows], procs] = out
+            st.version[tix[rows], procs] = version
+            return out
+
+        misses = stats["cache_misses"]
+        kept = select_pressure(
+            starts, exact, np.asarray(bl, dtype=np.float64), current_length,
+            self.builder.epsilon + 1, evaluate,
+        )
+        stats["pruned_rows"] += nstale - (stats["cache_misses"] - misses)
+        return kept
+
+    def _epochs_read(self, tix: np.ndarray) -> np.ndarray:
+        """``(T, m)`` latest commit version at which any resource a trial
+        of ``tasks[i]`` on ``p`` reads moved — the vectorized form of
+        :meth:`batch_trials`' epoch check: a start computed at version
+        ``v`` is exact iff ``v`` is at least this."""
+        st = self._sweep
+        read = np.asarray(self._recv_changed, dtype=np.int64)[None, :]
+        if self.kind == "macro":
+            return np.broadcast_to(read, (tix.size, self._m))
+        # the pool entries some row reads (padding and entries every
+        # processor suppresses or hosts locally read nothing)
+        pooled = st.valid[tix].any(axis=3)
+        SRC = st.src[tix]
+        send_changed = np.asarray(self._send_changed, dtype=np.int64)
+        srcs = np.where(pooled, send_changed[SRC], 0).max(axis=(1, 2))
+        read = np.maximum(read, srcs[:, None])
+        if self.kind == "nooverlap":
+            read = np.maximum(read, send_changed[None, :])
+        elif self.kind == "routed":
+            hops = self._route_max(self._link_changed)[SRC]
+            read = np.maximum(
+                read, np.where(pooled[..., None], hops, 0).max(axis=(1, 2))
+            )
+        return read
+
+    def _pressure_bounds(self, tix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower bounds on the start of every ``(tasks[i], p)`` row.
+
+        Each remote message gets ``max(ready, send_free[src], F(src→p),
+        recv_free[p]) + w`` — ``F`` the directed-link frontier (clique)
+        or the route-hop maximum (routed) — ``ready + w`` on
+        macro-dataflow, and ``ready`` when ``w == 0``.  Every frontier
+        the evaluators simulate is at least its committed value and
+        IEEE-754 rounding is monotone, so each exact arrival is at least
+        its bound.  On the insertion family a message gets the later of
+        the earliest gaps fitting it on the committed send timeline of
+        ``src`` and receive timeline of ``p``, plus ``w``: the trial
+        overlays only add busy intervals, and the common gap the exact
+        replay finds must fit each timeline alone.  Supplies then merge
+        exactly as in :meth:`_finish_trial` (min per predecessor, local
+        supply included; max over predecessors and 0; max with the
+        processor's ready time, and the no-overlap compute floor
+        ``max(send_free[p], recv_free[p])``), all monotone.  Hence
+        bound ≤ exact start.
+
+        Also returns which bounds *are* the exact start: every row of the
+        macro-dataflow family (``ready + w`` is its exact arrival) and
+        every row without a positive-duration remote message.
+        """
+        st = self._sweep
+        kind = self.kind
+        view = self._frontiers
+        READY = st.ready[tix][..., None]
+        W = st.w[tix]
+        VALID = st.valid[tix]
+        if kind == "macro":
+            lb = READY + W
+        elif kind == "insertion":
+            # a link's busy intervals are also its sender's, so the link
+            # timeline cannot raise the bound
+            busy = VALID & (W > 0.0)
+            lb = np.where(busy, _INF, READY)
+            t, s, k, p = np.nonzero(busy)
+            if t.size:
+                src = st.src[tix][t, s, k]
+                ready = READY[t, s, k, 0]
+                w = W[t, s, k, p]
+                start = np.maximum(
+                    _earliest_gaps(view.send_timelines, src, ready, w),
+                    _earliest_gaps(view.recv_timelines, p, ready, w),
+                )
+                lb[t, s, k, p] = start + w
+        else:
+            m = self._m
+            SRC = st.src[tix]
+            send0 = np.asarray(view.send_free, dtype=np.float64)
+            recv0 = np.asarray(view.recv_free, dtype=np.float64)
+            if kind == "routed":
+                F = self._routemax_matrix()[SRC]
             else:
-                cached = self._cache.get(task)
-                if cached is None or cached[0] != entries.sig:
-                    per_proc = {}
-                    self._cache[task] = (entries.sig, per_proc)
-                else:
-                    per_proc = cached[1]
-            srcs_changed = self._srcs_changed_after(entries)
-            trials: list[Optional[Trial]] = [None] * len(plist)
-            for i, p in enumerate(plist):
-                hit = per_proc.get(p)
-                if hit is not None:
-                    v = hit[0]
-                    if (
-                        v >= srcs_changed
-                        and v >= recv_changed[p]
-                        and (not nooverlap or v >= send_changed[p])
-                        and (not routed or v >= self._hops_changed_after(entries, p))
-                    ):
-                        trials[i] = hit[1]
-                        stats["cache_hits"] += 1
-                        continue
-                stats["cache_misses"] += 1
-                misses.append((entries, task, p))
-                slots.append((task, i, p, per_proc))
-            out[task] = trials
-
-        if misses:
-            fresh = self._eval_misses(misses)
-            for (task, i, p, per_proc), trial in zip(slots, fresh):
-                per_proc[p] = (version, trial)
-                out[task][i] = trial
-        return out
+                F = np.asarray(view.link_free, dtype=np.float64).reshape(m, m)[SRC]
+            base = np.maximum(READY, send0[SRC][..., None])
+            lb = np.maximum(np.maximum(base, F), recv0) + W
+            lb = np.where(W > 0.0, lb, READY)
+        arrival = np.where(VALID, lb, _INF).min(axis=2)
+        supply = np.minimum(st.local[tix], arrival)
+        start = np.maximum(supply.max(axis=1), 0.0)
+        start = np.maximum(np.asarray(self.builder.proc_ready, dtype=np.float64), start)
+        if kind == "nooverlap":
+            start = np.maximum(start, np.maximum(send0, recv0))
+        if kind == "macro":
+            certified = np.ones(start.shape, dtype=bool)
+        else:
+            certified = ~(VALID & (W > 0.0)).any(axis=(1, 2))
+        return start, certified
 
     def _eval_misses(self, misses) -> list[Trial]:
         """Evaluate uncached ``(entries, task, proc)`` rows, choosing the
@@ -841,10 +1110,14 @@ class TrialKernel:
 
     def kernel_stats(self) -> dict:
         """Observability counters: evaluator family, epoch-cache traffic,
-        and how many rows went through the batched vs scalar evaluators.
+        bounded and pruned pressure-sweep rows, and how many rows went
+        through the batched vs scalar evaluators.
 
-        ``cache_hits``/``cache_misses`` count (task, proc) rows served
-        from / past the epoch cache; ``batch_calls``/``batch_rows`` the
+        ``cache_hits`` counts (task, proc) rows served exact from the
+        epoch cache or the sweep arrays, ``cache_misses`` rows evaluated
+        exactly; ``bound_rows`` counts pressure-sweep rows that got a
+        lower bound instead, and ``pruned_rows`` those of them that were
+        never evaluated.  ``batch_calls``/``batch_rows`` count the
         vectorized evaluations, ``scalar_calls``/``scalar_rows`` the
         scalar ones (including CAFT's per-head trials).
         """
@@ -879,23 +1152,28 @@ class TrialKernel:
         self._sync_version()
         rm = self._routemax
         if rm is None:
-            view = self._frontiers
-            m = self._m
-            indptr, ids = view.hop_csr()
-            if ids.size:
-                vals = np.asarray(view.link_free, dtype=np.float64)[ids]
-                seg = indptr[:-1]
-                empty = seg == indptr[1:]
-                # reduceat cannot take an empty segment at the end of the
-                # id array (and yields vals[seg] for interior ones):
-                # clamp, then zero the empty rows — those are the
-                # diagonal src == dst routes, which no message ever reads.
-                out = np.maximum.reduceat(vals, np.minimum(seg, vals.size - 1))
-                out[empty] = 0.0
-            else:
-                out = np.zeros(m * m)
-            rm = self._routemax = out.reshape(m, m)
+            rm = self._routemax = self._route_max(
+                np.asarray(self._frontiers.link_free, dtype=np.float64)
+            )
         return rm
+
+    def _route_max(self, per_link) -> np.ndarray:
+        """``(m, m)`` maximum of ``per_link`` (one value per directed
+        physical link) over each static route's hops; 0 on the diagonal."""
+        m = self._m
+        indptr, ids = self._frontiers.hop_csr()
+        if not ids.size:
+            return np.zeros((m, m), dtype=np.asarray(per_link).dtype)
+        vals = np.asarray(per_link)[ids]
+        seg = indptr[:-1]
+        empty = seg == indptr[1:]
+        # reduceat cannot take an empty segment at the end of the id
+        # array (and yields vals[seg] for interior ones): clamp, then
+        # zero the empty rows — those are the diagonal src == dst
+        # routes, which no message ever reads.
+        out = np.maximum.reduceat(vals, np.minimum(seg, vals.size - 1))
+        out[empty] = 0
+        return out.reshape(m, m)
 
     def _routemax_to(self, proc: int) -> list:
         """``_routemax``'s column toward ``proc`` as a plain list (the

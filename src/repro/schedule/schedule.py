@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.comm.base import NetworkModel
 from repro.platform.instance import ProblemInstance
 from repro.utils.errors import SchedulingError
@@ -389,52 +391,41 @@ class ScheduleBuilder:
             return self._kernel.batch_trials(task, procs, sources)
         return [self._place(task, p, sources, record=False) for p in procs]
 
-    def sweep_trials(
-        self,
-        tasks: Sequence[int],
-        sources_map: Mapping[int, Mapping[int, Sequence[Replica]]],
-    ) -> dict[int, list[Trial]]:
-        """Trials for every ``(task, processor)`` pair of a free-task sweep.
+    def pressure_sweep(
+        self, tasks: Sequence[int], bl, current_length: float
+    ) -> list[tuple[float, list[int]]]:
+        """FTBAR's schedule-pressure step: per free task, its ε+1
+        minimum-``(σ, proc)`` processors and its urgency (see
+        :func:`repro.schedule.kernel.select_pressure`).
 
-        Tasks must be unscheduled (every processor eligible).  With the
-        kernel active the whole sweep — FTBAR re-scores all free tasks
-        after every placement — is served from the epoch cache plus one
-        vectorized pass over the stale rows.
+        Tasks must be unscheduled with every predecessor placed (every
+        processor eligible, full fan-in supply); ``bl[i]`` is the bottom
+        level of ``tasks[i]``.  With the kernel active only the rows whose
+        lower bound could enter a kept set are evaluated; otherwise every
+        row goes through the exact path.  The selection is identical.
         """
-        if self._kernel is not None:
-            return self._kernel.sweep_trials(tasks, sources_map)
-        m = self.instance.num_procs
-        return {
-            t: [self._place(t, p, sources_map[t], record=False) for p in range(m)]
-            for t in tasks
-        }
+        from repro.schedule.kernel import select_pressure
 
-    def sweep_trials_batch(
-        self,
-        tasks: Sequence[int],
-        sources_map: Mapping[int, Mapping[int, Sequence[Replica]]],
-        procs: Optional[Mapping[int, Sequence[int]]] = None,
-    ) -> dict[int, list[Trial]]:
-        """Trials for every requested ``(task, candidate processor)`` pair.
-
-        The general batched sweep: ``procs`` maps each task to its
-        candidate processors (``None`` = all processors for every task,
-        the free-task sweep of :meth:`sweep_trials`).  With the kernel
-        active the whole sweep is served from the epoch cache plus one
-        vectorized pass per evaluator family over the stale rows;
-        otherwise a plain loop over :meth:`trial`.  Bit-identical either
-        way.
-        """
         if self._kernel is not None:
-            return self._kernel.sweep_trials_batch(tasks, sources_map, procs)
-        m = self.instance.num_procs
-        return {
-            t: [
-                self._place(t, p, sources_map[t], record=False)
-                for p in (range(m) if procs is None else procs[t])
-            ]
-            for t in tasks
-        }
+            return self._kernel.pressure_sweep(tasks, bl, current_length)
+        replicas = self.schedule.replicas
+        starts = []
+        for t in tasks:
+            sources = {p: replicas[p] for p in self.instance.graph.preds(t)}
+            starts.append(
+                [
+                    self._place(t, p, sources, record=False).start
+                    for p in range(self.instance.num_procs)
+                ]
+            )
+        starts = np.asarray(starts, dtype=np.float64)
+        return select_pressure(
+            starts,
+            np.ones(starts.shape, dtype=bool),
+            np.asarray(bl, dtype=np.float64),
+            current_length,
+            self.epsilon + 1,
+        )
 
     def kernel_stats(self) -> Optional[dict]:
         """The active kernel's observability counters (``None`` when the

@@ -10,7 +10,12 @@ violated constraint; each check mirrors a constraint from the paper:
   replica or message) arriving no later than its start (eq. (5));
 * message sanity — a message never starts before its source replica ends;
 * one-port constraints (1)–(3) — transfers sharing a link, a sending port
-  or a receiving port never overlap (checked only for one-port models).
+  or a receiving port never overlap (checked for the one-port models and
+  ``uniport``);
+* the §2 port variants — under ``uniport`` (one engine per processor)
+  no two transfers at the same processor overlap, sends and receives
+  alike; under ``oneport-nooverlap`` no replica computes while its
+  processor sends or receives.
 """
 
 from __future__ import annotations
@@ -30,6 +35,24 @@ def _check_no_overlap(intervals, what: str) -> None:
             raise ScheduleValidationError(
                 f"{what}: {a} [{s1:.3f},{f1:.3f}] overlaps {b} [{s2:.3f},{f2:.3f}]"
             )
+
+
+def _check_apart(compute, comm, what: str) -> None:
+    """No ``compute`` interval overlaps a ``comm`` interval (intervals
+    within one list may overlap each other)."""
+    tagged = sorted(
+        [(s, f, a, 0) for s, f, a in compute] + [(s, f, a, 1) for s, f, a in comm]
+    )
+    #: per list: the latest finish seen so far and whose it is
+    busy = [(-float("inf"), ""), (-float("inf"), "")]
+    for s, f, a, group in tagged:
+        until, who = busy[1 - group]
+        if until > s + _EPS:
+            raise ScheduleValidationError(
+                f"{what}: {a} [{s:.3f},{f:.3f}] overlaps {who} (busy until {until:.3f})"
+            )
+        if f > busy[group][0]:
+            busy[group] = (f, a)
 
 
 def validate_schedule(
@@ -110,8 +133,9 @@ def validate_schedule(
                 f"{e} duration {e.duration:.6f} != V*d = {expected:.6f}"
             )
 
-    # --- one-port constraints (1)-(3) --------------------------------------
-    if "oneport" in schedule.model:
+    # --- one-port constraints (1)-(3) and the §2 port variants ------------
+    shared_port = schedule.model == "uniport"
+    if "oneport" in schedule.model or shared_port:
         by_send = defaultdict(list)
         by_recv = defaultdict(list)
         by_link = defaultdict(list)
@@ -128,6 +152,19 @@ def validate_schedule(
             _check_no_overlap(items, f"receive port of P{p} (constraint 3)")
         for (a, b), items in by_link.items():
             _check_no_overlap(items, f"link P{a}->P{b} (constraint 1)")
+        procs = set(by_send) | set(by_recv)
+        if shared_port:
+            for p in procs:
+                _check_no_overlap(
+                    by_send[p] + by_recv[p], f"shared port of P{p} (uniport)"
+                )
+        if schedule.model == "oneport-nooverlap":
+            for p in procs:
+                _check_apart(
+                    [(r.start, r.finish, repr(r)) for r in schedule.proc_replicas[p]],
+                    by_send[p] + by_recv[p],
+                    f"P{p} computes while communicating (no-overlap)",
+                )
 
 
 def is_valid(schedule: Schedule, expected_replicas: int | None = None) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.dag.analysis import bottom_levels
 from repro.platform.instance import ProblemInstance
-from repro.schedule.schedule import Schedule, ScheduleBuilder, Trial
+from repro.schedule.schedule import Schedule
 from repro.schedulers.base import (
     FreeTaskList,
     ModelSpec,
@@ -36,37 +36,7 @@ from repro.schedulers.base import (
     make_builder,
     seeded,
 )
-from repro.utils.errors import SchedulingError
 from repro.utils.rng import RngLike
-
-
-def _best_pressure_set(
-    builder: ScheduleBuilder,
-    task: int,
-    bl: float,
-    current_length: float,
-    trials: list[Trial],
-) -> tuple[list[tuple[float, Trial]], float]:
-    """The ``ε+1`` minimum-pressure (σ, trial) pairs for ``task``.
-
-    ``trials`` holds the candidate evaluation for processors ``0..m-1``
-    (free tasks have no replicas, so every processor is eligible).
-    Returns the retained pairs sorted by σ and the task's urgency (the
-    largest retained pressure — the pressure it will actually suffer).
-    """
-    scored: list[tuple[float, int, Trial]] = []
-    for trial in trials:
-        sigma = trial.start + bl - current_length
-        scored.append((sigma, trial.proc, trial))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    keep = scored[: builder.epsilon + 1]
-    if len(keep) < builder.epsilon + 1:
-        raise SchedulingError(
-            f"not enough processors for {builder.epsilon + 1} replicas of t{task}"
-        )
-    pairs = [(sigma, trial) for sigma, _p, trial in keep]
-    urgency = pairs[-1][0]
-    return pairs, urgency
 
 
 def ftbar(
@@ -89,34 +59,28 @@ def ftbar(
 
     while free:
         candidates = free.free_tasks()
-        # One batched sweep evaluates every (free task, processor) pair;
-        # with the fast kernel, untouched rows come from the epoch cache
-        # and the stale ones run as a single vectorized pass per
-        # evaluator family (clique lockstep, routed hop-max lockstep, or
-        # gap-array replay).
-        sources_map = {t: full_fanin_sources(builder, t) for t in candidates}
-        sweep = builder.sweep_trials_batch(candidates, sources_map)
-        best_task = None
+        # One pressure sweep scores every (free task, processor) pair:
+        # each task's ε+1 minimum-σ processors and its urgency (the
+        # largest kept σ).  With the fast kernel, rows come from the
+        # epoch cache or a lower bound, and only rows whose bound could
+        # still enter a kept set are evaluated exactly.
+        kept = builder.pressure_sweep(candidates, bl[candidates], current_length)
         best_urgency = -float("inf")
-        best_pairs: list[tuple[float, Trial]] = []
-        ties: list[tuple[int, list[tuple[float, Trial]]]] = []
-        for task in candidates:
-            pairs, urgency = _best_pressure_set(
-                builder, task, float(bl[task]), current_length, sweep[task]
-            )
+        ties: list[tuple[int, list[int]]] = []
+        for task, (urgency, procs) in zip(candidates, kept):
             if urgency > best_urgency + TIE_EPS:
                 best_urgency = urgency
-                ties = [(task, pairs)]
+                ties = [(task, procs)]
             elif urgency >= best_urgency - TIE_EPS:
-                ties.append((task, pairs))
-        best_task, best_pairs = ties[int(gen.integers(len(ties)))] if len(ties) > 1 else ties[0]
+                ties.append((task, procs))
+        best_task, best_procs = ties[int(gen.integers(len(ties)))] if len(ties) > 1 else ties[0]
 
         sources = full_fanin_sources(builder, best_task)
         best_finish = float("inf")
         # Commit on the selected processors in pressure order; actual times
         # are recomputed at commit since earlier replicas reserve ports.
-        for _sigma, trial in best_pairs:
-            replica = builder.commit(best_task, trial.proc, sources, kind="greedy")
+        for proc in best_procs:
+            replica = builder.commit(best_task, proc, sources, kind="greedy")
             best_finish = min(best_finish, replica.finish)
             current_length = max(current_length, replica.finish)
 

@@ -10,11 +10,12 @@ float — hypothesis hunts the disagreement directly, including touching
 intervals, zero gaps, and interleaved insert/scan sequences.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.comm.base import common_gap_start, earliest_gap
 from repro.comm.oneport import _GapTimeline
-from repro.schedule.kernel import _common_gap3, _GapOverlay
+from repro.schedule.kernel import _common_gap3, _earliest_gaps, _GapOverlay
 
 #: bounded, finite, non-degenerate floats — timeline times are finite
 _times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -150,3 +151,23 @@ def test_timeline_gap_vectors_track_versions():
     tl.release(1.0, 2.0)
     s2, e2 = tl.gap_vectors()
     assert s2 == [4.0] and e2 == [5.5]
+
+
+@given(
+    st.lists(interval_lists(), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), _times, _durations), min_size=1, max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_vectorized_earliest_gaps_match_interval_walk(timelines, queries):
+    """The pressure sweep's vectorized gap scan (one query per message,
+    over committed timelines) equals the scalar walk query by query."""
+    tls = []
+    for intervals in timelines:
+        tl = _GapTimeline()
+        for s, f in intervals:
+            tl.reserve(s, f)
+        tls.append(tl)
+    queries = [(i % len(tls), ready, w) for i, ready, w in queries]
+    which, ready, w = (np.array(col) for col in zip(*queries))
+    got = _earliest_gaps(tls, which, ready, w).tolist()
+    assert got == [earliest_gap(timelines[i], r, d) for i, r, d in queries]

@@ -250,8 +250,12 @@ def run_cell(
             # One worker vanishes after a single unit of its multi-unit
             # lease (--max-units 1, lease pinned > 1): the master must
             # requeue the lease's unfinished remainder to the survivor.
+            # The survivor is throttled so it cannot finish the whole
+            # campaign before the faulty worker connects and takes a lease.
             executor = make_cell_executor(
-                "socket", lease=2, spawn=[["--max-units", "1"], []]
+                "socket",
+                lease=2,
+                spawn=[["--max-units", "1"], ["--slow-factor", "4"]],
             )
             with _new_store(backend, store_dir) as store:
                 run_campaign(config, executor=executor, store=store)

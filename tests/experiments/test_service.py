@@ -241,9 +241,11 @@ class TestServiceLifecycle:
     ):
         # A worker exiting with the injected-fault code 3 (--max-units)
         # must not be respawned by the service loop; the survivor
-        # finishes the job.
+        # finishes the job.  The survivor is throttled so it cannot
+        # finish the job before the fault worker takes a unit.
         with CampaignService(
-            tmp_path / "svc", spawn_workers=[["--max-units", "1"], []]
+            tmp_path / "svc",
+            spawn_workers=[["--max-units", "1"], ["--slow-factor", "4"]],
         ) as service:
             service.start()
             client = ServiceClient(service.address)

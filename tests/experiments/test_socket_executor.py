@@ -154,13 +154,15 @@ class TestBatchLeases:
         # The fault worker completes one unit of its 2-unit lease and
         # vanishes; per-unit acks mean only the *remainder* requeues —
         # rows stay bit-identical and the injected fault exits distinctly.
+        # The survivor is throttled so it cannot finish the whole
+        # campaign before the fault worker takes a lease.
         from repro.experiments.executors import (
             WORKER_EXIT_FAULT_INJECTED,
             WORKER_EXIT_OK,
         )
 
         executor = SocketExecutor(
-            spawn_workers=[["--max-units", "1"], []],
+            spawn_workers=[["--max-units", "1"], ["--slow-factor", "4"]],
             timeout=DEADLINE_S,
             lease=2,
         )

@@ -4,6 +4,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: one granularity of small graphs: enough for the plumbing tests, which
+#: check arguments and outputs rather than the figure itself
+TINY = ["--override", "config.granularities=[0.4]",
+        "--override", "config.task_range=[14,18]"]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -80,7 +85,7 @@ class TestCampaignParser:
     def test_resume_from_directory_rejects_override(self, capsys, tmp_path):
         store = tmp_path / "store"
         assert main(["campaign", "run", "1", "--graphs", "1",
-                     "--store", str(store)]) == 0
+                     "--store", str(store), *TINY]) == 0
         capsys.readouterr()
         rc = main(["campaign", "resume", str(store),
                    "--override", "lease=8"])
@@ -92,7 +97,7 @@ class TestCampaignCommands:
     def test_campaign_run_store_and_resume(self, capsys, tmp_path):
         store = tmp_path / "store"
         rc = main(["campaign", "run", "1", "--graphs", "1",
-                   "--store", str(store)])
+                   "--store", str(store), *TINY])
         out = capsys.readouterr().out
         assert rc == 0
         assert "shape checks: OK" in out
@@ -155,13 +160,13 @@ class TestCampaignCommands:
     ):
         store = tmp_path / "store"
         assert main(["campaign", "run", "1", "--graphs", "1",
-                     "--store", str(store)]) == 0
+                     "--store", str(store), *TINY]) == 0
         capsys.readouterr()
         from repro.experiments import StoreError
 
         with pytest.raises(StoreError, match="resume"):
             main(["campaign", "run", "1", "--graphs", "1",
-                  "--store", str(store)])
+                  "--store", str(store), *TINY])
 
 
 class TestCommands:
@@ -193,7 +198,7 @@ class TestCommands:
 
     def test_figure_tiny(self, capsys, tmp_path):
         out_csv = tmp_path / "fig.csv"
-        rc = main(["figure", "1", "--graphs", "1", "--out", str(out_csv)])
+        rc = main(["figure", "1", "--graphs", "1", "--out", str(out_csv), *TINY])
         out = capsys.readouterr().out
         assert "figure1 (a)" in out
         assert "shape checks:" in out
@@ -249,7 +254,7 @@ class TestNewSubcommands:
 
     def test_figure_html(self, capsys, tmp_path):
         html_out = tmp_path / "fig.html"
-        rc = main(["figure", "1", "--graphs", "1", "--html", str(html_out)])
+        rc = main(["figure", "1", "--graphs", "1", "--html", str(html_out), *TINY])
         assert html_out.exists()
         assert "<svg" in html_out.read_text()
 

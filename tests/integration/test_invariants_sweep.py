@@ -4,7 +4,9 @@ One generator drives all schedulers across instance shapes, granularities,
 platform sizes, models and ε — each produced schedule must pass the full
 validator (replication, space exclusion, processor exclusivity,
 precedence supplies, one-port constraints), have consistent bounds, and
-respect the FTSA message ceiling.
+respect the FTSA message ceiling.  FTBAR, FTSA and CAFT also run under
+the §2 port variants, whose own rules (one shared engine; no compute
+while communicating) the validator checks.
 """
 
 import pytest
@@ -103,4 +105,19 @@ def test_caft_batch_schedule_invariants(case, window):
     eps = min(case["eps"], case["m"] - 1)
     inst = build(case)
     sched = caft_batch(inst, eps, window=window, rng=case["seed"])
+    common_checks(sched, eps + 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    case=CASES,
+    model=st.sampled_from(["uniport", "oneport-nooverlap"]),
+    algo=st.sampled_from(["ftbar", "ftsa", "caft"]),
+)
+def test_port_variant_schedule_invariants(case, model, algo):
+    eps = min(case["eps"], case["m"] - 1)
+    inst = build(case)
+    run = {"ftbar": ftbar, "ftsa": ftsa, "caft": caft}[algo]
+    sched = run(inst, eps, model=model, rng=case["seed"])
+    assert sched.model == model
     common_checks(sched, eps + 1)

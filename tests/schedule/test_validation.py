@@ -141,3 +141,48 @@ class TestExpectedReplicas:
         sched = heft(inst)
         # heft schedules carry epsilon=0 so the default expectation is 1
         validate_schedule(sched)
+
+
+def _hand_schedule(order, model="oneport"):
+    """t0 -> t1 and t2 -> t3 (volume 10) on three identical processors
+    (unit delay, cost 5), committed in ``order`` as (task, proc) pairs."""
+    from repro.dag.graph import TaskGraph
+    from repro.platform.instance import ProblemInstance
+    from repro.platform.platform import Platform
+    from repro.schedulers.base import make_builder
+
+    graph = TaskGraph(4, [(0, 1, 10.0), (2, 3, 10.0)])
+    inst = ProblemInstance(graph, Platform.homogeneous(3, unit_delay=1.0), np.full((4, 3), 5.0))
+    builder = make_builder(inst, 0, model, "hand")
+    for t, p in order:
+        builder.commit(t, p, {q: builder.schedule.replicas[q] for q in graph.preds(t)})
+    return builder.finish()
+
+
+class TestPortVariants:
+    """The §2 variants' own rules, each with a schedule built to break it:
+    valid under the bi-directional one-port model, rejected under the
+    variant it violates."""
+
+    def test_uniport_rejects_simultaneous_send_and_receive(self):
+        # P1 receives t0 -> t1 over [5, 15] while it sends t2 -> t3 over
+        # [5, 15]: two engines under one-port, one under uniport
+        sched = _hand_schedule([(0, 0), (2, 1), (1, 1), (3, 2)])
+        validate_schedule(sched)
+        sched.model = "uniport"
+        with pytest.raises(ScheduleValidationError, match="shared port of P1"):
+            validate_schedule(sched)
+
+    def test_nooverlap_rejects_compute_during_transfer(self):
+        # P0 sends t0 -> t1 over [5, 15] and computes t2 over [5, 10]
+        sched = _hand_schedule([(0, 0), (1, 1), (2, 0), (3, 2)])
+        validate_schedule(sched)
+        sched.model = "oneport-nooverlap"
+        with pytest.raises(ScheduleValidationError, match="P0 computes while communicating"):
+            validate_schedule(sched)
+
+    @pytest.mark.parametrize("model", ["uniport", "oneport-nooverlap"])
+    def test_variant_builders_respect_their_rules(self, model):
+        # the same commit orders through the variant's own network model
+        for order in ([(0, 0), (2, 1), (1, 1), (3, 2)], [(0, 0), (1, 1), (2, 0), (3, 2)]):
+            validate_schedule(_hand_schedule(order, model))

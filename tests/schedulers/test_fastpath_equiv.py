@@ -215,7 +215,7 @@ def test_insertion_policy_fast_slow_identical_commit_logs(algo, epsilon):
 @pytest.mark.parametrize("shape", TOPOLOGY_SHAPES)
 @pytest.mark.parametrize("epsilon", EPSILONS)
 def test_routed_batched_sweep_identical(shape, epsilon, monkeypatch):
-    """Force ``sweep_trials_batch``'s lockstep routed evaluator (normally
+    """Force the lockstep routed batch evaluator (normally
     reserved for large sweeps) and pin it bit-identical to the slow path
     for HEFT, FTSA and FTBAR across every routed topology shape."""
     monkeypatch.setattr(TrialKernel, "routed_numpy_threshold", 0)
