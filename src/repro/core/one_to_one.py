@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.schedule.schedule import Replica, ScheduleBuilder, Trial
+from repro.schedule.schedule import Replica, ScheduleBuilder
 from repro.schedulers.base import TIE_EPS, argmin_trial, eligible_procs, full_fanin_sources
 from repro.utils.errors import SchedulingError
 
@@ -113,6 +113,20 @@ def _pick_heads(
     return heads
 
 
+def _candidate_heads(
+    builder: ScheduleBuilder,
+    task: int,
+    procs: list[int],
+    pools: dict[int, list[Replica]],
+) -> list[dict[int, Replica]]:
+    """:func:`_pick_heads` for every candidate in ``procs`` — one kernel
+    pass when the kernel is active."""
+    heads = builder.candidate_heads(task, procs, pools)
+    if heads is None:
+        heads = [_pick_heads(builder, task, proc, pools) for proc in procs]
+    return heads
+
+
 def one_to_one_round(
     builder: ScheduleBuilder,
     task: int,
@@ -127,19 +141,16 @@ def one_to_one_round(
     earliest finish is committed.  Locking follows eq. (7).
     """
     m = builder.instance.num_procs
-    full = full_fanin_sources(builder, task)
-    candidates: list[tuple[Trial, dict[int, Replica]]] = []
-    for proc in range(m):
-        if proc in state.locked:
-            continue
-        heads = _pick_heads(builder, task, proc, state.pools)
-        # every predecessor has a designated head here, so the full pools
-        # only serve as the shared (cached) kernel entry state
-        trial = builder.trial_with_heads(task, proc, full, heads)
-        candidates.append((trial, heads))
-
-    if not candidates:
+    procs = [proc for proc in range(m) if proc not in state.locked]
+    if not procs:
         return None
+    heads_per = _candidate_heads(builder, task, procs, state.pools)
+    # every predecessor has a designated head here, so the full pools
+    # only serve as the shared (cached) kernel entry state
+    trials = builder.candidate_sweep(
+        task, procs, full_fanin_sources(builder, task), heads=heads_per
+    )
+    candidates = [(t, h) for t, h in zip(trials, heads_per) if t is not None]
 
     best_finish = min(t.finish for t, _h in candidates)
     ties = [c for c in candidates if c[0].finish <= best_finish + TIE_EPS]
@@ -193,11 +204,9 @@ def support_round(
     unlocked = m - len(state.locked)
     budget = max(1, unlocked // (remaining_after + 1))
 
-    candidates: list[tuple[Trial, dict[int, Replica], frozenset[int]]] = []
-    for proc in range(m):
-        if proc in state.locked:
-            continue
-        heads = _pick_heads(builder, task, proc, state.pools)
+    procs = [proc for proc in range(m) if proc not in state.locked]
+    rows: list[tuple[int, dict[int, Replica], frozenset[int]]] = []
+    for proc, heads in zip(procs, _candidate_heads(builder, task, procs, state.pools)):
         # Demote the widest-support heads to fan-in until within budget.
         while True:
             support = frozenset({proc}).union(*(h.support for h in heads.values())) \
@@ -208,15 +217,18 @@ def support_round(
             del heads[widest]
         if m - len(state.locked | support) < remaining_after:
             continue  # cannot even place the bare replica here
-        trial = builder.trial_with_heads(task, proc, all_replicas, heads)
-        candidates.append((trial, heads, support))
+        rows.append((proc, heads, support))
 
-    if not candidates:
+    if not rows:
         raise SchedulingError(
             f"no feasible processor for a replica of t{task} "
             f"(m={m}, eps={builder.epsilon}) — platform too small"
         )
 
+    trials = builder.candidate_sweep(
+        task, [r[0] for r in rows], all_replicas, heads=[r[1] for r in rows]
+    )
+    candidates = [(t, h, s) for t, (_p, h, s) in zip(trials, rows) if t is not None]
     best_finish = min(t.finish for t, _h, _s in candidates)
     ties = [c for c in candidates if c[0].finish <= best_finish + TIE_EPS]
     trial, heads, support = ties[int(gen.integers(len(ties)))] if len(ties) > 1 else ties[0]
@@ -257,7 +269,7 @@ def greedy_round(
                 f"(m={builder.instance.num_procs}, eps={builder.epsilon})"
             )
         state.degraded += 1
-    trials = builder.trial_batch(task, candidates, sources)
+    trials = builder.candidate_sweep(task, candidates, sources)
     best = argmin_trial(trials, gen)
     replica = builder.commit(task, best.proc, sources, kind="greedy")
     state.locked.add(best.proc)

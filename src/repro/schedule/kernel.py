@@ -31,7 +31,7 @@ A model whose ``kernel_caps()`` is ``None`` (or declares a combination
 the kernel cannot mirror) falls back to the exact slow path with a
 one-time ``logging`` warning — ``fast=True`` never changes results.
 
-Four evaluation paths, all producing **bit-identical** results (same
+Three evaluation paths, all producing **bit-identical** results (same
 IEEE-754 operations in the same order — the equivalence test suite
 asserts identical commit logs end to end):
 
@@ -45,13 +45,18 @@ asserts identical commit logs end to end):
   computed at and every free task's message tables live in per-schedule
   arrays (:class:`_SweepState`), so no :class:`Trial` is built for a row
   that is served from them or pruned.
-* ``batch_trials`` — trials for one task's candidate processors (the
-  HEFT/FTSA/CAFT candidate loops).  The eq. (6) message prologue —
-  supplier pools, sender-side key bases, suppression tables — is built
-  once per task and shared across every candidate processor; uncached
-  rows (and the rows the pressure sweep evaluates) are evaluated
-  together, one vectorized pass per evaluator family once the batch is
-  big enough to pay for itself:
+* ``candidate_sweep`` — one placement's candidate processors (the
+  HEFT/FTSA/CAFT candidate loops), optionally with designated
+  per-predecessor heads per candidate (CAFT's one-to-one rounds, picked
+  for every candidate in one pass by ``candidate_heads``).  The eq. (6)
+  message prologue — supplier pools, sender-side key bases, suppression
+  tables — is built once per task and shared across every candidate.
+  Rows the epoch cache serves are exact; every other row gets a sound
+  lower bound on its finish (:meth:`TrialKernel._finish_bounds`), and
+  :func:`select_candidates` evaluates exactly, in ``(bound, proc)``
+  order, only the rows that can still be the minimum, tie with it, or
+  be among the first ``keep``.  Evaluated rows go one vectorized pass
+  per evaluator family once a batch is big enough to pay for itself:
 
   - scalar-frontier models lexsort the eq. (6) keys for every row at
     once and advance the serialization frontier matrices step by step
@@ -66,14 +71,11 @@ asserts identical commit logs end to end):
     replay each row's first-common-gap placements against trial-local
     NumPy gap-array overlays (``_eval_rows_insertion``), copied on
     first touch per resource.
-* ``trial_with_heads`` — one candidate with designated per-predecessor
-  suppliers (CAFT's one-to-one rounds pick different heads per
-  candidate) over the shared per-task entry state.
 * an **epoch cache** — a placement only dirties the processors (and,
   for routed models, directed links) it touched.  Each committed
   replica/message bumps the epochs of the resources it reserved; a
-  cached trial (``batch_trials``) or exact start (``pressure_sweep``) is
-  reused verbatim when the epochs of every resource it read are
+  cached trial (``candidate_sweep``) or exact start (``pressure_sweep``)
+  is reused verbatim when the epochs of every resource it read are
   unchanged and the supplier pools did not grow.
 
 ``kernel_stats()`` exposes the observability counters (evaluator
@@ -84,14 +86,14 @@ scalar evaluation volumes).
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from itertools import islice
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.base import KernelCaps
-from repro.schedule.schedule import Replica, Trial
+from repro.schedule.schedule import TIE_EPS, Replica, Trial
 from repro.utils.errors import SchedulingError
 
 _INF = float("inf")
@@ -376,6 +378,8 @@ class _TaskEntries:
         candidate processor of the sweep, instead of re-reading the
         sender frontier per (processor, pool entry).  Keyed by the
         kernel's commit version — ``send_free`` only moves on commits.
+        Models without a send frontier (``send0`` is ``None``) get
+        ``ready``.
         """
         cached = self.np_sbase
         if cached is None or cached[0] != version:
@@ -383,7 +387,7 @@ class _TaskEntries:
             for pool in self.pools:
                 lst = []
                 for _index, src, ready in pool:
-                    sf = send0[src]
+                    sf = ready if send0 is None else send0[src]
                     lst.append(sf if sf > ready else ready)
                 out.append(lst)
             cached = (version, out)
@@ -597,6 +601,37 @@ def select_pressure(starts, exact, bl, current_length, keep, evaluate=None):
     return list(zip(urgency.tolist(), order.tolist()))
 
 
+def select_candidates(bounds, finishes, keep, evaluate):
+    """One placement's candidate rows, evaluated only where they can win.
+
+    ``finishes[i]`` is row ``i``'s exact finish, or ``None`` where only
+    ``bounds[i]``, a lower bound on it, is known.  Inexact rows are
+    evaluated (``evaluate(i)`` returns the exact finish) in ``(bound,
+    i)`` order until the next row's bound exceeds ``max(keep-th smallest
+    exact finish, best + TIE_EPS)``; the keep-th term applies only once
+    ``keep`` rows are exact.  Every row left over then finishes after
+    the best by more than ``TIE_EPS`` and, once ``keep`` rows are exact,
+    strictly after ``keep`` of them: it can be neither the minimum, nor
+    in its tie set, nor among the first ``keep`` in ``(finish, proc)``
+    order.
+
+    Returns the finishes, ``None`` for every pruned row.
+    """
+    out = list(finishes)
+    # the `keep` smallest exact finishes, ascending
+    kept = sorted([f for f in out if f is not None])[:keep]
+    for bound, i in sorted([(b, i) for i, b in enumerate(bounds) if out[i] is None]):
+        if len(kept) == keep and bound > max(kept[-1], kept[0] + TIE_EPS):
+            break
+        f = out[i] = evaluate(i)
+        if len(kept) < keep:
+            insort(kept, f)
+        elif f < kept[-1]:
+            kept.pop()
+            insort(kept, f)
+    return out
+
+
 class TrialKernel:
     """Exact, side-effect-free trial evaluation over frontier views."""
 
@@ -636,8 +671,8 @@ class TrialKernel:
         "_cache",
         "_ctx_version",
         "_routemax",
-        "_routemax_rows",
-        "_linkcol_rows",
+        "_cols",
+        "_delay_cols",
         "_sweep",
         "_stats",
     )
@@ -683,10 +718,11 @@ class TrialKernel:
         self._ctx_version = -1
         #: routed: (m, m) max committed hop frontier per (src, dst) route
         self._routemax: Optional[np.ndarray] = None
-        #: routed: dst -> plain-list column of ``_routemax`` (scalar path)
-        self._routemax_rows: dict[int, list] = {}
-        #: insertion: dst -> plain-list link-frontier column (scalar path)
-        self._linkcol_rows: dict[int, list] = {}
+        #: routed: per destination, the plain-list column of
+        #: ``_routemax`` (see :meth:`_frontier_cols`)
+        self._cols: Optional[list] = None
+        #: per destination, the unit delays from every source
+        self._delay_cols = view.delay_np.T.tolist()
         #: pressure-sweep arrays (built on the first :meth:`pressure_sweep`)
         self._sweep: Optional[_SweepState] = None
         #: observability counters (see :meth:`kernel_stats`)
@@ -832,24 +868,28 @@ class TrialKernel:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def batch_trials(
+    def candidate_sweep(
         self,
         task: int,
         procs: Sequence[int],
         sources: Mapping[int, Sequence[Replica]],
-    ) -> list[Trial]:
-        """Candidate trials for every processor in ``procs`` (one pass).
+        heads: Optional[Sequence[Mapping[int, Replica]]] = None,
+        keep: int = 1,
+    ) -> list[Optional[Trial]]:
+        """One placement's candidate trials, aligned to ``procs``.
 
-        The HEFT/FTSA/CAFT candidate loops: cached rows (canonical
-        supplier pools only) whose input epochs are untouched are reused;
-        the rest share one eq. (6) prologue and are evaluated together —
-        one vectorized pass per evaluator family once the batch is big
-        enough to pay for itself.  Trials are aligned to ``procs``.
+        ``heads[i]`` (when given) maps predecessors to the designated
+        supplier of candidate ``procs[i]`` (CAFT's one-to-one rounds);
+        the other predecessors use the full ``sources`` pool.  A row
+        without heads whose cached trial is still valid under the epoch
+        rules (canonical pools only) is exact; every other row gets a
+        lower bound on its finish (:meth:`_finish_bounds`), and
+        :func:`select_candidates` evaluates exactly only the rows that
+        can still be the minimum, tie with it, or — for ``keep > 1`` —
+        be among the first ``keep`` in ``(finish, proc)`` order.  The
+        other rows come back as ``None``.  With ``keep >= len(procs)``
+        nothing can be pruned, so no bound is computed.
         """
-        recv_changed = self._recv_changed
-        send_changed = self._send_changed
-        nooverlap = self.kind == "nooverlap"
-        routed = self.kind == "routed"
         stats = self._stats
         entries, cacheable = self._entries_for(task, sources)
         if not cacheable:
@@ -863,50 +903,100 @@ class TrialKernel:
                 self._cache[task] = (entries.sig, per_proc)
             else:
                 per_proc = cached[1]
+        recv_changed = self._recv_changed
+        send_changed = self._send_changed
+        nooverlap = self.kind == "nooverlap"
+        routed = self.kind == "routed"
         srcs_changed = self._srcs_changed_after(entries)
-        trials: list[Optional[Trial]] = [None] * len(procs)
-        misses: list[tuple[_TaskEntries, int, int]] = []
-        slots: list[int] = []
+        n = len(procs)
+        trials: list[Optional[Trial]] = [None] * n
+        finishes: list[Optional[float]] = [None] * n
         for i, p in enumerate(procs):
+            if heads is not None and heads[i]:
+                continue
             hit = per_proc.get(p)
-            if hit is not None:
-                v = hit[0]
-                if (
-                    v >= srcs_changed
-                    and v >= recv_changed[p]
-                    and (not nooverlap or v >= send_changed[p])
-                    and (not routed or v >= self._hops_changed_after(entries, p))
-                ):
-                    trials[i] = hit[1]
-                    stats["cache_hits"] += 1
-                    continue
+            if (
+                hit is not None
+                and hit[0] >= srcs_changed
+                and hit[0] >= recv_changed[p]
+                and (not nooverlap or hit[0] >= send_changed[p])
+                and (not routed or hit[0] >= self._hops_changed_after(entries, p))
+            ):
+                trials[i] = hit[1]
+                finishes[i] = hit[1].finish
+                stats["cache_hits"] += 1
+        version = self._version
+
+        def evaluate(i: int) -> float:
+            p = procs[i]
+            if heads is not None and heads[i]:
+                stats["scalar_calls"] += 1
+                stats["scalar_rows"] += 1
+                trial = self._eval(task, p, entries, heads[i])
+            else:
+                trial = self._eval_misses([(entries, task, p)])[0]
+                per_proc[p] = (version, trial)
             stats["cache_misses"] += 1
-            misses.append((entries, task, p))
-            slots.append(i)
-        if misses:
-            version = self._version
-            for i, trial in zip(slots, self._eval_misses(misses)):
-                per_proc[trial.proc] = (version, trial)
-                trials[i] = trial
+            trials[i] = trial
+            return trial.finish
+
+        if n > keep:
+            stats["bound_rows"] += finishes.count(None)
+            bounds = self._finish_bounds(task, procs, entries, heads)
+        else:
+            bounds = [0.0] * n  # nothing can be pruned: evaluate every row
+        out = select_candidates(bounds, finishes, keep, evaluate)
+        stats["pruned_rows"] += out.count(None)
         return trials
 
-    def trial_with_heads(
+    def candidate_heads(
         self,
         task: int,
-        proc: int,
-        sources: Mapping[int, Sequence[Replica]],
-        heads: Mapping[int, Replica],
-    ) -> Trial:
-        """One candidate where each predecessor in ``heads`` supplies via
-        its designated replica only (CAFT's one-to-one rounds); the rest
-        fall back to the full ``sources`` pool.  Sharing ``sources``
-        across the candidate sweep lets the per-task entry state be built
-        once instead of once per processor.
-        """
-        entries, _cacheable = self._entries_for(task, sources)
-        self._stats["scalar_calls"] += 1
-        self._stats["scalar_rows"] += 1
-        return self._eval(task, proc, entries, heads)
+        procs: Sequence[int],
+        pools: Mapping[int, Sequence[Replica]],
+    ) -> list[dict[int, Replica]]:
+        """Per candidate in ``procs``, the head of every pool: the replica
+        with the minimum ``(eq. (6) sender key toward the candidate,
+        index)`` (Algorithm 5.2, lines 3–4).  The key is
+        ``sender_bound``'s arithmetic on the committed frontiers —
+        ``max(ready, send_free[src], link or route-hop max) + w``,
+        ``ready + w`` on macro-dataflow, ``ready`` for a co-located
+        replica or ``w == 0`` — in one pass over every (candidate,
+        predecessor, eligible replica) instead of one ``sender_bound``
+        call each."""
+        macro = self.kind == "macro"
+        send0 = self._frontiers.send_free
+        dcols = self._delay_cols
+        extras = [None] * len(procs) if macro else self._frontier_cols(procs)
+        graph = self.graph
+        out: list[dict[int, Replica]] = [{} for _ in procs]
+        for pred, pool in pools.items():
+            vol = graph.volume(pred, task)
+            cands = [
+                (r, r.proc, r.finish, r.index,
+                 r.finish if macro or r.finish >= send0[r.proc] else send0[r.proc])
+                for r in pool
+            ]
+            for heads, p, extra in zip(out, procs, extras):
+                dcol = dcols[p]
+                best = None
+                bkey = bidx = 0
+                for r, src, ready, index, base in cands:
+                    if src == p:
+                        key = ready
+                    else:
+                        w = vol * dcol[src]
+                        if w == 0.0:
+                            key = ready
+                        elif macro:
+                            key = ready + w
+                        else:
+                            ex = extra[src]
+                            key = (ex if ex > base else base) + w
+                    if best is None or key < bkey or (key == bkey and index < bidx):
+                        best, bkey, bidx = r, key, index
+                heads[pred] = best
+        return out
 
     def pressure_sweep(
         self, tasks: Sequence[int], bl: np.ndarray, current_length: float
@@ -985,10 +1075,123 @@ class TrialKernel:
         stats["pruned_rows"] += nstale - (stats["cache_misses"] - misses)
         return kept
 
+    def _finish_bounds(self, task, procs, entries, heads) -> list[float]:
+        """Lower bounds on the finish of ``task`` on each of ``procs``.
+
+        The per-row form of :meth:`_pressure_bounds`, with the designated
+        heads of :meth:`candidate_sweep`: a remote message gets
+        ``max(ready, send_free[src], F(src→p), recv_free[p]) + w`` — ``F``
+        the directed-link frontier (clique) or the route-hop maximum
+        (routed) — ``ready + w`` on macro-dataflow, and ``ready`` when
+        ``w == 0``.  Every frontier an evaluator simulates is at least its
+        committed value and IEEE-754 rounding is monotone, so each exact
+        arrival is at least its bound.  On the insertion family a message
+        gets the first common gap of the committed send, receive and link
+        timelines that fits it (:func:`_common_gap3`), plus ``w``: the
+        trial overlays only add busy intervals, so the gap the exact
+        replay finds fits the committed timelines too, and the scan
+        returns the least such start.  A predecessor with a head is
+        supplied by that head alone (its finish when co-located); the
+        others take the minimum over their pool's messages and the
+        co-located supply, with :meth:`_eval`'s suppression rules.  Then
+        the maximum over predecessors and 0, ``proc_ready[p]`` and the
+        no-overlap floor ``max(send_free[p], recv_free[p])``, all
+        monotone, plus ``cost[task][p]``.  Hence bound ≤ exact finish.
+        """
+        kind = self.kind
+        view = self._frontiers
+        m = self._m
+        strict = self.builder.strict_local_suppression
+        preds = entries.preds
+        vols = entries.vols
+        pools = entries.pools
+        locals_ = entries.local
+        selfsuff = entries.selfsuff
+        proc_ready = self.builder.proc_ready
+        cost = self._cost[task]
+        dcols = self._delay_cols
+        send0 = view.send_free
+        recv0 = view.recv_free
+        macro = kind == "macro"
+        # no scalar port frontier bounds a message start on these
+        plain = macro or kind == "insertion"
+        sb_pools = entries.sbase_pools(send0, self._version)
+        if not plain:
+            extras = self._frontier_cols(procs)
+        send_tls = view.send_timelines
+        recv_tls = view.recv_timelines
+        link_tls = view.link_timelines
+        out = []
+        for i, p in enumerate(procs):
+            hp = heads[i] if heads is not None else None
+            dcol = dcols[p]
+            if not plain:
+                extra = extras[i]
+                rf = recv0[p]
+            data_ready = 0.0
+            for slot, pred in enumerate(preds):
+                h = hp.get(pred) if hp else None
+                if h is not None:
+                    # the designated head is the slot's only supplier
+                    src = h.proc
+                    ready = h.finish
+                    if src == p:
+                        if ready > data_ready:
+                            data_ready = ready
+                        continue
+                    supply = _INF
+                    pool = ((h.index, src, ready),)
+                    sbases = ((ready if macro or ready > send0[src] else send0[src]),)
+                else:
+                    supply = locals_[slot].get(p)
+                    if supply is None:
+                        supply = _INF
+                    elif strict or p in selfsuff[slot]:
+                        if supply > data_ready:
+                            data_ready = supply
+                        continue
+                    pool = pools[slot]
+                    sbases = sb_pools[slot]
+                vol = vols[slot]
+                for (_index, src, ready), a in zip(pool, sbases):
+                    if src == p:
+                        continue
+                    w = vol * dcol[src]
+                    if w == 0.0:
+                        b = ready
+                    elif not plain:
+                        ex = extra[src]
+                        if ex > a:
+                            a = ex
+                        if rf > a:
+                            a = rf
+                        b = a + w
+                    elif macro:
+                        b = ready + w
+                    else:
+                        # the message's start were it alone in the trial
+                        ss, se = send_tls[src].gap_vectors()
+                        rs, re_ = recv_tls[p].gap_vectors()
+                        ls, le = link_tls[src * m + p].gap_vectors()
+                        b = _common_gap3(ss, se, rs, re_, ls, le, ready, w) + w
+                    if b < supply:
+                        supply = b
+                if supply > data_ready:
+                    data_ready = supply
+            start = proc_ready[p]
+            if data_ready > start:
+                start = data_ready
+            if kind == "nooverlap":
+                floor = send0[p] if send0[p] > rf else rf
+                if floor > start:
+                    start = floor
+            out.append(start + cost[p])
+        return out
+
     def _epochs_read(self, tix: np.ndarray) -> np.ndarray:
         """``(T, m)`` latest commit version at which any resource a trial
         of ``tasks[i]`` on ``p`` reads moved — the vectorized form of
-        :meth:`batch_trials`' epoch check: a start computed at version
+        :meth:`candidate_sweep`'s epoch check: a start computed at version
         ``v`` is exact iff ``v`` is at least this."""
         st = self._sweep
         read = np.asarray(self._recv_changed, dtype=np.int64)[None, :]
@@ -1114,12 +1317,14 @@ class TrialKernel:
         through the batched vs scalar evaluators.
 
         ``cache_hits`` counts (task, proc) rows served exact from the
-        epoch cache or the sweep arrays, ``cache_misses`` rows evaluated
-        exactly; ``bound_rows`` counts pressure-sweep rows that got a
-        lower bound instead, and ``pruned_rows`` those of them that were
-        never evaluated.  ``batch_calls``/``batch_rows`` count the
-        vectorized evaluations, ``scalar_calls``/``scalar_rows`` the
-        scalar ones (including CAFT's per-head trials).
+        epoch cache or the sweep arrays, ``cache_misses`` every row
+        evaluated exactly (with or without designated heads);
+        ``bound_rows`` counts the pressure- and candidate-sweep rows that
+        got a lower bound instead, and ``pruned_rows`` those of them that
+        were never evaluated, so every row of a sweep is a hit, a miss
+        or pruned.  ``batch_calls``/``batch_rows`` count the vectorized
+        evaluations, ``scalar_calls``/``scalar_rows`` the scalar ones;
+        together they cover exactly the misses.
         """
         s = dict(self._stats)
         s["evaluator"] = self.kind
@@ -1135,10 +1340,7 @@ class TrialKernel:
         if self._ctx_version != self._version:
             self._ctx_version = self._version
             self._routemax = None
-            if self._routemax_rows:
-                self._routemax_rows = {}
-            if self._linkcol_rows:
-                self._linkcol_rows = {}
+            self._cols = None
 
     def _routemax_matrix(self) -> np.ndarray:
         """Routed models: ``(m, m)`` matrix of the max committed frontier
@@ -1175,27 +1377,22 @@ class TrialKernel:
         out[empty] = 0
         return out.reshape(m, m)
 
-    def _routemax_to(self, proc: int) -> list:
-        """``_routemax``'s column toward ``proc`` as a plain list (the
-        scalar routed evaluator indexes it per message source)."""
-        self._sync_version()
-        row = self._routemax_rows.get(proc)
-        if row is None:
-            row = self._routemax_matrix()[:, proc].tolist()
-            self._routemax_rows[proc] = row
-        return row
-
-    def _linkcol_to(self, proc: int) -> list:
-        """Committed link frontiers toward ``proc`` as a plain list
-        indexed by source (clique link index ``src * m + proc``)."""
-        self._sync_version()
-        row = self._linkcol_rows.get(proc)
-        if row is None:
+    def _frontier_cols(self, procs: Sequence[int]) -> list[list]:
+        """Per processor in ``procs``, a plain list indexed by source of
+        the committed frontier a message toward it clears beside its
+        sender port: the route-hop maximum (routed; columns of
+        :meth:`_routemax_matrix`, one ``tolist`` per commit) or the
+        directed-link frontier (clique; link ``src * m + p``, a strided
+        slice)."""
+        if self.kind != "routed":
             link0 = self._frontiers.link_free
             m = self._m
-            row = [link0[src * m + proc] for src in range(m)]
-            self._linkcol_rows[proc] = row
-        return row
+            return [link0[p::m] for p in procs]
+        self._sync_version()
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = self._routemax_matrix().T.tolist()
+        return [cols[p] for p in procs]
 
     # ------------------------------------------------------------------
     # Scalar evaluation (exact mirror of ScheduleBuilder._place)
@@ -1460,7 +1657,7 @@ class TrialKernel:
         max(key, fl(rf + w))``.
         """
         loc, remote = self._collect_messages(
-            proc, entries, heads, self._routemax_to(proc)
+            proc, entries, heads, self._frontier_cols((proc,))[0]
         )
 
         arrival = [_INF] * len(entries.preds)
@@ -1498,7 +1695,7 @@ class TrialKernel:
         view = self._frontiers
         m = self._m
         loc, remote = self._collect_messages(
-            proc, entries, heads, self._linkcol_to(proc)
+            proc, entries, heads, self._frontier_cols((proc,))[0]
         )
 
         arrival = [_INF] * len(entries.preds)

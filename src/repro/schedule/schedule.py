@@ -30,6 +30,9 @@ from repro.comm.base import NetworkModel
 from repro.platform.instance import ProblemInstance
 from repro.utils.errors import SchedulingError
 
+#: tolerance when comparing finish times for tie-breaking
+TIE_EPS = 1e-9
+
 
 class Replica:
     """One copy of a task placed on a processor.
@@ -374,22 +377,52 @@ class ScheduleBuilder:
         """
         return self._place(task, proc, sources, record=False)
 
-    def trial_batch(
+    def candidate_sweep(
         self,
         task: int,
         procs: Sequence[int],
         sources: Mapping[int, Sequence[Replica]],
-    ) -> list[Trial]:
-        """Trials for every candidate in ``procs`` with shared ``sources``.
+        heads: Optional[Sequence[Mapping[int, Replica]]] = None,
+        keep: int = 1,
+    ) -> list[Optional[Trial]]:
+        """One placement's candidate trials, aligned to ``procs``.
 
-        With the fast kernel active the whole sweep is evaluated in one
-        pass over shared per-task serialization state; otherwise this is
-        a plain loop over :meth:`trial`.  Results are bit-identical
-        either way.
+        ``heads[i]`` (optional) maps predecessors to the designated
+        supplier of candidate ``procs[i]``; the other predecessors use
+        the full ``sources`` pool.  With the kernel active, a row whose
+        lower bound shows it can be neither the minimum finish, nor
+        within ``TIE_EPS`` of it, nor among the first ``keep`` rows in
+        ``(finish, proc)`` order is not evaluated and comes back as
+        ``None`` (see :func:`repro.schedule.kernel.select_candidates`);
+        every other row is the exact trial, and ``keep >= len(procs)``
+        evaluates every row.  The exact path evaluates every row.
         """
         if self._kernel is not None:
-            return self._kernel.batch_trials(task, procs, sources)
-        return [self._place(task, p, sources, record=False) for p in procs]
+            return self._kernel.candidate_sweep(task, procs, sources, heads, keep)
+        if heads is None:
+            heads = [{}] * len(procs)
+        return [
+            self._place(
+                task,
+                p,
+                {q: ([hp[q]] if q in hp else srcs) for q, srcs in sources.items()},
+                record=False,
+            )
+            for p, hp in zip(procs, heads)
+        ]
+
+    def candidate_heads(
+        self,
+        task: int,
+        procs: Sequence[int],
+        pools: Mapping[int, Sequence[Replica]],
+    ) -> Optional[list[dict[int, Replica]]]:
+        """Per candidate, each pool's minimum-``(eq. (6) key, index)``
+        replica, in one kernel pass; ``None`` on the exact path, whose
+        reference is :func:`repro.core.one_to_one._pick_heads`."""
+        if self._kernel is None:
+            return None
+        return self._kernel.candidate_heads(task, procs, pools)
 
     def pressure_sweep(
         self, tasks: Sequence[int], bl, current_length: float
@@ -433,27 +466,6 @@ class ScheduleBuilder:
         if self._kernel is None:
             return None
         return self._kernel.kernel_stats()
-
-    def trial_with_heads(
-        self,
-        task: int,
-        proc: int,
-        sources: Mapping[int, Sequence[Replica]],
-        heads: Mapping[int, Replica],
-    ) -> Trial:
-        """Trial where predecessors in ``heads`` supply via their designated
-        replica only; the others use the full ``sources`` pool.
-
-        Equivalent to :meth:`trial` with ``sources`` narrowed to
-        ``[heads[p]]`` per designated predecessor, but the kernel shares
-        one per-task entry state across a whole candidate sweep.
-        """
-        if self._kernel is not None:
-            return self._kernel.trial_with_heads(task, proc, sources, heads)
-        mixed = {
-            p: ([heads[p]] if p in heads else srcs) for p, srcs in sources.items()
-        }
-        return self._place(task, proc, mixed, record=False)
 
     def commit(
         self,

@@ -15,7 +15,10 @@ violated constraint; each check mirrors a constraint from the paper:
 * the §2 port variants — under ``uniport`` (one engine per processor)
   no two transfers at the same processor overlap, sends and receives
   alike; under ``oneport-nooverlap`` no replica computes while its
-  processor sends or receives.
+  processor sends or receives;
+* routed sparse interconnects (§7, ``routed-oneport``) — a transfer
+  holds every directed physical link of its route, so no two transfers
+  crossing the same directed hop overlap.
 """
 
 from __future__ import annotations
@@ -158,6 +161,16 @@ def validate_schedule(
                 _check_no_overlap(
                     by_send[p] + by_recv[p], f"shared port of P{p} (uniport)"
                 )
+        # routed models: a transfer holds every directed hop of its route
+        topology = getattr(schedule.make_network(), "topology", None)
+        if topology is not None:
+            hop_id, route_hops = topology.directed_hop_tables()
+            by_hop = defaultdict(list)
+            for (a, b), items in by_link.items():
+                for h in route_hops[a][b]:
+                    by_hop[h].extend(items)
+            for (a, b), h in hop_id.items():
+                _check_no_overlap(by_hop[h], f"physical link P{a}->P{b} (routed hop)")
         if schedule.model == "oneport-nooverlap":
             for p in procs:
                 _check_apart(

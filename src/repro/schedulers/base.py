@@ -18,15 +18,12 @@ from repro.comm.base import NetworkModel
 from repro.comm import make_network
 from repro.dag.analysis import bottom_levels
 from repro.platform.instance import ProblemInstance
-from repro.schedule.schedule import ScheduleBuilder, Trial
+from repro.schedule.schedule import TIE_EPS, ScheduleBuilder, Trial
 from repro.utils.errors import SchedulingError
 from repro.utils.priority_queue import StablePriorityQueue
 from repro.utils.rng import RngLike, as_rng
 
 ModelSpec = Union[str, NetworkModel]
-
-#: tolerance when comparing finish times for tie-breaking
-TIE_EPS = 1e-9
 
 
 def resolve_network(
@@ -132,12 +129,17 @@ class FreeTaskList:
         return freed
 
 
-def argmin_trial(trials: Sequence[Trial], rng: np.random.Generator) -> Trial:
+def argmin_trial(
+    trials: Sequence[Optional[Trial]], rng: np.random.Generator
+) -> Trial:
     """Pick the trial with minimum finish time, random among near-ties.
 
     The paper breaks ties randomly (§4.1, §5); the draw comes from the
-    scheduler's seeded generator so results stay reproducible.
+    scheduler's seeded generator so results stay reproducible.  ``None``
+    entries — rows a candidate sweep pruned, which can neither be the
+    minimum nor tie with it — are skipped.
     """
+    trials = [t for t in trials if t is not None]
     if not trials:
         raise SchedulingError("no candidate placement (processor exhaustion)")
     best = min(t.finish for t in trials)

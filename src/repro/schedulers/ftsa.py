@@ -32,7 +32,10 @@ from repro.utils.rng import RngLike
 
 
 def _near_tie(trials) -> bool:
-    """Whether the runner-up trial finishes within ``TIE_EPS`` of the best."""
+    """Whether the runner-up trial finishes within ``TIE_EPS`` of the best
+    (``trials`` as a candidate sweep returns them: a pruned row, ``None``,
+    finishes later than that)."""
+    trials = [t for t in trials if t is not None]
     if len(trials) < 2:
         return False
     best = min(t.finish for t in trials)
@@ -60,17 +63,24 @@ def place_task_ftsa(
     near_ties = 0
     if reselect:
         for _ in range(builder.epsilon + 1):
-            # each re-evaluation is a batched kernel sweep; rows whose
+            # each re-evaluation is a pruned kernel sweep; rows whose
             # resources the previous commit did not touch come straight
             # from the epoch cache
-            trials = builder.trial_batch(task, eligible_procs(builder, task), sources)
+            trials = builder.candidate_sweep(task, eligible_procs(builder, task), sources)
             near_ties += _near_tie(trials)
             best = argmin_trial(trials, gen)
             replica = builder.commit(task, best.proc, sources, kind="greedy")
             best_finish = min(best_finish, replica.finish)
         return best_finish, near_ties
 
-    trials = builder.trial_batch(task, eligible_procs(builder, task), sources)
+    # rows pruned by the sweep cannot be among the first ε+1
+    trials = [
+        t
+        for t in builder.candidate_sweep(
+            task, eligible_procs(builder, task), sources, keep=builder.epsilon + 1
+        )
+        if t is not None
+    ]
     trials.sort(key=lambda t: (t.finish, t.proc))
     near_ties += _near_tie(trials)
     for trial in trials[: builder.epsilon + 1]:

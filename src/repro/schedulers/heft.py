@@ -61,10 +61,10 @@ def heft(
     while free:
         task = free.pop()
         sources = full_fanin_sources(builder, task)
-        # trial_batch is a single-task slice of the kernel's batched
-        # sweep: candidates share one eq. (6) prologue and, between
-        # placements that did not touch their resources, the epoch cache.
-        trials = builder.trial_batch(task, eligible_procs(builder, task), sources)
+        # candidates share one eq. (6) prologue and, between placements
+        # that did not touch their resources, the epoch cache; rows that
+        # cannot win are pruned by their lower bound
+        trials = builder.candidate_sweep(task, eligible_procs(builder, task), sources)
         best = argmin_trial(trials, gen)
         builder.commit(task, best.proc, sources, kind="primary")
         builder.mark_task_done(task)

@@ -562,6 +562,7 @@ def run_service_cell(
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     service_file = root / SERVICE_FILE_NAME
     deadline = time.monotonic() + DEADLINE_S
@@ -590,9 +591,7 @@ def run_service_cell(
             time.sleep(0.05)
         assert done >= 1, "no unit completed before the kill"
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
+        _sigkill_group(proc)
 
     total = jsonl_snap["total"] + columnar_snap["total"]
     done_on_disk = 0
@@ -617,6 +616,36 @@ def run_service_cell(
         assert store.backend_name == "columnar"
         columnar_rows = store.rep_rows()
     return jsonl_rows, columnar_rows
+
+
+def _group_alive(pgid: int) -> bool:
+    """Whether any process of group ``pgid`` is still running (zombies
+    awaiting their reaper count as gone)."""
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            return True
+    return False
+
+
+def _sigkill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL a victim started with ``start_new_session=True`` together
+    with every process it spawned (pool workers, service workers share
+    its process group), then assert that none of them survives."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group already exited
+    proc.wait(timeout=30)
+    deadline = time.monotonic() + 30
+    while _group_alive(proc.pid):
+        assert time.monotonic() < deadline, (
+            f"process group {proc.pid} survived SIGKILL"
+        )
+        time.sleep(0.02)
 
 
 def _sigkill_master_then_resume(
@@ -653,6 +682,7 @@ def _sigkill_master_then_resume(
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     rows_name = "tail.jsonl" if backend == "columnar" else "rows.jsonl"
     rows_path = store_dir / rows_name
@@ -672,9 +702,7 @@ def _sigkill_master_then_resume(
             time.sleep(0.02)
         assert row_on_disk(), "victim campaign never wrote a row"
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
+        _sigkill_group(proc)
     with open_store(store_dir) as partial:
         done_before = len(partial)
     assert done_before < total, "kill landed too late to exercise resume"

@@ -121,3 +121,32 @@ def test_port_variant_schedule_invariants(case, model, algo):
     sched = run(inst, eps, model=model, rng=case["seed"])
     assert sched.model == model
     common_checks(sched, eps + 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    case=CASES,
+    shape=st.sampled_from(["ring", "torus"]),
+    algo=st.sampled_from(["ftbar", "ftsa", "caft"]),
+)
+def test_routed_schedule_invariants(case, shape, algo):
+    """Routed sparse interconnects: the validator also checks that no two
+    transfers crossing one directed physical hop overlap."""
+    from repro.comm.routed import RoutedOnePortNetwork
+    from repro.platform.instance import ProblemInstance
+    from repro.platform.topology import make_topology
+    from repro.platform.heterogeneity import scale_to_granularity
+
+    eps = min(case["eps"], case["m"] - 1)
+    base = build(case)
+    topology = make_topology(shape, case["m"])
+    platform = topology.to_platform()
+    inst = ProblemInstance(
+        base.graph,
+        platform,
+        scale_to_granularity(base.graph, platform, base.exec_cost, case["gran"]),
+    )
+    run = {"ftbar": ftbar, "ftsa": ftsa, "caft": caft}[algo]
+    sched = run(inst, eps, model=RoutedOnePortNetwork(topology), rng=case["seed"])
+    assert sched.model == "routed-oneport"
+    common_checks(sched, eps + 1)

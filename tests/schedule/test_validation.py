@@ -186,3 +186,40 @@ class TestPortVariants:
         # the same commit orders through the variant's own network model
         for order in ([(0, 0), (2, 1), (1, 1), (3, 2)], [(0, 0), (1, 1), (2, 0), (3, 2)]):
             validate_schedule(_hand_schedule(order, model))
+
+
+class TestRoutedHops:
+    """``routed-oneport`` transfers hold every directed hop of their
+    route, not just a logical (src, dst) link."""
+
+    @staticmethod
+    def _line_schedule():
+        # on the line P0 - P1 - P2 - P3, t0 -> t1 crosses P0->P1->P2 and
+        # t2 -> t3 crosses P1->P2->P3; both messages run over [5, 15]
+        # with four distinct ports, so they only collide on hop P1->P2
+        from repro.comm.routed import RoutedOnePortNetwork
+        from repro.dag.graph import TaskGraph
+        from repro.platform.instance import ProblemInstance
+        from repro.platform.platform import Platform
+        from repro.platform.topology import Topology
+        from repro.schedulers.base import make_builder
+
+        graph = TaskGraph(4, [(0, 1, 10.0), (2, 3, 10.0)])
+        inst = ProblemInstance(
+            graph, Platform.homogeneous(4, unit_delay=1.0), np.full((4, 4), 5.0)
+        )
+        builder = make_builder(inst, 0, "oneport", "hand")
+        for t, p in ((0, 0), (2, 1), (1, 2), (3, 3)):
+            builder.commit(t, p, {q: builder.schedule.replicas[q] for q in graph.preds(t)})
+        sched = builder.finish()
+        assert [(e.start, e.finish) for e in sched.events] == [(5.0, 15.0)] * 2
+        topology = Topology.line(4)
+        return sched, lambda: RoutedOnePortNetwork(topology)
+
+    def test_rejects_transfers_sharing_a_physical_hop(self):
+        sched, routed = self._line_schedule()
+        validate_schedule(sched)
+        sched.model = "routed-oneport"
+        sched.make_network = routed
+        with pytest.raises(ScheduleValidationError, match=r"physical link P1->P2"):
+            validate_schedule(sched)

@@ -4,8 +4,8 @@
 :class:`repro.schedule.kernel.TrialKernel`; the contract is that the
 committed schedule — every replica, every message, every float — is
 indistinguishable from the slow reserve-and-rollback path.  This suite
-compares full commit logs for all four algorithms (plus the batched CAFT
-extension) across ε ∈ {0, 1, 2} and 10 seeded random instances for
+compares full commit logs for all four algorithms (CAFT under both
+lockings, plus the batched CAFT extension) across ε ∈ {0, 1, 2} and 10 seeded random instances for
 every kernel-capable model — the paper's one-port, its §2 variants, the
 contention-free macro model, the insertion-policy ablation and routed
 sparse topologies (ring, torus, star) — and exercises both kernel
@@ -47,6 +47,11 @@ ALGORITHMS = {
     ),
     "caft": lambda inst, eps, model, fast: caft(
         inst, eps, model=model, rng=eps, fast=fast
+    ),
+    # the literal Algorithm 5.2: one-to-one rounds, greedy completion
+    # rounds and strict local suppression
+    "caft-paper": lambda inst, eps, model, fast: caft(
+        inst, eps, model=model, locking="paper", rng=eps, fast=fast
     ),
     "caft-batch": lambda inst, eps, model, fast: caft_batch(
         inst, eps, window=3, model=model, rng=eps, fast=fast
@@ -254,22 +259,28 @@ def test_insertion_batched_sweep_identical(epsilon, monkeypatch):
             )
 
 
-def test_kernel_stats_counters_and_epoch_cache():
+def test_kernel_stats_counters_and_epoch_cache(monkeypatch):
     """``kernel_stats()`` exposes evaluator kind, cache traffic and batch
     vs scalar volumes; a repeated candidate sweep with untouched
-    resources must be served entirely from the epoch cache."""
+    resources must be served entirely from the epoch cache, and every
+    row of CAFT's pruned sweeps — designated heads included — is a hit,
+    a miss (each exact evaluation) or pruned."""
+    import importlib
+
     from repro.schedulers.base import make_builder
+
+    caft_mod = importlib.import_module("repro.core.caft")
 
     inst = make_instance(0)
     m = inst.num_procs
     builder = make_builder(inst, 1, "oneport", "t", fast=True)
     task = next(t for t in inst.graph.topological_order() if not inst.graph.preds(t))
-    first = builder.trial_batch(task, range(m), {})
+    first = builder.candidate_sweep(task, range(m), {}, keep=m)
     stats = builder.kernel_stats()
     assert stats["evaluator"] == "oneport"
     assert stats["cache_misses"] == m and stats["cache_hits"] == 0
     assert stats["scalar_rows"] + stats["batch_rows"] == m
-    second = builder.trial_batch(task, range(m), {})
+    second = builder.candidate_sweep(task, range(m), {}, keep=m)
     stats = builder.kernel_stats()
     assert stats["cache_hits"] == m, "repeat sweep must be all cache hits"
     assert stats["cache_hit_rate"] == 0.5
@@ -277,6 +288,30 @@ def test_kernel_stats_counters_and_epoch_cache():
         (t.start, t.finish) for t in second
     ]
     assert make_builder(inst, 1, "oneport", "t", fast=False).kernel_stats() is None
+
+    builders, rows, evals = [], [0], [0]
+    monkeypatch.setattr(
+        caft_mod, "make_builder",
+        lambda *a, **k: builders.append(make_builder(*a, **k)) or builders[-1],
+    )
+    sweep, evaluate = TrialKernel.candidate_sweep, TrialKernel._eval
+
+    def counted_sweep(kernel, task, procs, *args, **kwargs):
+        rows[0] += len(procs)
+        return sweep(kernel, task, procs, *args, **kwargs)
+
+    def counted_eval(kernel, *args, **kwargs):
+        evals[0] += 1
+        return evaluate(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(TrialKernel, "candidate_sweep", counted_sweep)
+    monkeypatch.setattr(TrialKernel, "_eval", counted_eval)
+    caft(make_instance(0, num_tasks=20, num_procs=8), 2, rng=0)
+    stats = builders[0].kernel_stats()
+    assert stats["cache_misses"] == evals[0] == stats["scalar_rows"]
+    assert stats["batch_rows"] == 0
+    assert 0 < stats["pruned_rows"] < stats["bound_rows"]
+    assert stats["cache_hits"] + stats["cache_misses"] + stats["pruned_rows"] == rows[0]
 
 
 def test_fallback_warning_names_capability(caplog):
@@ -328,8 +363,8 @@ def test_filtered_pools_do_not_alias_entry_cache():
                     t, proc, {p: builder.schedule.replicas[p] for p in graph.preds(t)}
                 )
         reps = builder.schedule.replicas[pred]
-        first = builder.trial_batch(task, [2, 3], {pred: [reps[0]]})
-        second = builder.trial_batch(task, [2, 3], {pred: [reps[1]]})
+        first = builder.candidate_sweep(task, [2, 3], {pred: [reps[0]]}, keep=2)
+        second = builder.candidate_sweep(task, [2, 3], {pred: [reps[1]]}, keep=2)
         return [(t.start, t.finish) for t in first + second]
 
     assert run(True) == run(False)
