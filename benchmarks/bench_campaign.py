@@ -22,15 +22,20 @@ from datetime import datetime, timezone
 import pytest
 
 from benchmarks.bench_fastpath import append_bench_record
-from benchmarks.conftest import bench_graphs, bench_workers
-from repro.experiments import SocketExecutor, run_figure
+from benchmarks.conftest import bench_graphs, bench_spec, bench_workers
+from repro.experiments import (
+    Campaign,
+    ProcessExecutor,
+    SerialExecutor,
+    SocketExecutor,
+)
 from repro.experiments.executors import sockets_available
 
 
 def _timed(executor) -> tuple[float, object]:
-    graphs = bench_graphs(default=1)
+    campaign = Campaign(bench_spec(1, bench_graphs(default=1)))
     t0 = time.perf_counter()
-    result = run_figure(1, num_graphs=graphs, executor=executor)
+    result = campaign.run(executor=executor).result()
     return time.perf_counter() - t0, result
 
 
@@ -48,7 +53,7 @@ def test_campaign_lease_scaling():
     graphs = bench_graphs(default=1)
     workers = bench_workers(default=2)
 
-    serial_s, serial = _timed("serial")
+    serial_s, serial = _timed(SerialExecutor())
     lease1_s, leased1 = _timed(
         SocketExecutor(spawn_workers=workers, timeout=600.0, lease=1)
     )
@@ -102,9 +107,8 @@ def test_campaign_straggler_tail():
             spawn_workers=spawn, timeout=600.0, lease=4,
             speculate=speculate, steal=steal,
         )
-        t0 = time.perf_counter()
-        result = run_figure(1, num_graphs=graphs, executor=executor)
-        return time.perf_counter() - t0, result, executor
+        elapsed, result = _timed(executor)
+        return elapsed, result, executor
 
     off_s, off, _ = timed_straggler("off", "off")
     on_s, on, mitigated = timed_straggler("auto", "auto")
@@ -224,8 +228,8 @@ def test_campaign_executors():
     graphs = bench_graphs(default=1)
     workers = bench_workers(default=2)
 
-    serial_s, serial = _timed("serial")
-    process_s, process = _timed(f"process:{workers}")
+    serial_s, serial = _timed(SerialExecutor())
+    process_s, process = _timed(ProcessExecutor(workers))
     assert process.rows() == serial.rows(), "process executor changed rows"
 
     socket_s = None

@@ -1,7 +1,7 @@
 """Fast-path speedup benchmark: kernel + parallel engine vs the seed path.
 
 Times the figure-1 campaign twice — once with the vectorized placement
-kernel disabled and the campaign serial (``fast=False, workers=1``: the
+kernel disabled and the campaign on one worker (``fast=False``: the
 seed code path), once with the kernel on and ``REPRO_WORKERS`` (default
 4) worker processes — verifies the two runs produce **identical** rows,
 and appends the timing pair to ``BENCH_fastpath.json`` at the repo root
@@ -26,10 +26,9 @@ import os
 import time
 from datetime import datetime, timezone
 
-from benchmarks.conftest import bench_graphs, bench_workers
+from benchmarks.conftest import bench_graphs, bench_spec, bench_workers
+from repro.experiments.api import Campaign, CampaignSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import run_figure
-from repro.experiments.harness import run_campaign
 
 BENCH_LOG = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "BENCH_fastpath.json")
@@ -53,8 +52,9 @@ def append_bench_record(record: dict, path: str = BENCH_LOG) -> list[dict]:
 
 
 def _timed_figure(number: int, graphs: int, fast: bool, workers: int):
+    campaign = Campaign(bench_spec(number, graphs, workers, {"fast": fast}))
     t0 = time.perf_counter()
-    result = run_figure(number, num_graphs=graphs, fast=fast, workers=workers)
+    result = campaign.run().result()
     return time.perf_counter() - t0, result
 
 
@@ -117,11 +117,13 @@ def test_routed_ftbar_speedup():
         description="FTBAR over a 20-processor ring (bench_fastpath)",
     )
 
+    slow_path = Campaign(CampaignSpec(config=config.with_fast(False)))
+    fast_path = Campaign(CampaignSpec(config=config))
     t0 = time.perf_counter()
-    baseline = run_campaign(config.with_fast(False))
+    baseline = slow_path.run().result()
     baseline_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    fast = run_campaign(config)
+    fast = fast_path.run().result()
     fast_s = time.perf_counter() - t0
 
     assert baseline.rows() == fast.rows(), "fast path changed routed results"

@@ -6,8 +6,8 @@ counts.  Series are printed in the paper's layout and written to
 results/figure1.csv.
 """
 
-from benchmarks.conftest import run_figure_bench
+from benchmarks.conftest import figure_bench
 
 
-def test_figure1(benchmark):
-    run_figure_bench(benchmark, 1)
+def test_figure_1(benchmark):
+    figure_bench(benchmark, 1)

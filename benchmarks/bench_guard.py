@@ -28,9 +28,10 @@ from datetime import datetime, timezone
 import pytest
 
 from benchmarks.bench_fastpath import BENCH_LOG, append_bench_record
+from benchmarks.conftest import bench_spec
+from repro.experiments.api import Campaign, CampaignSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import check_shape, run_figure
-from repro.experiments.harness import run_campaign
+from repro.experiments.figures import check_shape
 
 GUARD_GRAPHS = max(1, int(os.environ.get("REPRO_GRAPHS", "1")))
 GUARD_WORKERS = 2
@@ -82,9 +83,10 @@ def guard_threshold(
 @pytest.mark.guard
 def test_fastpath_guard():
     threshold = guard_threshold()
+    campaign = Campaign(bench_spec(1, GUARD_GRAPHS, GUARD_WORKERS))
 
     t0 = time.perf_counter()
-    result = run_figure(1, num_graphs=GUARD_GRAPHS, workers=GUARD_WORKERS)
+    result = campaign.run().result()
     elapsed = time.perf_counter() - t0
 
     shape = check_shape(result)
@@ -151,13 +153,14 @@ def _model_guard(bench: str, model: str, topology: str | None, policy: str):
             topology=topology,
             port_policy=policy,
         )
+        serial = Campaign(CampaignSpec(config=config))
         best = float("inf")
         for _ in range(2):
             gc.collect()
             gc.disable()
             try:
                 t0 = time.perf_counter()
-                run_campaign(config)
+                serial.run()
                 best = min(best, time.perf_counter() - t0)
             finally:
                 gc.enable()

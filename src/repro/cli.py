@@ -289,8 +289,9 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
             key="override",
         )
     from repro.experiments.api import ExecutorSpec
-    from repro.experiments.campaign import resume_campaign
+    from repro.experiments.campaign import run_grid
     from repro.experiments.executors import LeasePolicy
+    from repro.experiments.store import open_store
 
     flags = _default_to_process(_executor_overrides(args), "serial")
     lease = flags.get("lease")
@@ -310,11 +311,14 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
     executor = executor_spec.build(lease)
     if executor_spec.kind == "socket":
         executor.on_listen = _announce_master
-    results = resume_campaign(
-        args.target,
-        executor=executor,
-        progress=_progress_fn(args),
-    )
+    with open_store(args.target) as store:
+        results = run_grid(
+            store.read_manifest_grid(),
+            store=store,
+            executor=executor,
+            progress=_progress_fn(args),
+            resume=True,
+        )
     return _report_results(results, args, t0)
 
 

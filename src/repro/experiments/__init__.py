@@ -15,7 +15,7 @@ scenario axes, executor, store backend, lease policy, reps, seeds —
 run through the :class:`Campaign` facade, with every name resolving via
 the pluggable registries in :mod:`repro.experiments.registry`.  The
 paper's figures ship as spec files under ``repro/experiments/specs/``.
-See ``API.md`` for the schema and the migration table.
+See ``API.md`` for the schema and the table of removed entry points.
 """
 
 from repro.experiments.config import (
@@ -71,14 +71,9 @@ from repro.experiments.grid import (
 from repro.experiments.harness import (
     generate_instance,
     run_rep,
-    run_point,
-    run_campaign,
     CampaignResult,
     PointResult,
     RepResult,
-    ParallelHarness,
-    ALGORITHM_RUNNERS,
-    FAULTFREE_RUNNERS,
 )
 from repro.experiments.store import (
     RunStore,
@@ -109,10 +104,7 @@ from repro.experiments.executors import (
     run_worker,
     EXECUTOR_NAMES,
 )
-from repro.experiments.campaign import (
-    run_grid,
-    resume_campaign,
-)
+from repro.experiments.campaign import run_grid
 from repro.experiments.api import (
     Campaign,
     CampaignConfigError,
@@ -133,17 +125,7 @@ from repro.experiments.service import (
     ServiceJobHandle,
     gc_job_dirs,
 )
-from repro.experiments.figures import (
-    run_figure,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    check_shape,
-    ShapeReport,
-)
+from repro.experiments.figures import check_shape, ShapeReport
 from repro.experiments.stats import (
     SeriesStats,
     summarize_series,
@@ -245,16 +227,10 @@ __all__ = [
     "WorkUnit",
     "generate_instance",
     "run_rep",
-    "run_point",
-    "run_campaign",
     "run_grid",
-    "resume_campaign",
     "CampaignResult",
     "PointResult",
     "RepResult",
-    "ParallelHarness",
-    "ALGORITHM_RUNNERS",
-    "FAULTFREE_RUNNERS",
     "RunStore",
     "ColumnarStore",
     "StoreError",
@@ -276,13 +252,6 @@ __all__ = [
     "make_executor",
     "run_worker",
     "EXECUTOR_NAMES",
-    "run_figure",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
     "check_shape",
     "ShapeReport",
     "render_figure",

@@ -26,12 +26,13 @@ registries in :mod:`repro.experiments.registry`, and every invalid
 configuration raises :class:`~repro.utils.errors.CampaignConfigError`
 naming the offending key, identically from the API and the CLI.  The
 paper's six figures ship as spec files under
-``repro/experiments/specs/`` (:func:`figure_spec`), pinned
-bit-identical to the historical keyword entry points.
+``repro/experiments/specs/`` (:func:`figure_spec`); checked-in golden
+rows pin what they store.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import tomllib
 from dataclasses import dataclass, field, fields, replace
@@ -453,15 +454,19 @@ def _coerce_config_value(key: str, value: object) -> object:
 
 
 def _config_from_dict(
-    figure: Optional[int], data: Optional[Mapping]
+    figure: Optional[int],
+    data: Optional[Mapping],
+    arrival: Optional[ArrivalSpec] = None,
 ) -> Optional[ExperimentConfig]:
     """Build the spec's scenario config, strictly.
 
     With ``figure`` the mapping holds *partial overrides* applied onto
     the shipped figure config; without it the mapping must describe a
-    complete scenario.  Unlike :meth:`ExperimentConfig.from_dict` (which
-    tolerates unknown keys so old stores stay readable), spec configs
-    reject them — a typo in a spec file must fail loudly.
+    complete scenario.  ``arrival`` is the spec's workload table, so an
+    online config is validated as the online scenario it runs.  Unlike
+    :meth:`ExperimentConfig.from_dict` (which tolerates unknown keys so
+    old stores stay readable), spec configs reject them — a typo in a
+    spec file must fail loudly.
     """
     if data is None:
         return None
@@ -487,6 +492,8 @@ def _config_from_dict(
     }
     _unknown_keys(data, known, "the campaign spec's 'config'", prefix="config.")
     kwargs = {k: _coerce_config_value(k, v) for k, v in data.items()}
+    if arrival is not None:
+        kwargs["arrival"] = arrival
     if figure is not None and figure not in FIGURES:
         raise CampaignConfigError(
             f"no figure {figure}; the paper has figures "
@@ -501,6 +508,8 @@ def _config_from_dict(
         raise CampaignConfigError(
             f"incomplete 'config' in campaign spec: {exc}", key="config"
         ) from None
+    except CampaignConfigError:
+        raise
     except ValueError as exc:
         raise CampaignConfigError(
             f"invalid 'config' in campaign spec: {exc}", key="config"
@@ -666,9 +675,13 @@ class CampaignSpec:
                     )
                 if inner is not None and outer is None:
                     object.__setattr__(self, attr, inner)
-            object.__setattr__(
-                self, "config", replace(self.config, arrival=None, failure=None)
-            )
+            # A copy, not ``replace``: the config was validated with its
+            # workload, and an online config may ask for more replicas
+            # than processors (each job's ε is clamped to its grant).
+            stripped = copy.copy(self.config)
+            object.__setattr__(stripped, "arrival", None)
+            object.__setattr__(stripped, "failure", None)
+            object.__setattr__(self, "config", stripped)
         try:
             LeasePolicy.from_spec(self.lease)
         except ValueError as exc:
@@ -686,31 +699,32 @@ class CampaignSpec:
     def base_config(self) -> ExperimentConfig:
         """The fully-resolved base scenario (overrides applied)."""
         base = self.config if self.config is not None else FIGURES[self.figure]
+        # The workload goes on first, so every later copy is validated
+        # as the scenario that runs (online or offline).
+        if self.arrival_process is not None or self.failure_model is not None:
+            try:
+                base = replace(
+                    base,
+                    arrival=self.arrival_process,
+                    failure=self.failure_model,
+                )
+            except ValueError as exc:
+                raise CampaignConfigError(
+                    f"invalid online scenario (keys 'arrival_process'/"
+                    f"'failure_model'): {exc}",
+                    key="arrival_process",
+                ) from None
         try:
             base = base.with_graphs(self.graphs).with_fast(self.fast)
             if self.seed is not None:
                 base = replace(base, base_seed=self.seed)
-            base = base.with_network(
+            return base.with_network(
                 model=self.network, topology=self.topology, policy=self.policy
             )
         except ValueError as exc:
             raise CampaignConfigError(
                 f"invalid scenario (keys 'network'/'topology'/'policy'): {exc}",
                 key="network",
-            ) from None
-        if self.arrival_process is None and self.failure_model is None:
-            return base
-        try:
-            return replace(
-                base,
-                arrival=self.arrival_process,
-                failure=self.failure_model,
-            )
-        except ValueError as exc:
-            raise CampaignConfigError(
-                f"invalid online scenario (keys 'arrival_process'/"
-                f"'failure_model'): {exc}",
-                key="arrival_process",
             ) from None
 
     def grid(self) -> ScenarioGrid:
@@ -794,9 +808,10 @@ class CampaignSpec:
                     f"{key!r} must be an array of names, got {data[key]!r}",
                     key=key,
                 )
+        arrival = ArrivalSpec.from_dict(data.get("arrival_process"))
         return cls(
             figure=figure,
-            config=_config_from_dict(figure, data.get("config")),
+            config=_config_from_dict(figure, data.get("config"), arrival),
             graphs=data.get("graphs"),
             seed=data.get("seed"),
             fast=data.get("fast"),
@@ -806,7 +821,7 @@ class CampaignSpec:
             topologies=tuple(data.get("topologies", ())),
             policies=tuple(data.get("policies", ())),
             include_base=data.get("include_base", True),
-            arrival_process=ArrivalSpec.from_dict(data.get("arrival_process")),
+            arrival_process=arrival,
             failure_model=FailureSpec.from_dict(data.get("failure_model")),
             executor=ExecutorSpec.from_dict(data.get("executor")),
             store=StoreSpec.from_dict(data.get("store")),
@@ -1061,7 +1076,6 @@ class Campaign:
                 executor=executor_obj,
                 progress=lambda message: emit("unit", message),
                 resume=resume,
-                lease=spec.lease,
             )
         finally:
             if owns_store:

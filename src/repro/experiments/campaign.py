@@ -6,16 +6,14 @@ by a :class:`~repro.experiments.grid.ScenarioGrid`, executed by any
 :class:`~repro.experiments.store.RunStore`; this module wires the three
 together and rebuilds :class:`~repro.experiments.harness.CampaignResult`
 views from the store afterwards.  Because units are pure and the store
-is keyed by unit id, the same entry points transparently provide
-*resume*: point ``store`` at a directory of a killed campaign with
+is keyed by unit id, the same engine transparently provides *resume*:
+point ``store`` at a directory of a killed campaign with
 ``resume=True`` and only the missing units run.
 
-:func:`run_grid` is the engine the declarative front door drives: a
+:func:`run_grid` is the engine behind the one front door: a
 :class:`repro.experiments.api.CampaignSpec` (a serializable description
 of grid + executor + store + lease) run through
-:class:`repro.experiments.api.Campaign` ends up here.  The
-:func:`run_campaign` / :func:`resume_campaign` keyword entry points are
-kept as thin shims, bit-identical to the spec path.
+:class:`repro.experiments.api.Campaign` ends up here.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.executors import Executor, LeaseSpec, make_executor
+from repro.experiments.executors import Executor, make_executor
 from repro.experiments.grid import ScenarioGrid
 from repro.experiments.harness import CampaignResult
 from repro.experiments.store import RunStore, StoreError, open_store
@@ -50,9 +47,7 @@ def run_grid(
     store: StoreLike = None,
     executor: Union[Executor, str, None] = None,
     progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
     resume: bool = False,
-    lease: "LeaseSpec" = None,
 ) -> list[CampaignResult]:
     """Execute every unit of ``grid`` and return one result per scenario.
 
@@ -60,11 +55,11 @@ def run_grid(
     ``None`` (in-memory).  With ``resume=True`` units already present in
     the store are skipped — the crash-recovery path — otherwise a
     non-empty store is an error, so two campaigns can never silently mix.
-    ``lease`` sizes worker leases / pool chunks (``"auto"`` or an int;
-    ignored when ``executor`` is an already-configured instance).
-    Results are identical across executors, worker counts, lease sizes,
-    and interrupt/resume splits: aggregation reads the store in
-    canonical grid order, not completion order.
+    ``executor`` is an :class:`Executor` instance or a registered name
+    (``"serial"``, ``"process:4"``; ``None`` runs serially).  Results
+    are identical across executors, worker counts, lease sizes, and
+    interrupt/resume splits: aggregation reads the store in canonical
+    grid order, not completion order.
     """
     owns_store = not isinstance(store, RunStore)
     run_store = resolve_store(store)
@@ -86,9 +81,7 @@ def run_grid(
             )
         todo = [unit for unit in units if unit.unit_id not in completed]
         if todo:
-            make_executor(executor, workers=workers, lease=lease).run(
-                todo, run_store, progress=progress
-            )
+            make_executor(executor).run(todo, run_store, progress=progress)
         results = run_store.results()
     finally:
         if owns_store:
@@ -106,56 +99,3 @@ def run_grid(
         )
         for config in grid.configs
     ]
-
-
-def run_campaign(
-    config: ExperimentConfig,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    executor: Union[Executor, str, None] = None,
-    store: StoreLike = None,
-    resume: bool = False,
-    lease: "LeaseSpec" = None,
-) -> CampaignResult:
-    """Run the full granularity sweep of one figure config.
-
-    The single-scenario convenience wrapper over :func:`run_grid`; every
-    historical call site (``workers=N`` for a process pool) keeps its
-    behaviour, and ``executor=``/``store=``/``resume=``/``lease=``
-    expose the distributed and resumable paths.
-    """
-    return run_grid(
-        ScenarioGrid.from_config(config),
-        store=store,
-        executor=executor,
-        progress=progress,
-        workers=workers,
-        resume=resume,
-        lease=lease,
-    )[0]
-
-
-def resume_campaign(
-    directory: Union[str, Path],
-    executor: Union[Executor, str, None] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    lease: "LeaseSpec" = None,
-) -> list[CampaignResult]:
-    """Finish a killed campaign from its store directory alone.
-
-    The manifest records the generating grid, so nothing but the
-    directory is needed: completed units are skipped, missing ones run
-    on ``executor``, and the full results are returned.
-    """
-    with open_store(directory) as store:
-        grid = store.read_manifest_grid()
-        return run_grid(
-            grid,
-            store=store,
-            executor=executor,
-            progress=progress,
-            workers=workers,
-            resume=True,
-            lease=lease,
-        )

@@ -17,6 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.experiments.arrival import ArrivalSpec
 from repro.fault.model import FailureSpec
+from repro.utils.errors import CampaignConfigError
 
 GRANULARITY_SWEEP_A: tuple[float, ...] = tuple(round(0.2 * i, 1) for i in range(1, 11))
 GRANULARITY_SWEEP_B: tuple[float, ...] = tuple(float(i) for i in range(1, 11))
@@ -112,6 +113,15 @@ class ExperimentConfig:
         if self.failure is not None and not isinstance(self.failure, FailureSpec):
             raise ValueError(
                 f"failure must be a FailureSpec or None, got {self.failure!r}"
+            )
+        if self.arrival is None and self.epsilon + 1 > self.num_procs:
+            # Space exclusion puts the ε+1 replicas of a task on distinct
+            # processors.  Online configs are exempt: each job's ε is
+            # clamped to the processors it is granted.
+            raise CampaignConfigError(
+                f"epsilon={self.epsilon} needs epsilon+1={self.epsilon + 1} "
+                f"distinct processors, but num_procs={self.num_procs}",
+                key="config.epsilon",
             )
         if self.arrival is not None:
             for rate in self.granularities:

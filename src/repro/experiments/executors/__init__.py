@@ -155,8 +155,7 @@ def make_executor(
     """Resolve an executor from a spec string, instance, or worker count.
 
     ``None`` picks :class:`ProcessExecutor` when ``workers`` asks for
-    parallelism and :class:`SerialExecutor` otherwise — the historical
-    ``run_campaign(workers=N)`` behaviour.  A string names a registered
+    parallelism and :class:`SerialExecutor` otherwise.  A string names a registered
     executor (``"serial"``, ``"process"``, ``"process:4"``, ``"socket"``
     — the latter binds an ephemeral localhost port and spawns
     ``workers`` local worker processes, which is the zero-config way to

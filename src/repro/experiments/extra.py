@@ -9,31 +9,40 @@ constant, answering two natural follow-up questions:
 * how do the algorithms scale with the platform size (contention grows
   with the replica fan-out; more processors dilute it)?
 
-Each point reuses the main harness so every metric (normalized latency,
-bounds, crash latency, overhead, messages) stays comparable with the
-figure campaigns.
+Each sweep is one multi-scenario grid run by the campaign engine, so
+every metric (normalized latency, bounds, crash latency, overhead,
+messages) stays comparable with the figure campaigns.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
+from repro.experiments.campaign import run_grid
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import PointResult, run_point
+from repro.experiments.grid import ScenarioGrid
+from repro.experiments.harness import PointResult
 
 
-def _base_config(name: str, num_procs: int, epsilon: int, crashes: int,
-                 num_graphs: int, heterogeneity: float) -> ExperimentConfig:
+def _base_config(name: str, granularity: float, num_procs: int, epsilon: int,
+                 crashes: int, num_graphs: int,
+                 heterogeneity: float) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
-        granularities=(1.0,),
+        granularities=(granularity,),
         num_procs=num_procs,
         epsilon=epsilon,
         crashes=crashes,
         num_graphs=num_graphs,
         heterogeneity=heterogeneity,
     )
+
+
+def _sweep_points(configs: Sequence[ExperimentConfig]) -> list[PointResult]:
+    """The single data point of each config, run as one grid."""
+    results = run_grid(ScenarioGrid(tuple(dict.fromkeys(configs))))
+    points = {result.config: result.points[0] for result in results}
+    return [points[config] for config in configs]
 
 
 def heterogeneity_sweep(
@@ -49,14 +58,14 @@ def heterogeneity_sweep(
     :func:`repro.platform.heterogeneity.range_exec_matrix`: 0 means
     identical processors, values near 2 mean wildly unrelated ones.
     """
-    results = []
-    for h in factors:
-        cfg = _base_config(
-            f"hetero-{h:g}", num_procs, epsilon, crashes=1,
+    configs = [
+        _base_config(
+            f"hetero-{h:g}", granularity, num_procs, epsilon, crashes=1,
             num_graphs=num_graphs, heterogeneity=h,
         )
-        results.append((h, run_point(cfg, granularity)))
-    return results
+        for h in factors
+    ]
+    return list(zip(factors, _sweep_points(configs)))
 
 
 def platform_size_sweep(
@@ -66,14 +75,14 @@ def platform_size_sweep(
     num_graphs: int = 5,
 ) -> list[tuple[int, PointResult]]:
     """Run one data point per platform size (fixed ε and granularity)."""
-    results = []
-    for m in sizes:
-        cfg = _base_config(
-            f"msize-{m}", m, epsilon, crashes=min(epsilon, m - 1),
+    configs = [
+        _base_config(
+            f"msize-{m}", granularity, m, epsilon, crashes=min(epsilon, m - 1),
             num_graphs=num_graphs, heterogeneity=0.5,
         )
-        results.append((m, run_point(cfg, granularity)))
-    return results
+        for m in sizes
+    ]
+    return list(zip(sizes, _sweep_points(configs)))
 
 
 def sweep_table(

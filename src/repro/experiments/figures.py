@@ -1,131 +1,20 @@
-"""One entry point per figure of the paper, plus shape checking.
+"""Shape checking: the paper's §6 findings, asserted on a campaign result.
 
-``figure1()``..``figure6()`` regenerate the corresponding figure's data;
-:func:`check_shape` asserts the qualitative findings of §6 hold on a
-campaign result (who wins, how overheads order, bounds sanity).  The
-benchmarks call these and print the paper-style panels.
-
-The figures themselves now live as shipped campaign specs
-(``repro/experiments/specs/figure*.json``); :func:`run_figure` and the
-``figure1..6`` entry points are thin deprecated shims that load the
-spec, apply their keyword overrides, and run the same grid — pinned
-bit-identical to the historical keyword path.  New code should build a
-:class:`repro.experiments.api.CampaignSpec` directly.
+The figures themselves ship as campaign specs
+(``repro/experiments/specs/figure*.json``, loaded by
+:func:`repro.experiments.api.figure_spec`) and run through
+:class:`repro.experiments.api.Campaign`; :func:`check_shape` asserts the
+qualitative findings of §6 hold on the result (who wins, how overheads
+order, bounds sanity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from repro.experiments.harness import CampaignResult
-
-
-def run_figure(
-    number: int,
-    num_graphs: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    fast: Optional[bool] = None,
-    model: Optional[str] = None,
-    topology: Optional[str] = None,
-    policy: Optional[str] = None,
-    executor=None,
-    store=None,
-    resume: bool = False,
-) -> CampaignResult:
-    """Run the campaign of figure ``number`` (1-6).
-
-    ``workers`` distributes the campaign over a process pool (results are
-    identical for any worker count); ``fast=False`` forces the slow trial
-    path (the kernel-free baseline used by ``benchmarks/bench_fastpath``).
-    ``model``/``topology``/``policy`` re-run the figure under a different
-    communication scenario — e.g. ``model="routed-oneport",
-    topology="torus"`` for the §7 sparse-interconnect axis, or
-    ``policy="insertion"`` for the gap-reuse ablation.  ``executor``
-    picks where units run (``"serial"``/``"process"``/``"socket"`` or an
-    :class:`~repro.experiments.executors.Executor` instance — e.g. a
-    configured :class:`~repro.experiments.executors.SocketExecutor`
-    master for multi-machine campaigns); ``store`` persists rows to a
-    directory as they complete, and ``resume=True`` skips units already
-    in that store.  Results are bit-identical across all of them.
-
-    .. deprecated::
-        A thin shim over the shipped figure specs: it loads
-        ``repro/experiments/specs/figure<N>.json``, applies the keyword
-        overrides, and runs the resulting grid.  New code should use
-        :class:`repro.experiments.api.CampaignSpec` /
-        :class:`repro.experiments.api.Campaign` directly.
-    """
-    from dataclasses import replace as _replace
-
-    from repro.experiments.api import figure_spec
-    from repro.experiments.campaign import run_grid
-
-    spec = figure_spec(number)
-    spec = _replace(
-        spec,
-        graphs=num_graphs,
-        fast=fast,
-        network=model,
-        topology=topology,
-        policy=policy,
-    )
-    return run_grid(
-        spec.grid(),
-        store=store,
-        executor=executor,
-        progress=progress,
-        workers=workers,
-        resume=resume,
-    )[0]
-
-
-def _figure_entry(number: int, docstring: str) -> Callable[..., CampaignResult]:
-    """One paper-figure entry point, with every campaign option threaded
-    through explicitly (same signature for all six figures — no ``**kw``
-    passthrough, so typos fail loudly and help() tells the truth)."""
-
-    def entry(
-        num_graphs: Optional[int] = None,
-        progress: Optional[Callable[[str], None]] = None,
-        workers: Optional[int] = None,
-        fast: Optional[bool] = None,
-        model: Optional[str] = None,
-        topology: Optional[str] = None,
-        policy: Optional[str] = None,
-        executor=None,
-        store=None,
-        resume: bool = False,
-    ) -> CampaignResult:
-        return run_figure(
-            number,
-            num_graphs=num_graphs,
-            progress=progress,
-            workers=workers,
-            fast=fast,
-            model=model,
-            topology=topology,
-            policy=policy,
-            executor=executor,
-            store=store,
-            resume=resume,
-        )
-
-    entry.__name__ = f"figure{number}"
-    entry.__qualname__ = entry.__name__
-    entry.__doc__ = docstring + "\n\n    Accepts every :func:`run_figure` option."
-    return entry
-
-
-figure1 = _figure_entry(1, """Sweep A, m=10, ε=1, 1 crash (paper Figure 1).""")
-figure2 = _figure_entry(2, """Sweep A, m=10, ε=3, 2 crashes (paper Figure 2).""")
-figure3 = _figure_entry(3, """Sweep A, m=20, ε=5, 3 crashes (paper Figure 3).""")
-figure4 = _figure_entry(4, """Sweep B, m=10, ε=1, 1 crash (paper Figure 4).""")
-figure5 = _figure_entry(5, """Sweep B, m=10, ε=3, 2 crashes (paper Figure 5).""")
-figure6 = _figure_entry(6, """Sweep B, m=20, ε=5, 3 crashes (paper Figure 6).""")
 
 
 @dataclass

@@ -18,9 +18,9 @@ three independent is what makes campaigns distributable and resumable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.experiments.config import FIGURES, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness uses grid)
     from repro.experiments.harness import RepResult
@@ -152,34 +152,8 @@ class ScenarioGrid:
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "ScenarioGrid":
-        """A single-scenario grid (what ``run_campaign`` uses)."""
+        """A single-scenario grid (what a spec without axes expands to)."""
         return cls(configs=(config,))
-
-    @classmethod
-    def from_figure(
-        cls,
-        number: int,
-        num_graphs: Optional[int] = None,
-        fast: Optional[bool] = None,
-        model: Optional[str] = None,
-        topology: Optional[str] = None,
-        policy: Optional[str] = None,
-    ) -> "ScenarioGrid":
-        """The grid of one paper figure, optionally under another scenario."""
-        from repro.utils.errors import CampaignConfigError
-
-        try:
-            config = FIGURES[number]
-        except KeyError:
-            raise CampaignConfigError(
-                f"no figure {number}; the paper has figures 1-6", key="figure"
-            ) from None
-        config = (
-            config.with_graphs(num_graphs)
-            .with_fast(fast)
-            .with_network(model=model, topology=topology, policy=policy)
-        )
-        return cls.from_config(config)
 
     @classmethod
     def from_scenarios(

@@ -24,10 +24,8 @@ This module owns the science (generation, :func:`run_rep`, aggregation);
 from __future__ import annotations
 
 import math
-import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -49,7 +47,6 @@ from repro.platform.heterogeneity import (
 from repro.platform.instance import ProblemInstance
 from repro.platform.topology import Topology, make_topology, randomize_link_delays
 from repro.schedule.bounds import latency_upper_bound
-from repro.schedule.schedule import Schedule
 from repro.schedulers.ftbar import ftbar
 from repro.schedulers.ftsa import ftsa
 from repro.utils.errors import ExecutionFailedError
@@ -97,47 +94,6 @@ if "caft" not in SCHEDULERS:
     )
 
 
-class _RunnerView(Mapping):
-    """Live read-only mapping over one field of the scheduler registry.
-
-    Keeps the historical ``ALGORITHM_RUNNERS[name](...)`` /
-    ``FAULTFREE_RUNNERS[name](...)`` call sites working while
-    ``register_scheduler`` remains the single way to add entries —
-    registered algorithms appear here automatically.
-    """
-
-    def __init__(self, attr: str) -> None:
-        self._attr = attr
-
-    def __getitem__(self, name: str) -> Callable[..., Schedule]:
-        # KeyError, not CampaignConfigError: this is the dict protocol
-        # (``in``/``.get()`` depend on it), and what the historical dicts
-        # raised.  Spec validation reports unknown names before any run.
-        if name not in SCHEDULERS:
-            raise KeyError(name)
-        return getattr(SCHEDULERS.get(name, key="algorithms"), self._attr)
-
-    def __contains__(self, name: object) -> bool:
-        return name in SCHEDULERS
-
-    def __iter__(self):
-        return iter(SCHEDULERS.names())
-
-    def __len__(self) -> int:
-        return len(SCHEDULERS)
-
-
-#: algorithm name -> callable(instance, epsilon, rng, model, fast) -> Schedule
-ALGORITHM_RUNNERS: Mapping[str, Callable[..., Schedule]] = _RunnerView("runner")
-
-#: fault-free reference of each algorithm (the paper plots FaultFree-CAFT
-#: and FaultFree-FTBAR).  At ε = 0 CAFT and FTSA make the same decisions
-#: except on a near-tie, where CAFT draws a random tie-break; FTSA counts
-#: those in ``metadata["near_ties"]``, and with none its fault-free
-#: schedule certifies CAFT's (``faultfree_latencies``).
-FAULTFREE_RUNNERS: Mapping[str, Callable[..., Schedule]] = _RunnerView("faultfree")
-
-
 def faultfree_latencies(
     names, inst: ProblemInstance, rng, model, fast: bool
 ) -> dict[str, float]:
@@ -157,7 +113,7 @@ def faultfree_latencies(
     for name in names:
         rep = faultfree_representative(name)
         if rep is not None and rep not in certified:
-            sched = FAULTFREE_RUNNERS[rep](inst, rng, model, fast)
+            sched = SCHEDULERS.get(rep).faultfree(inst, rng, model, fast)
             latencies[rep] = sched.latency()
             certified[rep] = (
                 latencies[rep] if sched.metadata.get("near_ties") == 0 else None
@@ -167,7 +123,7 @@ def faultfree_latencies(
             latencies[name] = (
                 shared
                 if shared is not None
-                else FAULTFREE_RUNNERS[name](inst, rng, model, fast).latency()
+                else SCHEDULERS.get(name).faultfree(inst, rng, model, fast).latency()
             )
     return latencies
 
@@ -384,7 +340,7 @@ def run_rep(config: ExperimentConfig, granularity: float, rep: int) -> RepResult
 
     metrics: dict[str, dict[str, Optional[float]]] = {}
     for name in config.algorithms:
-        sched = ALGORITHM_RUNNERS[name](
+        sched = SCHEDULERS.get(name).runner(
             inst, config.epsilon, algo_seed, model, fast
         )
         lat = sched.latency()
@@ -454,27 +410,6 @@ def aggregate_point(
 
         return aggregate_online_point(config, granularity, reps)
     return _aggregate_point(config, granularity, reps)
-
-
-def run_point(
-    config: ExperimentConfig,
-    granularity: float,
-    progress: Optional[Callable[[str], None]] = None,
-) -> PointResult:
-    """Run every algorithm over ``config.num_graphs`` instances at one point.
-
-    Seeds are labelled per ``(config.name, granularity, rep)``, never by
-    the sweep tuple, so a single-point campaign reproduces exactly the
-    rows the full sweep would produce at that granularity.
-    """
-    reps = []
-    for rep in range(config.num_graphs):
-        reps.append(run_rep(config, granularity, rep))
-        if progress is not None:
-            progress(
-                f"[{config.name}] g={granularity:g} rep {rep + 1}/{config.num_graphs}"
-            )
-    return aggregate_point(config, granularity, reps)
 
 
 @dataclass
@@ -590,73 +525,3 @@ class CampaignResult:
                 if unit.unit_id in results:
                     reps.append(results[unit.unit_id])
         return cls(config=config, reps=reps)
-
-
-class ParallelHarness:
-    """Deprecated multi-process campaign runner (compatibility shim).
-
-    .. deprecated::
-        Describe campaigns as data instead: a
-        :class:`repro.experiments.api.CampaignSpec` with
-        ``executor={"kind": "process", "workers": N}`` run through
-        :class:`repro.experiments.api.Campaign` — or pass
-        ``workers=N`` straight to :func:`run_campaign`.
-
-    The historical front end of the process-pool path; the pool itself
-    now lives in :class:`repro.experiments.executors.ProcessExecutor`
-    and this class simply delegates, keeping the clamp semantics and the
-    ``run_campaign`` method callers rely on.
-    """
-
-    def __init__(self, workers: Optional[int] = None, clamp: bool = True) -> None:
-        from repro.experiments.executors.process import effective_workers
-
-        warnings.warn(
-            "ParallelHarness is deprecated; describe the campaign with "
-            "repro.experiments.api.CampaignSpec (executor kind 'process') "
-            "or call run_campaign(workers=N)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.workers = effective_workers(workers, clamp)
-
-    def run_campaign(
-        self,
-        config: ExperimentConfig,
-        progress: Optional[Callable[[str], None]] = None,
-    ) -> CampaignResult:
-        from repro.experiments.campaign import run_campaign
-        from repro.experiments.executors.process import ProcessExecutor
-
-        # self.workers is already clamped per this instance's settings.
-        executor = ProcessExecutor(self.workers, clamp=False)
-        return run_campaign(config, progress=progress, executor=executor)
-
-
-def run_campaign(
-    config: ExperimentConfig,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    executor=None,
-    store=None,
-    resume: bool = False,
-) -> CampaignResult:
-    """Run the full granularity sweep of one figure.
-
-    Delegates to :func:`repro.experiments.campaign.run_campaign` (kept
-    here because the harness has always been the import site).
-    ``workers`` > 1 distributes the campaign's work units over that many
-    processes; ``executor=``/``store=``/``resume=`` expose the
-    distributed and resumable paths.  The result is identical whichever
-    way the units ran.
-    """
-    from repro.experiments.campaign import run_campaign as _run_campaign
-
-    return _run_campaign(
-        config,
-        progress=progress,
-        workers=workers,
-        executor=executor,
-        store=store,
-        resume=resume,
-    )

@@ -48,12 +48,12 @@ from repro.dag.analysis import min_critical_path
 from repro.experiments.arrival import ArrivalEvent, generate_arrivals
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import (
-    ALGORITHM_RUNNERS,
     RepResult,
     campaign_network,
     faultfree_latencies,
     generate_topology,
 )
+from repro.experiments.registry import SCHEDULERS
 from repro.fault.model import FailureScenario, build_failure_model
 from repro.fault.simulator import replay
 from repro.platform.heterogeneity import (
@@ -204,7 +204,7 @@ class OnlineHarness:
             ev.graph, sub_platform, self._exec_costs[ev.index][:, grant]
         )
         eps = min(config.epsilon, len(grant) - 1)
-        sched = ALGORITHM_RUNNERS[algorithm](
+        sched = SCHEDULERS.get(algorithm).runner(
             inst,
             eps,
             self._algo_seeds[ev.index],

@@ -52,7 +52,7 @@ the job's identity and terminal state, and the store manifest carries
 the same identity as ``extra`` metadata.  On start the service rescans
 ``root/jobs``, re-opens every incomplete job's store via
 :func:`~repro.experiments.store.open_store` sniffing, and resumes
-exactly the units missing from it — ``resume_campaign`` semantics, so
+exactly the units missing from it — ``run_grid(..., resume=True)``, so
 a SIGKILLed service restarted on the same root finishes both halves of
 every interrupted job bit-identically.  Results are queryable while
 jobs run: ``status`` reports live done/total counts, and the job's

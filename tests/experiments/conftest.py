@@ -32,6 +32,7 @@ def pinned_config() -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def pinned_serial_rows(pinned_config):
     """The serial-executor baseline every other executor must match."""
-    from repro.experiments import run_campaign
+    from repro.experiments import ScenarioGrid, run_grid
 
-    return run_campaign(pinned_config, executor="serial").rows()
+    [result] = run_grid(ScenarioGrid.from_config(pinned_config))
+    return result.rows()

@@ -70,7 +70,7 @@ from repro.experiments import (
     SerialExecutor,
     SocketExecutor,
     open_store,
-    run_campaign,
+    run_grid,
 )
 from repro.experiments.executors import (
     WORKER_EXIT_FAULT_INJECTED,
@@ -230,14 +230,14 @@ def run_cell(
 
     if fault == "none":
         with _new_store(backend, store_dir) as store:
-            run_campaign(config, executor=make_cell_executor(executor_name),
-                         store=store)
+            run_grid(grid, executor=make_cell_executor(executor_name),
+                     store=store)
 
     elif fault == "duplicate-delivery":
         store = _new_store(backend, store_dir, DuplicatingAppends)
         try:
-            run_campaign(config, executor=make_cell_executor(executor_name),
-                         store=store)
+            run_grid(grid, executor=make_cell_executor(executor_name),
+                     store=store)
         finally:
             store.close()
         stats = store.dedup_stats()
@@ -258,7 +258,7 @@ def run_cell(
                 spawn=[["--max-units", "1"], ["--slow-factor", "4"]],
             )
             with _new_store(backend, store_dir) as store:
-                run_campaign(config, executor=executor, store=store)
+                run_grid(grid, executor=executor, store=store)
             codes = executor.worker_exit_codes
             assert codes.count(WORKER_EXIT_FAULT_INJECTED) == 1, (
                 f"fault worker's exit code not distinct: {codes}"
@@ -297,7 +297,7 @@ def run_cell(
                 steal="off",
             )
             with _new_store(backend, store_dir) as store:
-                run_campaign(config, executor=executor, store=store)
+                run_grid(grid, executor=executor, store=store)
             assert executor.speculative_attempts >= 1, (
                 "campaign finished without any speculative attempt"
             )
@@ -308,8 +308,8 @@ def run_cell(
         else:
             store = _new_store(backend, store_dir, AttemptReplayAppends)
             try:
-                run_campaign(
-                    config,
+                run_grid(
+                    grid,
                     executor=make_cell_executor(executor_name),
                     store=store,
                 )
@@ -334,7 +334,7 @@ def run_cell(
                 speculate="off",
             )
             with _new_store(backend, store_dir) as store:
-                run_campaign(config, executor=executor, store=store)
+                run_grid(grid, executor=executor, store=store)
             assert executor.stolen_units >= 1, (
                 "idle worker never stole from the outstanding lease"
             )
@@ -369,7 +369,7 @@ def run_cell(
                 steal="auto",
             )
             with _new_store(backend, store_dir) as store:
-                run_campaign(config, executor=executor, store=store)
+                run_grid(grid, executor=executor, store=store)
             assert executor.speculative_attempts >= 1, (
                 "wedged head unit was never speculated"
             )
@@ -401,7 +401,7 @@ def run_cell(
             )
             store = _new_store(backend, store_dir)
             try:
-                run_campaign(config, executor=executor, store=store)
+                run_grid(grid, executor=executor, store=store)
             finally:
                 store.close()
             assert executor.stolen_units >= 1, (
@@ -419,8 +419,8 @@ def run_cell(
             # "stolen" ack, half by the ignoring victim's "stale" ack.
             store = _new_store(backend, store_dir, RacingAppends)
             try:
-                run_campaign(
-                    config,
+                run_grid(
+                    grid,
                     executor=make_cell_executor(executor_name),
                     store=store,
                 )
@@ -461,6 +461,7 @@ def _abort_then_resume(
     ``stall_seconds`` sleeps before the abort — the serial/process model
     of a wedged computation that an operator eventually abandons.
     """
+    grid = ScenarioGrid.from_config(config)
     calls = 0
 
     def dying_progress(message: str) -> None:
@@ -473,8 +474,8 @@ def _abort_then_resume(
 
     try:
         with _new_store(backend, store_dir) as store:
-            run_campaign(
-                config,
+            run_grid(
+                grid,
                 executor=make_cell_executor(executor_name),
                 store=store,
                 progress=dying_progress,
@@ -487,8 +488,8 @@ def _abort_then_resume(
         f"abort landed outside the campaign: {done}/{total} done"
     )
     with _new_store(backend, store_dir) as store:
-        run_campaign(config, executor=make_cell_executor(executor_name),
-                     store=store, resume=True)
+        run_grid(grid, executor=make_cell_executor(executor_name),
+                 store=store, resume=True)
 
 
 #: executor spec the SIGKILL victim subprocess resolves (socket masters
@@ -498,7 +499,9 @@ _VICTIM_SPECS = {"serial": "serial", "process": "process:2", "socket": "socket:2
 
 _VICTIM_SCRIPT = """\
 import json, sys, time
-from repro.experiments import ColumnarStore, ExperimentConfig, RunStore, run_campaign
+from repro.experiments import (
+    ColumnarStore, ExperimentConfig, RunStore, ScenarioGrid, run_grid,
+)
 from repro.experiments.executors import make_executor
 
 cfg = ExperimentConfig.from_dict(json.load(open(sys.argv[1])))
@@ -508,8 +511,8 @@ else:
     store = RunStore(sys.argv[2])
 # Slow the append rate so the parent can land SIGKILL mid-campaign
 # instead of racing a fast finish.
-run_campaign(
-    cfg,
+run_grid(
+    ScenarioGrid.from_config(cfg),
     executor=make_executor(sys.argv[3], lease="auto"),
     store=store,
     progress=lambda message: time.sleep(0.4),
@@ -663,6 +666,7 @@ def _sigkill_master_then_resume(
     prefix, while columnar sealed chunks must survive byte-identical
     (the tail legitimately truncates when the resume seals it).
     """
+    grid = ScenarioGrid.from_config(config)
     cfg_path = store_dir.parent / "victim-config.json"
     cfg_path.parent.mkdir(parents=True, exist_ok=True)
     cfg_path.write_text(json.dumps(config.to_dict()))
@@ -712,8 +716,8 @@ def _sigkill_master_then_resume(
     }
 
     with _new_store(backend, store_dir) as store:
-        run_campaign(config, executor=make_cell_executor(executor_name),
-                     store=store, resume=True)
+        run_grid(grid, executor=make_cell_executor(executor_name),
+                 store=store, resume=True)
 
     if backend == "columnar":
         # Sealed chunks are immutable and only ever accrue.

@@ -1,14 +1,15 @@
 """The declarative campaign API: spec validation, registries, facade.
 
-The headline pins of the redesign live here too: every shipped figure
-spec expands to exactly the grid the historical keyword path built, and
-a tiny campaign run from a spec produces bit-identical stored rows to
-the pre-redesign ``run_figure`` keyword path.
+The headline pins live here too: every shipped figure spec expands to
+exactly the grid of its ``FIGURES`` config, and tiny campaigns run from
+specs store rows byte-identical to the checked-in golden files under
+``golden/`` (the rows the removed keyword entry points stored).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.experiments.api import (
     CampaignHandle,
     CampaignSpec,
     ExecutorSpec,
+    SPEC_DIR,
     ProgressEvent,
     StoreSpec,
     apply_overrides,
@@ -31,9 +33,7 @@ from repro.experiments.executors import (
     SerialExecutor,
     SocketExecutor,
 )
-from repro.experiments.figures import run_figure
 from repro.experiments.grid import ScenarioGrid
-from repro.experiments.harness import ALGORITHM_RUNNERS, FAULTFREE_RUNNERS
 from repro.experiments.registry import (
     EXECUTORS,
     SCHEDULERS,
@@ -82,19 +82,19 @@ class TestRegistries:
             register_executor("sock:et", lambda **kw: None)
 
     def test_registered_scheduler_flows_into_runner_views(self):
-        runner = ALGORITHM_RUNNERS["caft"]
+        runner = SCHEDULERS.get("caft").runner
         register_scheduler("caft-copy", runner)
         try:
-            assert "caft-copy" in ALGORITHM_RUNNERS
-            assert ALGORITHM_RUNNERS["caft-copy"] is runner
+            assert "caft-copy" in SCHEDULERS.names()
+            assert SCHEDULERS.get("caft-copy").runner is runner
             # default fault-free form is the runner at eps 0
-            assert "caft-copy" in FAULTFREE_RUNNERS
+            assert callable(SCHEDULERS.get("caft-copy").faultfree)
         finally:
             SCHEDULERS.remove("caft-copy")
-        assert "caft-copy" not in ALGORITHM_RUNNERS
+        assert "caft-copy" not in SCHEDULERS
 
     def test_registered_scheduler_runs_in_a_campaign(self):
-        register_scheduler("caft-bis", ALGORITHM_RUNNERS["caft"])
+        register_scheduler("caft-bis", SCHEDULERS.get("caft").runner)
         try:
             spec = apply_overrides(
                 tiny_spec(),
@@ -163,6 +163,23 @@ class TestSpecValidation:
         )
         assert err.value.key == key
         assert key.split(".")[-1] in str(err.value)
+
+    def test_more_replicas_than_processors_rejected_up_front(self):
+        with pytest.raises(CampaignConfigError, match="num_procs=10") as err:
+            CampaignSpec.from_dict({"figure": 1, "config": {"epsilon": 10}})
+        assert err.value.key == "config.epsilon"
+        assert "epsilon=10" in str(err.value)
+        with pytest.raises(CampaignConfigError, match="epsilon=10"):
+            apply_overrides(tiny_spec(), {"config.epsilon": 10})
+
+    def test_online_config_may_ask_for_more_replicas_than_processors(self):
+        # each job's ε is clamped to its grant, so online specs are exempt
+        spec = apply_overrides(
+            CampaignSpec.load(SPEC_DIR / "figure_online.json"),
+            {"config.epsilon": 12},
+        )
+        assert spec.base_config().epsilon == 12
+        assert CampaignSpec.from_json(spec.to_json()) == spec
 
     def test_cross_field_scenario_errors_are_config_errors(self):
         with pytest.raises(CampaignConfigError, match="routed-oneport"):
@@ -346,15 +363,36 @@ class TestOverrides:
 
 # ------------------------------------------------ shipped spec equivalence
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_specs() -> dict[str, CampaignSpec]:
+    """The tiny specs whose stored rows are checked in under ``golden/``."""
+    online = apply_overrides(
+        CampaignSpec.load(SPEC_DIR / "figure_online.json"),
+        {
+            "graphs": 1,
+            "config.granularities": [0.01, 0.02],
+            "config.task_range": [12, 16],
+        },
+    )
+    return {
+        "figure1_tiny": tiny_spec(),
+        "figure1_tiny_axes": tiny_spec(
+            topologies=("ring",), policies=("insertion",)
+        ),
+        "figure_online_tiny": online,
+    }
+
 
 class TestShippedSpecEquivalence:
     @pytest.mark.parametrize("number", sorted(FIGURES))
     def test_shipped_spec_matches_keyword_grid(self, number):
-        """Every figure's shipped spec expands to exactly the grid the
-        pre-redesign keyword path built."""
+        """Every figure's shipped spec expands to exactly the grid of
+        its ``FIGURES`` config."""
         assert figure_spec_path(number).exists()
         spec = figure_spec(number)
-        assert spec.grid() == ScenarioGrid.from_figure(number)
+        assert spec.grid() == ScenarioGrid.from_config(FIGURES[number])
         assert spec.config == FIGURES[number]
 
     def test_shipped_specs_cover_all_figures(self):
@@ -362,29 +400,24 @@ class TestShippedSpecEquivalence:
         assert {f"figure{n}" for n in FIGURES} <= names
 
     def test_spec_rows_bit_identical_to_keyword_path(self, tmp_path):
-        """The acceptance pin: a campaign run from the shipped spec file
-        stores byte-identical rows to the historical keyword path."""
-        keyword_store = tmp_path / "keyword"
-        spec_store = tmp_path / "spec"
-        # pre-redesign style: run_figure with keyword overrides
-        keyword = run_figure(
-            1,
-            num_graphs=TINY["graphs"],
-            store=str(keyword_store),
-            executor="serial",
-        )
-        # redesign style: the shipped spec file, overridden and run
-        spec = apply_overrides(
-            figure_spec(1),
-            {"graphs": TINY["graphs"], "store.directory": str(spec_store)},
-        )
-        handle = Campaign(spec).run()
-        assert handle.result().rows() == keyword.rows()
-        assert handle.result().rep_rows() == keyword.rep_rows()
-        # byte-identical stored rows (same serial append order)
-        assert (spec_store / "rows.jsonl").read_bytes() == (
-            keyword_store / "rows.jsonl"
-        ).read_bytes()
+        """The acceptance pin: campaigns run from specs store rows
+        byte-identical to ``golden/<name>.jsonl``.
+
+        The golden files are the rows the removed keyword entry points
+        stored for these specs; the spec path wrote the same bytes when
+        they were generated.
+        Regenerate one only for a change meant to alter rows: run its
+        spec with ``store.directory`` set and copy the store's
+        ``rows.jsonl`` over the file.
+        """
+        for name, spec in golden_specs().items():
+            store = tmp_path / name
+            Campaign(
+                apply_overrides(spec, {"store.directory": str(store)})
+            ).run()
+            assert (store / "rows.jsonl").read_bytes() == (
+                GOLDEN / f"{name}.jsonl"
+            ).read_bytes(), name
 
     def test_scenario_axes_match_from_scenarios(self):
         spec = tiny_spec(topologies=("ring",), policies=("insertion",))

@@ -19,7 +19,7 @@ matrix with ``pytest -m conformance``.
 import pytest
 
 import executor_conformance as ec
-from repro.experiments import RunStore, run_campaign
+from repro.experiments import RunStore, ScenarioGrid, run_grid
 
 pytestmark = pytest.mark.conformance
 
@@ -29,7 +29,7 @@ def baseline_rows(pinned_config, tmp_path_factory):
     """Per-rep rows of a fault-free serial run through a disk store —
     the bit-for-bit reference every cell must reproduce."""
     directory = tmp_path_factory.mktemp("conformance") / "baseline"
-    run_campaign(pinned_config, executor="serial", store=directory)
+    run_grid(ScenarioGrid.from_config(pinned_config), store=directory)
     with RunStore(directory) as store:
         assert store.dedup_stats() == {
             "duplicate_appends": 0,

@@ -25,7 +25,6 @@ from repro.experiments import (
     SocketExecutor,
     StoreError,
     make_executor,
-    run_campaign,
     run_grid,
 )
 
@@ -57,22 +56,23 @@ class TestMakeExecutor:
 
 class TestExecutorEquivalence:
     def test_process_matches_serial(self, pinned_config, pinned_serial_rows):
-        parallel = run_campaign(
-            pinned_config, executor=ProcessExecutor(2, clamp=False)
+        [parallel] = run_grid(
+            ScenarioGrid.from_config(pinned_config),
+            executor=ProcessExecutor(2, clamp=False),
         )
         assert parallel.rows() == pinned_serial_rows
 
     def test_store_round_trip_matches(self, pinned_config, pinned_serial_rows,
                                       tmp_path):
         # Rows that went through JSONL on disk and back must stay identical.
-        run_campaign(pinned_config, store=tmp_path / "s")
+        run_grid(ScenarioGrid.from_config(pinned_config), store=tmp_path / "s")
         reloaded = CampaignResult.from_store(RunStore(tmp_path / "s"))
         assert reloaded.config == pinned_config
         assert reloaded.rows() == pinned_serial_rows
 
     def test_progress_covers_all_units(self, pinned_config):
         messages = []
-        run_campaign(pinned_config, progress=messages.append)
+        run_grid(ScenarioGrid.from_config(pinned_config), progress=messages.append)
         assert len(messages) == 4  # 2 granularities x 2 reps
 
 
@@ -88,9 +88,7 @@ class TestResume:
         SerialExecutor().run(units[:1], store)
         store.close()
 
-        resumed = run_campaign(
-            pinned_config, store=tmp_path / "s", resume=True
-        )
+        [resumed] = run_grid(grid, store=tmp_path / "s", resume=True)
         assert resumed.rows() == pinned_serial_rows
 
     def test_resume_does_not_rerun_completed_units(
@@ -103,7 +101,7 @@ class TestResume:
         store.close()
         before = (tmp_path / "s" / "rows.jsonl").read_bytes()
 
-        run_campaign(pinned_config, store=tmp_path / "s", resume=True)
+        run_grid(grid, store=tmp_path / "s", resume=True)
         after = (tmp_path / "s" / "rows.jsonl").read_bytes()
         assert after.startswith(before)  # append-only: old rows untouched
         assert after.count(b"\n") == 4
@@ -111,15 +109,15 @@ class TestResume:
     def test_nonempty_store_without_resume_is_an_error(
         self, pinned_config, tmp_path
     ):
-        run_campaign(pinned_config, store=tmp_path / "s")
+        run_grid(ScenarioGrid.from_config(pinned_config), store=tmp_path / "s")
         with pytest.raises(StoreError, match="resume"):
-            run_campaign(pinned_config, store=tmp_path / "s")
+            run_grid(ScenarioGrid.from_config(pinned_config), store=tmp_path / "s")
 
     def test_resume_rejects_foreign_store(self, pinned_config, tmp_path):
-        run_campaign(pinned_config, store=tmp_path / "s")
+        run_grid(ScenarioGrid.from_config(pinned_config), store=tmp_path / "s")
         other = pinned_config.with_graphs(5)
         with pytest.raises(StoreError, match="different campaign"):
-            run_campaign(other, store=tmp_path / "s", resume=True)
+            run_grid(ScenarioGrid.from_config(other), store=tmp_path / "s", resume=True)
 
 
 class TestKillAndResume:
@@ -136,10 +134,10 @@ class TestKillAndResume:
         # the kill mid-campaign instead of racing a fast finish.
         script = (
             "import json, time\n"
-            "from repro.experiments import ExperimentConfig, run_campaign\n"
+            "from repro.experiments import ExperimentConfig, ScenarioGrid, run_grid\n"
             f"cfg = ExperimentConfig.from_dict(json.load(open({str(cfg_path)!r})))\n"
-            f"run_campaign(cfg, store={str(store_dir)!r},\n"
-            "             progress=lambda m: time.sleep(0.3))\n"
+            f"run_grid(ScenarioGrid.from_config(cfg), store={str(store_dir)!r},\n"
+            "         progress=lambda m: time.sleep(0.3))\n"
         )
         env = os.environ.copy()
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
@@ -166,8 +164,9 @@ class TestKillAndResume:
         completed_before = len(RunStore(store_dir))
         assert completed_before < 6, "kill landed too late to test resume"
 
-        resumed = run_campaign(cfg, store=store_dir, resume=True)
-        fresh = run_campaign(cfg)
+        grid = ScenarioGrid.from_config(cfg)
+        [resumed] = run_grid(grid, store=store_dir, resume=True)
+        [fresh] = run_grid(grid)
         assert resumed.rows() == fresh.rows()
         assert len(RunStore(store_dir)) == 6
 

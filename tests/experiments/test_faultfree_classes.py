@@ -24,7 +24,6 @@ from repro.experiments import harness, online
 from repro.experiments.api import SPEC_DIR, CampaignSpec
 from repro.experiments.config import FIGURES
 from repro.experiments.harness import (
-    FAULTFREE_RUNNERS,
     campaign_network,
     faultfree_latencies,
     generate_instance,
@@ -120,17 +119,17 @@ def test_certified_ftsa_reference_is_every_members_reference(
     topology = generate_topology(config, granularity, 0)
     inst = generate_instance(config, granularity, 0, topology=topology)
     network = campaign_network(config, inst, topology)
-    reference = FAULTFREE_RUNNERS["ftsa"](inst, seed, network, fast)
+    reference = SCHEDULERS.get("ftsa").faultfree(inst, seed, network, fast)
     assume(reference.metadata["near_ties"] == 0)
     for name in ("caft", "caft-paper"):
-        sched = FAULTFREE_RUNNERS[name](inst, seed, network, fast)
+        sched = SCHEDULERS.get(name).faultfree(inst, seed, network, fast)
         assert _per_task(sched) == _per_task(reference), name
 
 
 def _direct_latencies(names, inst, rng, model, fast):
     """The reference: every fault-free entry run on its own."""
     return {
-        name: FAULTFREE_RUNNERS[name](inst, rng, model, fast).latency()
+        name: SCHEDULERS.get(name).faultfree(inst, rng, model, fast).latency()
         for name in names
     }
 

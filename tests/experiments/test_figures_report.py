@@ -1,13 +1,18 @@
-"""Tests for figure drivers, shape checks and reporting."""
+"""Tests for the figure specs, shape checks and reporting."""
 
 import csv
 import math
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import check_shape, run_figure
-from repro.experiments.harness import run_campaign
+from repro.experiments.api import (
+    Campaign,
+    CampaignSpec,
+    apply_overrides,
+    figure_spec,
+)
+from repro.experiments.config import FIGURES, ExperimentConfig
+from repro.experiments.figures import check_shape
 from repro.experiments.report import (
     messages_table,
     panel_a,
@@ -30,19 +35,22 @@ def mini_result():
         num_graphs=3,
         task_range=(25, 35),
     )
-    return run_campaign(cfg)
+    return Campaign(CampaignSpec(config=cfg)).run().result()
 
 
 class TestRunFigure:
     def test_bad_number(self):
         with pytest.raises(ValueError, match="figures 1-6"):
-            run_figure(9)
+            figure_spec(9)
+        with pytest.raises(ValueError, match="figures 1-6"):
+            CampaignSpec(figure=9)
 
     def test_figure_config_used(self):
-        # run only the tiniest slice to keep tests fast
-        result = run_figure(1, num_graphs=1)
-        assert result.config.name == "figure1"
-        assert len(result.points) == 10
+        grid = apply_overrides(figure_spec(1), {"graphs": 1}).grid()
+        (config,) = grid.configs
+        assert config == FIGURES[1].with_graphs(1)
+        assert config.name == "figure1"
+        assert grid.total_units == len(config.granularities) == 10
 
 
 class TestShapeChecks:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.api import apply_overrides, figure_spec
 from repro.experiments.config import FIGURES, ExperimentConfig
 from repro.experiments.grid import ScenarioGrid, WorkUnit
 from repro.experiments.harness import run_rep
@@ -70,15 +71,11 @@ class TestScenarioGrid:
             (0.5, 0), (0.5, 1), (0.5, 2), (1.5, 0), (1.5, 1), (1.5, 2),
         ]
 
-    def test_from_figure_applies_overrides(self):
-        grid = ScenarioGrid.from_figure(2, num_graphs=4, topology="ring")
-        (cfg,) = grid.configs
+    def test_figure_spec_grid_applies_overrides(self):
+        spec = apply_overrides(figure_spec(2), {"graphs": 4, "topology": "ring"})
+        (cfg,) = spec.grid().configs
         assert cfg.name == "figure2" and cfg.num_graphs == 4
         assert cfg.model == "routed-oneport" and cfg.topology == "ring"
-
-    def test_from_figure_rejects_bad_number(self):
-        with pytest.raises(ValueError, match="figures 1-6"):
-            ScenarioGrid.from_figure(9)
 
     def test_from_scenarios_keeps_seed_pairing(self, tiny_cfg):
         grid = ScenarioGrid.from_scenarios(

@@ -1,11 +1,13 @@
 """Tests for the experiment harness (small repetition counts)."""
 
-import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.dag.analysis import degree_stats
+from repro.experiments.api import Campaign, CampaignSpec
 from repro.experiments.config import (
     FIGURES,
     GRANULARITY_SWEEP_A,
@@ -13,15 +15,18 @@ from repro.experiments.config import (
     ExperimentConfig,
     default_num_graphs,
 )
-from repro.experiments.harness import (
-    ALGORITHM_RUNNERS,
-    ParallelHarness,
-    generate_instance,
-    run_campaign,
-    run_point,
-    run_rep,
-)
+from repro.experiments.executors import ProcessExecutor, effective_workers
+from repro.experiments.harness import generate_instance, run_rep
 from repro.platform.heterogeneity import granularity
+
+
+def run_config(config, **kwargs):
+    """``config`` through the front door; ``kwargs`` go to ``run``."""
+    return Campaign(CampaignSpec(config=config)).run(**kwargs).result()
+
+
+def unit_messages(events) -> list[str]:
+    return [event.message for event in events if event.kind == "unit"]
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +101,9 @@ class TestGenerateInstance:
 class TestRunPoint:
     @pytest.fixture(scope="class")
     def point(self):
-        cfg = FIGURES[1].with_graphs(2)
-        return run_point(cfg, 1.0)
+        cfg = replace(FIGURES[1].with_graphs(2), granularities=(1.0,))
+        [point] = run_config(cfg).points
+        return point
 
     def test_all_algorithms_present(self, point):
         assert set(point.per_algorithm) == set(FIGURES[1].algorithms)
@@ -143,7 +149,7 @@ class TestCampaign:
             num_graphs=2,
             task_range=(15, 20),
         )
-        result = run_campaign(cfg)
+        result = run_config(cfg)
         assert len(result.points) == 2
         rows = result.rows()
         assert rows[0]["granularity"] == 0.5
@@ -160,12 +166,12 @@ class TestCampaign:
             num_graphs=2,
             task_range=(10, 12),
         )
-        messages = []
-        run_campaign(cfg, progress=messages.append)
-        assert len(messages) == 2
+        events = []
+        run_config(cfg, progress=events.append)
+        assert len(unit_messages(events)) == 2
 
 
-class TestParallelHarness:
+class TestProcessPool:
     @pytest.fixture(scope="class")
     def cfg(self):
         return ExperimentConfig(
@@ -183,39 +189,31 @@ class TestParallelHarness:
         b = run_rep(cfg, 0.5, 0)
         assert a == b
 
-    def test_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="CampaignSpec"):
-            ParallelHarness(1)
-
     def test_workers_do_not_change_results(self, cfg):
-        serial = run_campaign(cfg)
-        with pytest.warns(DeprecationWarning):
-            parallel = ParallelHarness(2, clamp=False).run_campaign(cfg)
+        serial = run_config(cfg)
+        parallel = run_config(cfg, executor=ProcessExecutor(2, clamp=False))
         assert serial.rows() == parallel.rows()
 
     def test_parallel_progress_covers_all_jobs(self, cfg):
-        messages = []
-        with pytest.warns(DeprecationWarning):
-            harness = ParallelHarness(2, clamp=False)
-        harness.run_campaign(cfg, progress=messages.append)
-        assert len(messages) == len(cfg.granularities) * cfg.num_graphs
+        events = []
+        run_config(
+            cfg, progress=events.append, executor=ProcessExecutor(2, clamp=False)
+        )
+        assert len(unit_messages(events)) == len(cfg.granularities) * cfg.num_graphs
 
     def test_workers_one_is_serial(self, cfg):
-        with pytest.warns(DeprecationWarning):
-            assert ParallelHarness(1).workers <= 1
-            assert ParallelHarness(None).workers == 0
+        assert effective_workers(1) <= 1
+        assert effective_workers(None) == 0
+        assert ProcessExecutor(1).workers <= 1
 
     def test_workers_clamped_to_cpus(self):
-        import os
-
         cpus = os.cpu_count() or 1
-        with pytest.warns(DeprecationWarning):
-            assert ParallelHarness(cpus + 7).workers <= cpus
-            assert ParallelHarness(cpus + 7, clamp=False).workers == cpus + 7
+        assert effective_workers(cpus + 7) <= cpus
+        assert effective_workers(cpus + 7, clamp=False) == cpus + 7
+        assert ProcessExecutor(cpus + 7).workers <= cpus
+        assert ProcessExecutor(cpus + 7, clamp=False).workers == cpus + 7
 
     def test_fast_flag_does_not_change_results(self, cfg):
-        from dataclasses import replace
-
-        fast = run_campaign(replace(cfg, fast=True))
-        slow = run_campaign(replace(cfg, fast=False))
+        fast = run_config(replace(cfg, fast=True))
+        slow = run_config(replace(cfg, fast=False))
         assert fast.rows() == slow.rows()

@@ -201,11 +201,12 @@ class TestLeaseThreading:
         assert ex.lease_policy.target_seconds == pytest.approx(1.0)
 
     def test_process_lease_equivalence(self, small_config, tmp_path):
-        from repro.experiments import run_campaign
+        from repro.experiments import ScenarioGrid, run_grid
 
-        serial = run_campaign(small_config, executor="serial").rows()
-        chunked = run_campaign(
-            small_config,
+        grid = ScenarioGrid.from_config(small_config)
+        [serial] = run_grid(grid)
+        [chunked] = run_grid(
+            grid,
             executor=ProcessExecutor(2, clamp=False, lease=3),
-        ).rows()
-        assert chunked == serial
+        )
+        assert chunked.rows() == serial.rows()

@@ -11,12 +11,12 @@ import pytest
 
 from repro.comm.oneport import OnePortNetwork
 from repro.comm.routed import RoutedOnePortNetwork
+from repro.experiments.api import Campaign, CampaignSpec, ExecutorSpec
 from repro.experiments.config import FIGURES, ExperimentConfig
 from repro.experiments.harness import (
     campaign_network,
     generate_instance,
     generate_topology,
-    run_campaign,
     run_rep,
 )
 
@@ -96,9 +96,12 @@ class TestRoutedCampaign:
 
     def test_parallel_equals_serial_on_routed_campaign(self):
         cfg = _tiny(FIGURES[1].with_network(topology="ring"))
-        serial = run_campaign(cfg)
-        parallel = run_campaign(cfg, workers=2)
-        assert serial.rows() == parallel.rows()
+        spec = CampaignSpec(config=cfg)
+        serial = Campaign(spec).run().result()
+        pooled = CampaignSpec(
+            config=cfg, executor=ExecutorSpec(kind="process", workers=2)
+        )
+        assert Campaign(pooled).run().result().rows() == serial.rows()
 
     def test_rep_is_pure_function_of_labels(self):
         cfg = _tiny(FIGURES[1].with_network(topology="torus"))

@@ -19,8 +19,9 @@ from repro.experiments import (
     Campaign,
     CampaignSpec,
     ExecutorSpec,
+    ScenarioGrid,
     open_store,
-    run_campaign,
+    run_grid,
 )
 from repro.experiments.config import FIGURES
 from repro.experiments.executors import (
@@ -51,7 +52,7 @@ DEADLINE_S = 60.0
 def serial_rep_rows(pinned_config, tmp_path_factory):
     """Per-rep serial baseline rows for the pinned equivalence config."""
     directory = tmp_path_factory.mktemp("serial-baseline")
-    run_campaign(pinned_config, executor="serial", store=directory)
+    run_grid(ScenarioGrid.from_config(pinned_config), store=directory)
     with open_store(directory) as store:
         return store.rep_rows()
 

@@ -11,7 +11,7 @@ import socket
 
 import pytest
 
-from repro.experiments import SocketExecutor, run_campaign
+from repro.experiments import ScenarioGrid, SocketExecutor, run_grid
 from repro.experiments.executors.socket import _LineConn, sockets_available
 
 pytestmark = [
@@ -39,8 +39,8 @@ def _serial_rep_rows(config):
 class TestSocketExecutor:
     def test_two_workers_match_serial(self, pinned_config, pinned_serial_rows):
         messages = []
-        result = run_campaign(
-            pinned_config,
+        [result] = run_grid(
+            ScenarioGrid.from_config(pinned_config),
             executor=SocketExecutor(spawn_workers=2, timeout=DEADLINE_S),
             progress=messages.append,
         )
@@ -53,7 +53,7 @@ class TestSocketExecutor:
         executor = SocketExecutor(
             spawn_workers=[["--max-units", "1"], []], timeout=DEADLINE_S
         )
-        result = run_campaign(pinned_config, executor=executor)
+        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
 
     def test_slow_heartbeat_worker_not_declared_dead(
@@ -65,13 +65,13 @@ class TestSocketExecutor:
         executor = SocketExecutor(
             spawn_workers=[["--heartbeat", "2.0"]], timeout=DEADLINE_S
         )
-        result = run_campaign(pinned_config, executor=executor)
+        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
 
     def test_no_workers_times_out(self, pinned_config):
         executor = SocketExecutor(spawn_workers=0, timeout=1.0)
         with pytest.raises(TimeoutError, match="workers connected"):
-            run_campaign(pinned_config, executor=executor)
+            run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
 
     def test_slow_unit_with_live_heartbeats_not_timed_out(self, pinned_config):
         # `timeout` is a no-activity deadline, not a per-unit bound: a
@@ -126,13 +126,13 @@ class TestSocketExecutor:
         poison = replace(pinned_config, algorithms=("caft", "no-such-algo"))
         executor = SocketExecutor(spawn_workers=2, timeout=DEADLINE_S)
         with pytest.raises(RuntimeError, match="spawned worker"):
-            run_campaign(poison, executor=executor)
+            run_grid(ScenarioGrid.from_config(poison), executor=executor)
 
     def test_store_backed_socket_campaign(
         self, pinned_config, pinned_serial_rows, tmp_path
     ):
-        run_campaign(
-            pinned_config,
+        run_grid(
+            ScenarioGrid.from_config(pinned_config),
             executor=SocketExecutor(spawn_workers=2, timeout=DEADLINE_S),
             store=tmp_path / "s",
         )
@@ -145,7 +145,7 @@ class TestSocketExecutor:
 class TestBatchLeases:
     def test_fixed_lease_matches_serial(self, pinned_config, pinned_serial_rows):
         executor = SocketExecutor(spawn_workers=2, timeout=DEADLINE_S, lease=3)
-        result = run_campaign(pinned_config, executor=executor)
+        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
 
     def test_crash_mid_lease_requeues_remainder(
@@ -166,7 +166,7 @@ class TestBatchLeases:
             timeout=DEADLINE_S,
             lease=2,
         )
-        result = run_campaign(pinned_config, executor=executor)
+        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
         assert sorted(executor.worker_exit_codes) == sorted(
             [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
@@ -185,8 +185,8 @@ class TestBatchLeases:
             timeout=DEADLINE_S,
             lease=2,
         )
-        result = run_campaign(cfg, executor=executor)
-        assert result.rows() == run_campaign(cfg).rows()
+        [result] = run_grid(ScenarioGrid.from_config(cfg), executor=executor)
+        assert result.rows() == run_grid(ScenarioGrid.from_config(cfg))[0].rows()
 
     def _drive_master(self, pinned_config, worker):
         """Run a master against a hand-rolled worker implementation."""

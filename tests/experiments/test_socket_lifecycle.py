@@ -13,7 +13,7 @@ import subprocess
 
 import pytest
 
-from repro.experiments import SocketExecutor, run_campaign
+from repro.experiments import ScenarioGrid, SocketExecutor, run_grid
 from repro.experiments.executors import (
     WORKER_EXIT_FAULT_INJECTED,
     WORKER_EXIT_OK,
@@ -157,7 +157,7 @@ class TestMasterLifecycle:
         )
         executor, procs = self._tracking_executor(spawn_workers=2)
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(pinned_config, executor=executor)
+            run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert len(procs) == 2
         assert all(proc.poll() is not None for proc in procs), (
             "interrupted master left worker subprocesses running"
@@ -175,7 +175,7 @@ class TestMasterLifecycle:
 
         executor._spawn_worker = failing_spawn
         with pytest.raises(OSError, match="second spawn exploded"):
-            run_campaign(pinned_config, executor=executor)
+            run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert len(procs) == 1
         assert procs[0].poll() is not None, (
             "mid-spawn failure orphaned the first worker"
@@ -190,7 +190,7 @@ class TestMasterLifecycle:
         executor, _procs = self._tracking_executor(
             spawn_workers=2, port=0, on_listen=seen.append
         )
-        result = run_campaign(pinned_config, executor=executor)
+        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
         assert len(seen) == 1
         host, port = seen[0]

@@ -62,13 +62,15 @@ def _range(values):
 def configs(draw) -> ExperimentConfig:
     model, topology, policy = draw(_SCENARIOS)
     task_lo = draw(st.integers(2, 100))
+    num_procs = draw(st.integers(2, 40))
     return ExperimentConfig(
         name=draw(_NAMES),
         granularities=tuple(
             draw(st.lists(_FLOATS, min_size=1, max_size=6, unique=True))
         ),
-        num_procs=draw(st.integers(2, 40)),
-        epsilon=draw(st.integers(0, 5)),
+        num_procs=num_procs,
+        # ε + 1 replicas need as many distinct processors
+        epsilon=draw(st.integers(0, min(5, num_procs - 1))),
         crashes=draw(st.integers(0, 4)),
         num_graphs=draw(st.integers(1, 5)),
         task_range=(task_lo, task_lo + draw(st.integers(0, 60))),

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.experiments import SocketExecutor, run_campaign
+from repro.experiments import ScenarioGrid, SocketExecutor, run_grid
 from repro.experiments.executors import SpeculationPolicy, parse_steal
 from repro.experiments.executors.socket import (
     WORKER_EXIT_ERROR,
@@ -449,7 +449,7 @@ class TestWorkerRespawn:
         executor = SocketExecutor(
             spawn_workers=[["--die-after", "2"]], timeout=DEADLINE_S
         )
-        result = run_campaign(pinned_config, executor=executor)
+        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
         assert executor.worker_respawns >= 1
         assert WORKER_EXIT_ERROR in executor.worker_exit_codes

@@ -2,19 +2,20 @@
 
 import pytest
 
+from repro.experiments.api import Campaign, CampaignSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extra import (
     heterogeneity_sweep,
     platform_size_sweep,
     sweep_table,
 )
-from repro.experiments.harness import run_campaign
 from repro.experiments.svg import (
     SvgLineChart,
     _nice_ticks,
     campaign_to_charts,
     write_html_report,
 )
+from repro.utils.errors import CampaignConfigError
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def mini_result():
         num_graphs=2,
         task_range=(15, 20),
     )
-    return run_campaign(cfg)
+    return Campaign(CampaignSpec(config=cfg)).run().result()
 
 
 class TestTicks:
@@ -108,6 +109,17 @@ class TestExtraSweeps:
     def test_platform_size_sweep_shape(self):
         results = platform_size_sweep(sizes=(4, 6), num_graphs=1)
         assert [m for m, _p in results] == [4, 6]
+
+    def test_sweep_point_independent_of_its_neighbours(self):
+        # one grid per sweep, but seeds are per scenario: a point is the
+        # same whichever other sizes run beside it
+        (_, alone), = platform_size_sweep(sizes=(6,), num_graphs=1)
+        (_, _), (_, beside) = platform_size_sweep(sizes=(4, 6), num_graphs=1)
+        assert alone.row() == beside.row()
+
+    def test_platform_sweep_rejects_eps_beyond_size(self):
+        with pytest.raises(CampaignConfigError, match="num_procs=2"):
+            platform_size_sweep(sizes=(2, 6), epsilon=2, num_graphs=1)
 
     def test_sweep_table_format(self):
         results = platform_size_sweep(sizes=(4,), num_graphs=1)

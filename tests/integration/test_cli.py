@@ -75,6 +75,17 @@ class TestCampaignParser:
         assert rc == 2
         assert "no figure 9" in capsys.readouterr().err
 
+    def test_more_replicas_than_processors_rejected(self, capsys):
+        # caught before any unit runs, offline and in the sweeps alike
+        rc = main(["campaign", "run", "1", "--override", "config.epsilon=10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "num_procs=10" in err
+        rc = main(["sweep", "platform", "--graphs", "1", "--epsilon", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epsilon=5" in err
+
     def test_socket_flags_require_socket_executor(self, capsys):
         rc = main(["campaign", "run", "1", "--graphs", "1",
                    "--bind", "127.0.0.1:7077"])
