@@ -117,7 +117,8 @@ def test_fastpath_guard():
         )
 
 
-#: within-2x-of-dense acceptance for the vectorized evaluators (m=40)
+#: within-2x-of-dense acceptance for the scalar routed/insertion
+#: evaluators (m=40)
 MODEL_GUARD_RATIO = 2.0
 
 
@@ -128,7 +129,7 @@ def _model_guard(bench: str, model: str, topology: str | None, policy: str):
     bench's own recorded series (same ratchet-proof scheme as the
     figure-1 guard).  Relative: within ``MODEL_GUARD_RATIO`` of a
     dense-model run timed in the same process — the acceptance floor
-    for the routed/insertion vectorization, immune to box speed.
+    for the scalar routed/insertion evaluators, immune to box speed.
 
     Both sides are min-of-2 with collection disabled inside the timed
     region: these are sub-2s campaigns on a shared (often single-CPU)
@@ -197,8 +198,8 @@ def _model_guard(bench: str, model: str, topology: str | None, policy: str):
         )
     assert ratio < MODEL_GUARD_RATIO, (
         f"{bench}: m=40 campaign at {ratio:.2f}x the dense-model fast path "
-        f"(floor {MODEL_GUARD_RATIO}x) — the vectorized evaluator lost its "
-        f"edge over the dense kernel"
+        f"(floor {MODEL_GUARD_RATIO}x) — the scalar routed/insertion "
+        f"evaluator fell behind the dense kernel"
     )
 
 

@@ -133,7 +133,7 @@ class FrontierView:
       ``.gap_vectors()`` split start/end mirrors), indexed like the
       scalars.
 
-    Vectorized-evaluator accessors (both lazily built and cached):
+    Derived accessors for the kernel (both lazily built and cached):
 
     * :meth:`hop_csr` — routed models: ``route_hops`` flattened into one
       CSR pair ``(indptr, hop_ids)`` over ``src * m + dst`` rows, so a

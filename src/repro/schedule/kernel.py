@@ -31,20 +31,22 @@ A model whose ``kernel_caps()`` is ``None`` (or declares a combination
 the kernel cannot mirror) falls back to the exact slow path with a
 one-time ``logging`` warning — ``fast=True`` never changes results.
 
-Three evaluation paths, all producing **bit-identical** results (same
-IEEE-754 operations in the same order — the equivalence test suite
-asserts identical commit logs end to end):
+Every exact row goes through one scalar evaluator per family, which
+mirrors ``_place``'s IEEE-754 operations in the same order, so results
+are **bit-identical** (the equivalence test suite asserts identical
+commit logs end to end).  Sound lower bounds decide which rows need
+that evaluation:
 
 * ``pressure_sweep`` — FTBAR's free-task × all-processor re-scoring
   sweep.  One NumPy pass computes a sound **lower bound** on the start
   of every stale (task, processor) row from the committed frontiers
   (:meth:`TrialKernel._pressure_bounds`); only the rows whose bound could
   still put them among their task's ε+1 minimum-``(σ, proc)`` rows are
-  evaluated exactly (:func:`select_pressure`), in as few batched rounds
-  as the bounds allow.  Exact starts, the commit versions they were
-  computed at and every free task's message tables live in per-schedule
-  arrays (:class:`_SweepState`), so no :class:`Trial` is built for a row
-  that is served from them or pruned.
+  evaluated exactly (:func:`select_pressure`), in as few rounds as the
+  bounds allow.  Exact starts, the commit versions they were computed
+  at and every free task's message tables live in per-schedule arrays
+  (:class:`_SweepState`), so no :class:`Trial` is built for a row that
+  is served from them or pruned.
 * ``candidate_sweep`` — one placement's candidate processors (the
   HEFT/FTSA/CAFT candidate loops), optionally with designated
   per-predecessor heads per candidate (CAFT's one-to-one rounds, picked
@@ -55,39 +57,37 @@ asserts identical commit logs end to end):
   lower bound on its finish (:meth:`TrialKernel._finish_bounds`), and
   :func:`select_candidates` evaluates exactly, in ``(bound, proc)``
   order, only the rows that can still be the minimum, tie with it, or
-  be among the first ``keep``.  Evaluated rows go one vectorized pass
-  per evaluator family once a batch is big enough to pay for itself:
+  be among the first ``keep``.
 
-  - scalar-frontier models lexsort the eq. (6) keys for every row at
-    once and advance the serialization frontier matrices step by step
-    (``_eval_rows``);
-  - **routed** models compute every route's hop maximum as one CSR
-    ``np.maximum.reduceat`` over the committed link frontiers and run
-    the serialization recurrence ``f = max(key, rf + w)`` in lockstep
-    across rows (``_eval_rows_routed``) — exact, because every
-    simulated frontier a later message could read is dominated by the
-    receiver frontier (see the evaluator docstring);
-  - **gap-timeline** models share the vectorized key prologue and
-    replay each row's first-common-gap placements against trial-local
-    NumPy gap-array overlays (``_eval_rows_insertion``), copied on
-    first touch per resource.
-* an **epoch cache** — a placement only dirties the processors (and,
-  for routed models, directed links) it touched.  Each committed
-  replica/message bumps the epochs of the resources it reserved; a
-  cached trial (``candidate_sweep``) or exact start (``pressure_sweep``)
-  is reused verbatim when the epochs of every resource it read are
-  unchanged and the supplier pools did not grow.
+The evaluator families (:meth:`TrialKernel._eval` dispatches):
+
+* scalar-frontier models sort the eq. (6) keys and advance simulated
+  port/link frontiers message by message;
+* **routed** models read each route's committed hop maximum from one
+  CSR ``np.maximum.reduceat`` per commit (:meth:`TrialKernel._routemax_matrix`)
+  and run the serialization recurrence ``f = max(key, rf + w)``
+  (``_eval_routed``) — exact, because every simulated frontier a later
+  message could read is dominated by the receiver frontier (see the
+  evaluator docstring);
+* **gap-timeline** models replay each message's first-common-gap scan
+  against trial-local gap overlays (``_eval_insertion``), copied on
+  first touch per resource.
+
+An **epoch cache** skips rows whose inputs did not move: a placement only
+dirties the processors (and, for routed models, directed links) it
+touched.  Each committed replica/message bumps the epochs of the
+resources it reserved; a cached trial (``candidate_sweep``) or exact
+start (``pressure_sweep``) is reused verbatim when the epochs of every
+resource it read are unchanged and the supplier pools did not grow.
 
 ``kernel_stats()`` exposes the observability counters (evaluator
-family, epoch-cache hits/misses, bounded and pruned sweep rows, batch vs
-scalar evaluation volumes).
+family, epoch-cache hits/misses, bounded and pruned sweep rows).
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_right, insort
-from itertools import islice
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -316,10 +316,6 @@ class _TaskEntries:
         "selfsuff",
         "srcs",
         "sig",
-        "nwork",
-        "np_arrays",
-        "np_proc_tables",
-        "np_padded",
         "np_sbase",
     )
 
@@ -364,10 +360,6 @@ class _TaskEntries:
             self.selfsuff.append(frozenset(suff))
         self.srcs = sorted(srcs)
         self.sig = tuple(len(p) for p in self.pools)
-        self.nwork = max(1, sum(self.sig))
-        self.np_arrays = None
-        self.np_proc_tables = None
-        self.np_padded: dict = {}
         self.np_sbase = None
 
     def sbase_pools(self, send0, version: int) -> list[list[float]]:
@@ -393,90 +385,6 @@ class _TaskEntries:
             cached = (version, out)
             self.np_sbase = cached
         return cached[1]
-
-    def arrays(self):
-        """Flat NumPy arrays over all pool entries (built lazily)."""
-        if self.np_arrays is None:
-            pred_l, idx_l, src_l, ready_l, slot_l, vol_l = [], [], [], [], [], []
-            for slot, (pred, pool) in enumerate(zip(self.preds, self.pools)):
-                vol = self.vols[slot]
-                for index, src, ready in pool:
-                    pred_l.append(pred)
-                    idx_l.append(index)
-                    src_l.append(src)
-                    ready_l.append(ready)
-                    slot_l.append(slot)
-                    vol_l.append(vol)
-            self.np_arrays = (
-                np.asarray(pred_l, dtype=np.int64),
-                np.asarray(idx_l, dtype=np.int64),
-                np.asarray(src_l, dtype=np.int64),
-                np.asarray(ready_l, dtype=np.float64),
-                np.asarray(slot_l, dtype=np.int64),
-                np.asarray(vol_l, dtype=np.float64),
-            )
-        return self.np_arrays
-
-    def proc_tables(self, num_procs: int, strict: bool):
-        """Per-(slot, proc) local-supply and suppression tables (lazy).
-
-        ``local_sup[s, p]`` is the earliest co-located supply of slot ``s``
-        on processor ``p`` (``inf`` when none); ``suppressed[s, p]`` marks
-        predecessors whose whole remote pool is dropped on ``p`` (strict
-        mode, or a self-sufficient co-located replica).
-        """
-        if self.np_proc_tables is None:
-            nslots = len(self.preds)
-            local_sup = np.full((nslots, num_procs), _INF)
-            suppressed = np.zeros((nslots, num_procs), dtype=bool)
-            for slot in range(nslots):
-                suff = self.selfsuff[slot]
-                for p, finish in self.local[slot].items():
-                    local_sup[slot, p] = finish
-                    if strict or p in suff:
-                        suppressed[slot, p] = True
-            self.np_proc_tables = (local_sup, suppressed)
-        return self.np_proc_tables
-
-    def padded(self, rmax: int, smax: int, num_procs: int, strict: bool):
-        """All per-task arrays padded to the sweep's ``(rmax, smax)`` shape.
-
-        Cached per shape: a task re-swept with the same global padding
-        (the common FTBAR case) contributes zero assembly work beyond a
-        stack of cached rows.
-        """
-        key = (rmax, smax)
-        cached = self.np_padded.get(key)
-        if cached is not None:
-            return cached
-        pred_a, idx_a, src_a, ready_a, slot_a, vol_a = self.arrays()
-        r = pred_a.size
-        nslots = len(self.preds)
-        pred = np.zeros(rmax, dtype=np.int64)
-        idx = np.zeros(rmax, dtype=np.int64)
-        src = np.zeros(rmax, dtype=np.int64)
-        ready = np.zeros(rmax)
-        slot = np.zeros(rmax, dtype=np.int64)
-        vol = np.zeros(rmax)
-        mask = np.zeros(rmax, dtype=bool)
-        sup = np.zeros((rmax, num_procs), dtype=bool)
-        local = np.full((smax, num_procs), _INF)
-        slotmask = np.zeros(smax, dtype=bool)
-        pred[:r] = pred_a
-        idx[:r] = idx_a
-        src[:r] = src_a
-        ready[:r] = ready_a
-        slot[:r] = slot_a
-        vol[:r] = vol_a
-        mask[:r] = True
-        slotmask[:nslots] = True
-        if nslots:
-            local_sup, suppressed = self.proc_tables(num_procs, strict)
-            local[:nslots] = local_sup
-            sup[:r] = suppressed[slot_a]
-        cached = (pred, idx, src, ready, slot, vol, mask, sup, local, slotmask)
-        self.np_padded[key] = cached
-        return cached
 
 
 class _SweepState:
@@ -635,31 +543,13 @@ def select_candidates(bounds, finishes, keep, evaluate):
 class TrialKernel:
     """Exact, side-effect-free trial evaluation over frontier views."""
 
-    #: switch to the NumPy batch formulation past this many work items
-    #: (candidates × pool entries); below it the scalar loop wins.
-    numpy_threshold = 2048
-    #: vectorize a cross-task sweep once it has at least this many
-    #: uncached (task, processor) rows; below that the scalar loop beats
-    #: the NumPy dispatch overhead (the crossover sits around the
-    #: paper's m=20 platforms).
-    sweep_numpy_threshold = 256
-    #: vectorize routed sweeps at this many uncached rows — the lockstep
-    #: recurrence carries one scalar frontier per row, so it pays off
-    #: earlier than the clique matrix formulation.
-    routed_numpy_threshold = 64
-    #: vectorize insertion sweeps at this many uncached rows (the key
-    #: prologue vectorizes; the per-row gap replay stays scalar).
-    insertion_numpy_threshold = 64
-
     __slots__ = (
         "builder",
         "network",
-        "instance",
         "graph",
         "caps",
         "kind",
         "_frontiers",
-        "_vector_ok",
         "_cost",
         "_delay",
         "_m",
@@ -680,7 +570,6 @@ class TrialKernel:
     def __init__(self, builder, caps: KernelCaps) -> None:
         self.builder = builder
         self.network = builder.network
-        self.instance = builder.instance
         self.graph = builder.instance.graph
         self.caps = caps
         self.kind = _caps_kind(caps)
@@ -691,9 +580,6 @@ class TrialKernel:
                 "but frontier_view() returned None"
             )
         self._frontiers = view
-        #: the NumPy batch formulation covers the scalar-frontier algebra
-        #: only; routed hop maxima and gap-timeline scans stay scalar
-        self._vector_ok = not (caps.routed or caps.gap_timelines)
         self._cost = builder.instance.exec_cost.tolist()
         #: unit delays come from the *network's* platform (for routed
         #: models these are the end-to-end route delays), exactly what
@@ -731,10 +617,6 @@ class TrialKernel:
             "cache_misses": 0,
             "bound_rows": 0,
             "pruned_rows": 0,
-            "batch_calls": 0,
-            "batch_rows": 0,
-            "scalar_calls": 0,
-            "scalar_rows": 0,
         }
 
     @classmethod
@@ -929,12 +811,9 @@ class TrialKernel:
 
         def evaluate(i: int) -> float:
             p = procs[i]
-            if heads is not None and heads[i]:
-                stats["scalar_calls"] += 1
-                stats["scalar_rows"] += 1
-                trial = self._eval(task, p, entries, heads[i])
-            else:
-                trial = self._eval_misses([(entries, task, p)])[0]
+            hp = heads[i] if heads is not None else None
+            trial = self._eval(task, p, entries, hp)
+            if not hp:  # only full-pool trials go in the epoch cache
                 per_proc[p] = (version, trial)
             stats["cache_misses"] += 1
             trials[i] = trial
@@ -1058,11 +937,11 @@ class TrialKernel:
             st.version[tix[rows], procs] = version
 
         def evaluate(rows, procs):
-            found = self._eval_misses(
-                [(ents[r], tasks[r], p) for r, p in zip(rows.tolist(), procs.tolist())]
-            )
-            stats["cache_misses"] += len(found)
-            out = [trial.start for trial in found]
+            out = [
+                self._eval(tasks[r], p, ents[r]).start
+                for r, p in zip(rows.tolist(), procs.tolist())
+            ]
+            stats["cache_misses"] += len(out)
             st.start[tix[rows], procs] = out
             st.version[tix[rows], procs] = version
             return out
@@ -1284,37 +1163,9 @@ class TrialKernel:
             certified = ~(VALID & (W > 0.0)).any(axis=(1, 2))
         return start, certified
 
-    def _eval_misses(self, misses) -> list[Trial]:
-        """Evaluate uncached ``(entries, task, proc)`` rows, choosing the
-        vectorized pass for the kernel's evaluator family once the batch
-        is big enough to pay for the NumPy dispatch overhead."""
-        n = len(misses)
-        kind = self.kind
-        stats = self._stats
-        if kind == "routed":
-            if n >= self.routed_numpy_threshold:
-                stats["batch_calls"] += 1
-                stats["batch_rows"] += n
-                return self._eval_rows_routed(misses)
-        elif kind == "insertion":
-            if n >= self.insertion_numpy_threshold:
-                stats["batch_calls"] += 1
-                stats["batch_rows"] += n
-                return self._eval_rows_insertion(misses)
-        elif n >= self.sweep_numpy_threshold or (
-            sum(e.nwork for e, _t, _p in misses) >= self.numpy_threshold
-        ):
-            stats["batch_calls"] += 1
-            stats["batch_rows"] += n
-            return self._eval_rows(misses)
-        stats["scalar_calls"] += 1
-        stats["scalar_rows"] += n
-        return [self._eval(t, p, e) for e, t, p in misses]
-
     def kernel_stats(self) -> dict:
         """Observability counters: evaluator family, epoch-cache traffic,
-        bounded and pruned pressure-sweep rows, and how many rows went
-        through the batched vs scalar evaluators.
+        and bounded and pruned sweep rows.
 
         ``cache_hits`` counts (task, proc) rows served exact from the
         epoch cache or the sweep arrays, ``cache_misses`` every row
@@ -1322,14 +1173,16 @@ class TrialKernel:
         ``bound_rows`` counts the pressure- and candidate-sweep rows that
         got a lower bound instead, and ``pruned_rows`` those of them that
         were never evaluated, so every row of a sweep is a hit, a miss
-        or pruned.  ``batch_calls``/``batch_rows`` count the vectorized
-        evaluations, ``scalar_calls``/``scalar_rows`` the scalar ones;
-        together they cover exactly the misses.
+        or pruned.
         """
         s = dict(self._stats)
         s["evaluator"] = self.kind
         looked_up = s["cache_hits"] + s["cache_misses"]
         s["cache_hit_rate"] = s["cache_hits"] / looked_up if looked_up else 0.0
+        # every exact evaluation is scalar; perfbench's span ledger
+        # (spans._add_kernel_stats) still indexes both keys
+        s["scalar_rows"] = s["cache_misses"]
+        s["batch_rows"] = 0
         return s
 
     # ------------------------------------------------------------------
@@ -1348,8 +1201,9 @@ class TrialKernel:
 
         One ``np.maximum.reduceat`` over the topology's flat hop CSR
         replaces ``m²`` Python hop loops; rebuilt once per commit and
-        shared by the scalar evaluator (as plain-list columns) and the
-        lockstep batch evaluator (as the full matrix).
+        shared by the routed evaluator (as plain-list columns, through
+        :meth:`_frontier_cols`) and the bound passes (as the full
+        matrix).
         """
         self._sync_version()
         rm = self._routemax
@@ -1686,7 +1540,7 @@ class TrialKernel:
         is what ``sender_bound`` reads), but each message is then placed
         by the same first-common-gap scan ``place_transfer`` runs — over
         trial-local :class:`_GapOverlay` copies of the busy timelines
-        (NumPy gap arrays, copied on first touch per resource), so
+        (plain-list gap vectors, copied on first touch per resource), so
         nothing is reserved.  A trial whose messages are all local or
         zero-volume touches no timeline and copies nothing — including
         the receiver's, which is only materialized for the first remote
@@ -1735,452 +1589,3 @@ class TrialKernel:
                 arrival[slot] = f
 
         return self._finish_trial(task, proc, loc, arrival, 0.0)
-
-    # ------------------------------------------------------------------
-    # NumPy batch evaluation (one pass over arbitrary (task, proc) rows)
-    # ------------------------------------------------------------------
-    def _assemble_rows(self, jobs):
-        """Shared row-table assembly for the batch evaluators.
-
-        Builds the padded per-row message tables for arbitrary
-        ``(entries, task, proc)`` rows: distinct entry objects are padded
-        once to the sweep's ``(Rmax, Smax)`` shape and gathered per row.
-        Returns ``(proc, task_ids, pr, cost, tix, uniq, Rmax, Smax,
-        tables)`` with ``tables`` ``None`` when no row has any
-        predecessor (``Rmax == 0``).
-        """
-        nrows = len(jobs)
-        strict = self.builder.strict_local_suppression
-        m = self._m
-        proc = np.fromiter((j[2] for j in jobs), dtype=np.int64, count=nrows)
-        task_ids = np.fromiter((j[1] for j in jobs), dtype=np.int64, count=nrows)
-        pr = np.asarray(self.builder.proc_ready, dtype=np.float64)[proc]
-        cost = self.instance.exec_cost[task_ids, proc]
-
-        table_ix: dict[int, int] = {}
-        uniq: list[_TaskEntries] = []
-        for e, _t, _p in jobs:
-            if id(e) not in table_ix:
-                table_ix[id(e)] = len(uniq)
-                uniq.append(e)
-        tix = np.fromiter(
-            (table_ix[id(j[0])] for j in jobs), dtype=np.int64, count=nrows
-        )
-        Rmax = max(e.arrays()[0].size for e in uniq)
-        Smax = max(len(e.preds) for e in uniq)
-        if Rmax == 0:
-            return proc, task_ids, pr, cost, tix, uniq, Rmax, Smax, None
-        pads = [e.padded(Rmax, Smax, m, strict) for e in uniq]
-        tables = tuple(np.stack([p[i] for p in pads]) for i in range(10))
-        return proc, task_ids, pr, cost, tix, uniq, Rmax, Smax, tables
-
-    def _eval_rows(self, jobs) -> list[Trial]:
-        """One NumPy pass over arbitrary ``(entries, task, proc)`` rows.
-
-        The workhorse behind both the per-task candidate sweep and the
-        cross-task FTBAR sweep: every row's eq. (6) serialization runs in
-        lockstep against its own frontier vectors, with per-row lexsorted
-        message orders.  Operations mirror the scalar path exactly (same
-        IEEE-754 maxima/additions in the same order), so results are
-        bit-identical.  Scalar-frontier models only (``_vector_ok``).
-        """
-        kind = self.kind
-        view = self._frontiers
-        m = self._m
-        macro = kind == "macro"
-        strict = self.builder.strict_local_suppression
-        nrows = len(jobs)
-        rows = np.arange(nrows)
-        proc = np.fromiter((j[2] for j in jobs), dtype=np.int64, count=nrows)
-        task_ids = np.fromiter((j[1] for j in jobs), dtype=np.int64, count=nrows)
-        pr = np.asarray(self.builder.proc_ready, dtype=np.float64)[proc]
-        cost = self.instance.exec_cost[task_ids, proc]
-
-        # Distinct entry objects -> padded (T, Rmax)/(T, Smax) tables.
-        table_ix: dict[int, int] = {}
-        uniq: list[_TaskEntries] = []
-        for e, _t, _p in jobs:
-            if id(e) not in table_ix:
-                table_ix[id(e)] = len(uniq)
-                uniq.append(e)
-        tix = np.fromiter(
-            (table_ix[id(j[0])] for j in jobs), dtype=np.int64, count=nrows
-        )
-        flats = [e.arrays() for e in uniq]
-        Rmax = max(f[0].size for f in flats)
-        Smax = max(len(e.preds) for e in uniq)
-
-        if not macro:
-            send0 = np.asarray(view.send_free, dtype=np.float64)
-            recv0 = np.asarray(view.recv_free, dtype=np.float64)
-            link0 = np.asarray(view.link_free, dtype=np.float64).reshape(m, m)
-
-        if Rmax == 0:
-            data_ready = np.zeros(nrows)
-        else:
-            pads = [e.padded(Rmax, Smax, m, strict) for e in uniq]
-            Tpred = np.stack([p[0] for p in pads])
-            Tidx = np.stack([p[1] for p in pads])
-            Tsrc = np.stack([p[2] for p in pads])
-            Tready = np.stack([p[3] for p in pads])
-            Tslot = np.stack([p[4] for p in pads])
-            Tvol = np.stack([p[5] for p in pads])
-            Tmask = np.stack([p[6] for p in pads])
-            Tsup = np.stack([p[7] for p in pads])
-            Tlocal = np.stack([p[8] for p in pads])
-            Tslotmask = np.stack([p[9] for p in pads])
-
-            SRC = Tsrc[tix]
-            READY = Tready[tix]
-            PRED = Tpred[tix]
-            IDX = Tidx[tix]
-            SLOT = Tslot[tix]
-            D = view.delay_np
-            W = Tvol[tix] * D[SRC, proc[:, None]]
-            pcol = proc[:, None]
-            valid = Tmask[tix] & (SRC != pcol)
-            valid &= ~np.take_along_axis(
-                Tsup[tix], pcol[:, :, None], axis=2
-            )[:, :, 0]
-
-            arrival = np.full((nrows, Smax), _INF)
-            if macro:
-                fin = np.where(valid, READY + W, _INF)
-                np.minimum.at(
-                    arrival,
-                    (np.repeat(rows, Rmax)[valid.ravel()], SLOT.ravel()[valid.ravel()]),
-                    fin.ravel()[valid.ravel()],
-                )
-                floor = np.zeros(nrows)
-            else:
-                LF0 = link0[SRC, pcol]
-                base = np.maximum(READY, send0[SRC])
-                key = np.where(W > 0.0, np.maximum(base, LF0) + W, READY)
-                key_masked = np.where(valid, key, _INF)
-                order = np.lexsort((SRC, IDX, PRED, key_masked))
-                counts = valid.sum(axis=1)
-
-                SF = np.broadcast_to(send0, (nrows, m)).copy()
-                RF = recv0[proc].copy()
-                LFm = link0.T[proc].copy()  # (nrows, m): link src -> proc
-                uni = kind == "uniport"
-                for k in range(int(counts.max()) if nrows else 0):
-                    act = k < counts
-                    if not act.any():
-                        break
-                    j = order[:, k]
-                    src = SRC[rows, j]
-                    ready = READY[rows, j]
-                    w = W[rows, j]
-                    slot = SLOT[rows, j]
-                    start = np.maximum(
-                        np.maximum(ready, SF[rows, src]),
-                        np.maximum(RF, LFm[rows, src]),
-                    )
-                    fin = np.where(w > 0.0, start + w, ready)
-                    upd = act & (w > 0.0)
-                    if upd.any():
-                        SF[rows[upd], src[upd]] = fin[upd]
-                        if uni:
-                            SF[rows[upd], proc[upd]] = fin[upd]
-                        RF[upd] = fin[upd]
-                        LFm[rows[upd], src[upd]] = fin[upd]
-                    cur = arrival[rows[act], slot[act]]
-                    arrival[rows[act], slot[act]] = np.minimum(cur, fin[act])
-                if kind == "nooverlap":
-                    floor = np.maximum(send0[proc], RF)
-                else:
-                    floor = np.zeros(nrows)
-
-            LS = np.take_along_axis(
-                Tlocal[tix], pcol[:, :, None], axis=2
-            )[:, :, 0]
-            supply = np.minimum(LS, arrival)
-            supply = np.where(Tslotmask[tix], supply, -_INF)
-            if Smax:
-                data_ready = np.maximum(supply.max(axis=1), 0.0)
-            else:
-                data_ready = np.zeros(nrows)
-
-        if Rmax == 0:
-            if kind == "nooverlap":
-                floor = np.maximum(send0[proc], recv0[proc])
-            else:
-                floor = np.zeros(nrows)
-
-        start = np.maximum(np.maximum(pr, floor), data_ready)
-        finish = start + cost
-        return [
-            Trial(int(t), int(p), float(s), float(f), float(d))
-            for t, p, s, f, d in zip(task_ids, proc, start, finish, data_ready)
-        ]
-
-    def _keys_and_order(self, view_extra, proc, tix, tables):
-        """Vectorized eq. (6) key prologue shared by the routed and
-        insertion batch evaluators.
-
-        ``view_extra[src, dst]`` is the committed per-pair frontier each
-        message additionally clears (route-hop max / link scalar).
-        Returns the gathered message tables plus each row's lexsorted
-        message order and valid-message count; the lexsort tiebreak
-        ``(PRED, IDX, SRC)`` mirrors the scalar tuple sort — ``(pred,
-        index)`` uniquely identifies a message, so later tuple fields are
-        never reached.
-        """
-        view = self._frontiers
-        (Tpred, Tidx, Tsrc, Tready, Tslot, Tvol, Tmask, Tsup, _Tl, _Tm) = tables
-        SRC = Tsrc[tix]
-        READY = Tready[tix]
-        PRED = Tpred[tix]
-        IDX = Tidx[tix]
-        SLOT = Tslot[tix]
-        pcol = proc[:, None]
-        W = Tvol[tix] * view.delay_np[SRC, pcol]
-        valid = Tmask[tix] & (SRC != pcol)
-        valid &= ~np.take_along_axis(Tsup[tix], pcol[:, :, None], axis=2)[:, :, 0]
-
-        send0 = np.asarray(view.send_free, dtype=np.float64)
-        base = np.maximum(READY, send0[SRC])
-        key = np.where(W > 0.0, np.maximum(base, view_extra[SRC, pcol]) + W, READY)
-        key_masked = np.where(valid, key, _INF)
-        order = np.lexsort((SRC, IDX, PRED, key_masked))
-        counts = valid.sum(axis=1)
-        return SRC, READY, SLOT, W, key, order, counts
-
-    def _rows_epilogue(self, proc, task_ids, pr, cost, tix, tables, arrival, Smax):
-        """Shared batch epilogue: merge local/remote supplies per row and
-        materialize the trials (the vectorized ``_finish_trial``, with a
-        zero compute floor — routed/insertion models never block
-        compute)."""
-        Tlocal, Tslotmask = tables[8], tables[9]
-        LS = np.take_along_axis(Tlocal[tix], proc[:, None, None], axis=2)[:, :, 0]
-        supply = np.minimum(LS, arrival)
-        supply = np.where(Tslotmask[tix], supply, -_INF)
-        if Smax:
-            data_ready = np.maximum(supply.max(axis=1), 0.0)
-        else:
-            data_ready = np.zeros(len(task_ids))
-        start = np.maximum(pr, data_ready)
-        finish = start + cost
-        return [
-            Trial(t, p, s, f, d)
-            for t, p, s, f, d in zip(
-                task_ids.tolist(),
-                proc.tolist(),
-                start.tolist(),
-                finish.tolist(),
-                data_ready.tolist(),
-            )
-        ]
-
-    def _eval_rows_routed(self, jobs) -> list[Trial]:
-        """One lockstep pass over routed ``(entries, task, proc)`` rows.
-
-        Every row's committed route-hop maxima come from the single CSR
-        ``reduceat`` matrix, the eq. (6) keys for all rows are lexsorted
-        at once, and the serialization recurrence ``f = max(key, rf +
-        w)`` (see :meth:`_eval_routed` for the exactness argument)
-        advances one receiver-frontier scalar per row in lockstep —
-        bit-identical to the scalar evaluator.
-        """
-        proc, task_ids, pr, cost, tix, uniq, Rmax, Smax, tables = (
-            self._assemble_rows(jobs)
-        )
-        nrows = len(jobs)
-        if Rmax == 0:
-            start = np.maximum(pr, 0.0)
-            finish = start + cost
-            return [
-                Trial(int(t), int(p), float(s), float(f), 0.0)
-                for t, p, s, f in zip(task_ids, proc, start, finish)
-            ]
-        SRC, READY, SLOT, W, key, order, counts = self._keys_and_order(
-            self._routemax_matrix(), proc, tix, tables
-        )
-        rows = np.arange(nrows)
-        arrival = np.full((nrows, Smax), _INF)
-        RF = np.asarray(self._frontiers.recv_free, dtype=np.float64)[proc]
-        for k in range(int(counts.max()) if nrows else 0):
-            act = k < counts
-            if not act.any():
-                break
-            j = order[:, k]
-            w = W[rows, j]
-            slot = SLOT[rows, j]
-            fin = np.where(w > 0.0, np.maximum(key[rows, j], RF + w), READY[rows, j])
-            upd = act & (w > 0.0)
-            if upd.any():
-                RF[upd] = fin[upd]
-            cur = arrival[rows[act], slot[act]]
-            arrival[rows[act], slot[act]] = np.minimum(cur, fin[act])
-        return self._rows_epilogue(
-            proc, task_ids, pr, cost, tix, tables, arrival, Smax
-        )
-
-    def _eval_rows_insertion(self, jobs) -> list[Trial]:
-        """Batched insertion rows: the eq. (6) key prologue (sender-side
-        keys, per-row lexsort, suppression masks) runs vectorized across
-        every row at once; each row then replays its first-common-gap
-        placements against trial-local gap-array overlays — bit-identical
-        to the scalar evaluator, which shares both halves.
-        """
-        view = self._frontiers
-        m = self._m
-        proc, task_ids, pr, cost, tix, uniq, Rmax, Smax, tables = (
-            self._assemble_rows(jobs)
-        )
-        nrows = len(jobs)
-        if Rmax == 0:
-            start = np.maximum(pr, 0.0)
-            finish = start + cost
-            return [
-                Trial(int(t), int(p), float(s), float(f), 0.0)
-                for t, p, s, f in zip(task_ids, proc, start, finish)
-            ]
-        link0 = np.asarray(view.link_free, dtype=np.float64).reshape(m, m)
-        SRC, READY, SLOT, W, key, order, counts = self._keys_and_order(
-            link0, proc, tix, tables
-        )
-        # The gap replay is scalar per row — pull each row's gathered
-        # tables out as plain lists once (``tolist`` preserves bits), so
-        # the inner loop pays no ndarray scalar-indexing overhead.
-        # The replay walks messages in serialization order, so gather
-        # every table through ``order`` once in C and drop to plain
-        # lists (``tolist`` preserves bits) — the inner loop then pays
-        # neither ndarray scalar indexing nor index indirection.
-        SRC_l = np.take_along_axis(SRC, order, axis=1).tolist()
-        READY_l = np.take_along_axis(READY, order, axis=1).tolist()
-        SLOT_l = np.take_along_axis(SLOT, order, axis=1).tolist()
-        W_l = np.take_along_axis(W, order, axis=1).tolist()
-        counts_l = counts.tolist()
-        proc_l = proc.tolist()
-        # Overlays are raw (starts, ends) list pairs here rather than
-        # _GapOverlay objects: the replay builds ~half a million of them
-        # per m=40 campaign and object construction + method dispatch is
-        # measurable at that volume.  A copy is made — and a simulated
-        # reservation spliced in — only when a later message in the same
-        # trial will read that timeline again: the send and link vectors
-        # of a source that sends once, and the recv vectors after the
-        # last port message, are scanned in place (the skipped writes
-        # are never read, so the replay stays bit-identical).
-        send_tls = view.send_timelines
-        recv_tls = view.recv_timelines
-        link_tls = view.link_timelines
-        # Committed vectors are constant within one batched eval (no
-        # commits between rows), so one lookup per resource serves every
-        # row that touches it.
-        sv_cache: dict[int, tuple] = {}
-        lv_cache: dict[int, tuple] = {}
-        rv_cache: dict[int, tuple] = {}
-        br = bisect_right
-        cg3 = _common_gap3
-        arrival_rows: list[list[float]] = []
-        for r in range(nrows):
-            cnt = counts_l[r]
-            arow = [_INF] * Smax
-            p = proc_l[r]
-            msgs = list(
-                islice(zip(W_l[r], SLOT_l[r], SRC_l[r], READY_l[r]), cnt)
-            )
-            remaining: dict[int, int] = {}
-            nleft = 0
-            for w, _, src, _ in msgs:
-                if w != 0.0:
-                    nleft += 1
-                    remaining[src] = remaining.get(src, 0) + 1
-            # Most rows draw every port message from a distinct sender
-            # (replicas spread over distinct processors): then no send
-            # or link timeline is ever re-read in this trial and the
-            # whole overlay apparatus reduces to read-only scans of the
-            # committed vectors plus the shared recv overlay.
-            distinct = len(remaining) == nleft
-            recv_pair = None
-            send_ov: dict[int, tuple] = {}
-            link_ov: dict[int, tuple] = {}
-            for w, slot, src, ready_k in msgs:
-                if w == 0.0:
-                    f = ready_k
-                else:
-                    nleft -= 1
-                    if distinct:
-                        rem = 0
-                        ss_se = sv_cache.get(src)
-                        if ss_se is None:
-                            ss_se = send_tls[src].gap_vectors()
-                            sv_cache[src] = ss_se
-                        ss, se = ss_se
-                        lid = src * m + p
-                        ls_le = lv_cache.get(lid)
-                        if ls_le is None:
-                            ls_le = link_tls[lid].gap_vectors()
-                            lv_cache[lid] = ls_le
-                        ls, le = ls_le
-                    else:
-                        rem = remaining[src] - 1
-                        remaining[src] = rem
-                        pair = send_ov.get(src)
-                        if pair is not None:
-                            ss, se = pair
-                        else:
-                            base = sv_cache.get(src)
-                            if base is None:
-                                base = send_tls[src].gap_vectors()
-                                sv_cache[src] = base
-                            if rem:
-                                ss = base[0][:]
-                                se = base[1][:]
-                                send_ov[src] = (ss, se)
-                            else:
-                                ss, se = base
-                        lpair = link_ov.get(src)
-                        if lpair is not None:
-                            ls, le = lpair
-                        else:
-                            lid = src * m + p
-                            base = lv_cache.get(lid)
-                            if base is None:
-                                base = link_tls[lid].gap_vectors()
-                                lv_cache[lid] = base
-                            if rem:
-                                ls = base[0][:]
-                                le = base[1][:]
-                                link_ov[src] = (ls, le)
-                            else:
-                                ls, le = base
-                    if recv_pair is not None:
-                        rs, re_ = recv_pair
-                    else:
-                        base = rv_cache.get(p)
-                        if base is None:
-                            base = recv_tls[p].gap_vectors()
-                            rv_cache[p] = base
-                        if nleft:
-                            rs = base[0][:]
-                            re_ = base[1][:]
-                            recv_pair = (rs, re_)
-                        else:
-                            rs, re_ = base
-                    start = cg3(ss, se, rs, re_, ls, le, ready_k, w)
-                    f = start + w
-                    if rem:
-                        i = br(ss, start)
-                        ss.insert(i, start)
-                        se.insert(i, f)
-                        i = br(ls, start)
-                        ls.insert(i, start)
-                        le.insert(i, f)
-                    if nleft:
-                        i = br(rs, start)
-                        rs.insert(i, start)
-                        re_.insert(i, f)
-                if f < arow[slot]:
-                    arow[slot] = f
-            arrival_rows.append(arow)
-        arrival = (
-            np.asarray(arrival_rows)
-            if Smax
-            else np.empty((nrows, 0))
-        )
-        return self._rows_epilogue(
-            proc, task_ids, pr, cost, tix, tables, arrival, Smax
-        )

@@ -6,7 +6,8 @@ validator (replication, space exclusion, processor exclusivity,
 precedence supplies, one-port constraints), have consistent bounds, and
 respect the FTSA message ceiling.  FTBAR, FTSA and CAFT also run under
 the §2 port variants, whose own rules (one shared engine; no compute
-while communicating) the validator checks.
+while communicating) the validator checks, under routed sparse
+topologies, and under the one-port insertion policy.
 """
 
 import pytest
@@ -149,4 +150,20 @@ def test_routed_schedule_invariants(case, shape, algo):
     run = {"ftbar": ftbar, "ftsa": ftsa, "caft": caft}[algo]
     sched = run(inst, eps, model=RoutedOnePortNetwork(topology), rng=case["seed"])
     assert sched.model == "routed-oneport"
+    common_checks(sched, eps + 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=CASES, algo=st.sampled_from(["ftbar", "ftsa", "caft"]))
+def test_insertion_policy_schedule_invariants(case, algo):
+    """The gap-reusing insertion policy places transfers into idle gaps
+    of the port and link timelines; the one-port rules must still hold."""
+    from repro.comm.oneport import OnePortNetwork
+
+    eps = min(case["eps"], case["m"] - 1)
+    inst = build(case)
+    run = {"ftbar": ftbar, "ftsa": ftsa, "caft": caft}[algo]
+    network = OnePortNetwork(inst.platform, policy="insertion")
+    sched = run(inst, eps, model=network, rng=case["seed"])
+    assert sched.model == "oneport"
     common_checks(sched, eps + 1)

@@ -8,8 +8,7 @@ compares full commit logs for all four algorithms (CAFT under both
 lockings, plus the batched CAFT extension) across ε ∈ {0, 1, 2} and 10 seeded random instances for
 every kernel-capable model — the paper's one-port, its §2 variants, the
 contention-free macro model, the insertion-policy ablation and routed
-sparse topologies (ring, torus, star) — and exercises both kernel
-formulations (the scalar loop and the forced-NumPy batch pass).
+sparse topologies (ring, torus, star).
 """
 
 import numpy as np
@@ -132,21 +131,6 @@ def test_fast_slow_identical_commit_logs(algo, epsilon, model):
         assert slow.task_order == fast.task_order
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_numpy_batch_formulation_identical(model, monkeypatch):
-    """Force the NumPy batch pass (normally reserved for large sweeps)."""
-    monkeypatch.setattr(TrialKernel, "numpy_threshold", 0)
-    monkeypatch.setattr(TrialKernel, "sweep_numpy_threshold", 0)
-    for seed in SEEDS[:3]:
-        inst = make_instance(seed)
-        for algo in ("ftsa", "ftbar", "caft"):
-            slow = ALGORITHMS[algo](inst, 1, model, False)
-            fast = ALGORITHMS[algo](inst, 1, model, True)
-            assert commit_signature(slow) == commit_signature(fast), (
-                f"{algo} model={model} seed={seed} (numpy path)"
-            )
-
-
 @pytest.mark.parametrize("model", ("uniport", "oneport-nooverlap"))
 def test_oneport_variants_identical(model):
     """The §2 model variants go through the kernel too.
@@ -217,52 +201,10 @@ def test_insertion_policy_fast_slow_identical_commit_logs(algo, epsilon):
         assert slow.task_order == fast.task_order
 
 
-@pytest.mark.parametrize("shape", TOPOLOGY_SHAPES)
-@pytest.mark.parametrize("epsilon", EPSILONS)
-def test_routed_batched_sweep_identical(shape, epsilon, monkeypatch):
-    """Force the lockstep routed batch evaluator (normally
-    reserved for large sweeps) and pin it bit-identical to the slow path
-    for HEFT, FTSA and FTBAR across every routed topology shape."""
-    monkeypatch.setattr(TrialKernel, "routed_numpy_threshold", 0)
-    for seed in SEEDS:
-        inst, topo = make_routed_instance(seed, shape)
-        for algo in ("heft", "ftsa", "ftbar"):
-            if algo == "heft" and epsilon:
-                continue
-            slow = ALGORITHMS[algo](inst, epsilon, RoutedOnePortNetwork(topo), False)
-            fast = ALGORITHMS[algo](inst, epsilon, RoutedOnePortNetwork(topo), True)
-            assert commit_signature(slow) == commit_signature(fast), (
-                f"{algo} eps={epsilon} topology={shape} seed={seed} (batched sweep)"
-            )
-
-
-@pytest.mark.parametrize("epsilon", EPSILONS)
-def test_insertion_batched_sweep_identical(epsilon, monkeypatch):
-    """Force the batched insertion evaluator (vectorized key prologue +
-    per-row gap-array replay) and pin it bit-identical to the slow path
-    for HEFT, FTSA and FTBAR."""
-    monkeypatch.setattr(TrialKernel, "insertion_numpy_threshold", 0)
-    for seed in SEEDS:
-        inst = make_instance(seed)
-        for algo in ("heft", "ftsa", "ftbar"):
-            if algo == "heft" and epsilon:
-                continue
-            slow = ALGORITHMS[algo](
-                inst, epsilon, OnePortNetwork(inst.platform, policy="insertion"), False
-            )
-            fast = ALGORITHMS[algo](
-                inst, epsilon, OnePortNetwork(inst.platform, policy="insertion"), True
-            )
-            assert commit_signature(slow) == commit_signature(fast), (
-                f"{algo} eps={epsilon} model=oneport/insertion seed={seed} "
-                "(batched sweep)"
-            )
-
-
 def test_kernel_stats_counters_and_epoch_cache(monkeypatch):
-    """``kernel_stats()`` exposes evaluator kind, cache traffic and batch
-    vs scalar volumes; a repeated candidate sweep with untouched
-    resources must be served entirely from the epoch cache, and every
+    """``kernel_stats()`` exposes evaluator kind and cache traffic; a
+    repeated candidate sweep with untouched resources must be served
+    entirely from the epoch cache, and every
     row of CAFT's pruned sweeps — designated heads included — is a hit,
     a miss (each exact evaluation) or pruned."""
     import importlib
@@ -279,7 +221,6 @@ def test_kernel_stats_counters_and_epoch_cache(monkeypatch):
     stats = builder.kernel_stats()
     assert stats["evaluator"] == "oneport"
     assert stats["cache_misses"] == m and stats["cache_hits"] == 0
-    assert stats["scalar_rows"] + stats["batch_rows"] == m
     second = builder.candidate_sweep(task, range(m), {}, keep=m)
     stats = builder.kernel_stats()
     assert stats["cache_hits"] == m, "repeat sweep must be all cache hits"
@@ -308,8 +249,7 @@ def test_kernel_stats_counters_and_epoch_cache(monkeypatch):
     monkeypatch.setattr(TrialKernel, "_eval", counted_eval)
     caft(make_instance(0, num_tasks=20, num_procs=8), 2, rng=0)
     stats = builders[0].kernel_stats()
-    assert stats["cache_misses"] == evals[0] == stats["scalar_rows"]
-    assert stats["batch_rows"] == 0
+    assert stats["cache_misses"] == evals[0]
     assert 0 < stats["pruned_rows"] < stats["bound_rows"]
     assert stats["cache_hits"] + stats["cache_misses"] + stats["pruned_rows"] == rows[0]
 
