@@ -24,6 +24,7 @@ Concrete models:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +54,7 @@ class KernelCaps:
       communication frontier feeds the compute floor (§2 no-overlap
       variant).
     * ``gap_timelines`` — reservations may be inserted into idle gaps;
-      trials must consult the per-resource busy-interval timelines, not
+      trials must consult the per-port busy-interval timelines, not
       just the scalar frontiers (``OnePortNetwork(policy="insertion")``).
     * ``routed`` — transfers hold *every* physical link along a static
       route (§7 sparse topologies); serialization takes the max over the
@@ -67,40 +68,73 @@ class KernelCaps:
     routed: bool = False
 
 
-def earliest_gap(intervals, ready: float, duration: float) -> float:
-    """First feasible start for ``duration`` in a sorted busy-interval list.
+def common_gap(ss, se, rs, re_, ready: float, duration: float) -> float:
+    """Least start ``>= ready`` at which ``duration`` fits both timelines.
 
-    The single implementation of the gap scan: gap-timeline models run
-    it over their own reservations and the fast kernel runs it over
-    trial-local overlay copies — bit-identity between the two paths
-    depends on them sharing this function.
+    Each timeline is a split ``(starts, ends)`` pair of sorted,
+    disjoint busy intervals; a start ``t`` fits one when every interval
+    ends by ``t`` or starts at or after ``t + duration``.  The single
+    implementation of the gap scan: the insertion policy's
+    ``place_transfer`` runs it over the sender's send timeline and the
+    receiver's receive timeline, and the fast kernel runs it over the
+    same committed send timeline and a trial-local copy of the receive
+    timeline — bit-identity between the two paths depends on them
+    sharing this function.
+
+    The two per-timeline walks alternate, each chaining off the other's
+    candidate, until one leaves it unchanged: the walk that set the
+    candidate already certified it for its own timeline.  Each walk is
+    monotone and inflationary, so the fixed point is the *least* common
+    feasible start, and no step does arithmetic on times (a candidate
+    is ``ready`` or an existing interval end), so the float is exact.
+    ``bisect`` skips every interval ending at or before the candidate;
+    past that point ends are increasing, so a walk is ``t = ends[i]``.
     """
     t = ready
-    for s, f in intervals:
-        if t + duration <= s:
-            return t
-        t = max(t, f)
-    return t
-
-
-def common_gap_start(interval_lists, ready: float, duration: float) -> float:
-    """Earliest start at which *every* resource has a common free gap.
-
-    Scans upward from ``ready`` until a fixed point: each resource's
-    ``earliest_gap`` from the current candidate leaves the candidate
-    unchanged.  Terminates because every step strictly increases the
-    candidate and intervals are finite.
-    """
-    start = ready
+    quiet = 0
     while True:
-        s2 = start
-        for iv in interval_lists:
-            e = earliest_gap(iv, start, duration)
-            if e > s2:
-                s2 = e
-        if s2 == start:
-            return start
-        start = s2
+        t0 = t
+        i = bisect_right(se, t)
+        n = len(se)
+        while i < n:
+            if t + duration <= ss[i]:
+                break
+            t = se[i]
+            i += 1
+        if t == t0:
+            quiet += 1
+            if quiet == 2:
+                return t
+        else:
+            quiet = 1
+        t0 = t
+        i = bisect_right(re_, t)
+        n = len(re_)
+        while i < n:
+            if t + duration <= rs[i]:
+                break
+            t = re_[i]
+            i += 1
+        if t == t0:
+            quiet += 1
+            if quiet == 2:
+                return t
+        else:
+            quiet = 1
+
+
+def insert_interval(starts, ends, start: float, finish: float) -> None:
+    """Splice ``[start, finish]`` into a split busy-interval timeline.
+
+    The position is ``bisect.insort``'s for the ``(start, finish)``
+    tuple, so the committed timelines and the kernel's trial copies
+    order equal starts alike.
+    """
+    i = bisect_right(starts, start)
+    while i and starts[i - 1] == start and ends[i - 1] > finish:
+        i -= 1
+    starts.insert(i, start)
+    ends.insert(i, finish)
 
 
 class FrontierView:
@@ -127,20 +161,18 @@ class FrontierView:
       models (``num_links`` entries, hop ids from ``route_hops``).
     * ``route_hops`` — routed models only: ``route_hops[src][dst]`` is
       the tuple of directed hop ids the transfer reserves.
-    * ``send_timelines`` / ``recv_timelines`` / ``link_timelines`` —
-      gap-timeline models only: per-resource sorted busy-interval lists
-      (each entry exposes ``.intervals`` plus versioned
-      ``.gap_vectors()`` split start/end mirrors), indexed like the
-      scalars.
+    * ``send_timelines`` / ``recv_timelines`` — gap-timeline models
+      only: per-processor busy timelines, each exposing its sorted
+      split ``starts`` / ``ends`` lists (the :func:`common_gap` input).
+      There are no link timelines: on a clique the ``src -> dst`` link
+      carries only ``src``'s messages, so its busy intervals are a
+      subset of ``send_timelines[src]``'s and never bind a start.
 
-    Derived accessors for the kernel (both lazily built and cached):
-
-    * :meth:`hop_csr` — routed models: ``route_hops`` flattened into one
-      CSR pair ``(indptr, hop_ids)`` over ``src * m + dst`` rows, so a
-      per-pair hop maximum is one ``np.maximum.reduceat`` instead of
-      ``m²`` Python loops.
-    * :meth:`gap_arrays` — gap-timeline models: the ``(starts, ends)``
-      split-vector mirror of one resource's busy intervals.
+    Derived accessor for the kernel (lazily built and cached):
+    :meth:`hop_csr` — routed models: ``route_hops`` flattened into one
+    CSR pair ``(indptr, hop_ids)`` over ``src * m + dst`` rows, so a
+    per-pair hop maximum is one ``np.maximum.reduceat`` instead of
+    ``m²`` Python loops.
     """
 
     __slots__ = (
@@ -153,7 +185,6 @@ class FrontierView:
         "num_links",
         "send_timelines",
         "recv_timelines",
-        "link_timelines",
         "_hop_csr",
     )
 
@@ -167,7 +198,6 @@ class FrontierView:
         num_links=0,
         send_timelines=None,
         recv_timelines=None,
-        link_timelines=None,
         hop_csr=None,
     ) -> None:
         self.delay_np = delay_np
@@ -179,7 +209,6 @@ class FrontierView:
         self.num_links = num_links
         self.send_timelines = send_timelines
         self.recv_timelines = recv_timelines
-        self.link_timelines = link_timelines
         self._hop_csr = hop_csr
 
     def hop_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,19 +234,6 @@ class FrontierView:
                 np.asarray(ids, dtype=np.int64),
             )
         return self._hop_csr
-
-    def gap_arrays(self, which: str, idx: int) -> tuple[list[float], list[float]]:
-        """The split ``(starts, ends)`` mirror of one busy timeline.
-
-        ``which`` is ``"send"``/``"recv"``/``"link"``; ``idx`` indexes
-        like the scalar frontiers.  Plain lists, not ndarrays: at the
-        tens-of-intervals sizes timelines reach, C-backed ``bisect``
-        beats ndarray scalar indexing by ~5-10x in the overlay replay.
-        Vectors are cached per timeline version, so repeated trials
-        between commits share one build.
-        """
-        tl = getattr(self, f"{which}_timelines")[idx]
-        return tl.gap_vectors()
 
 
 class NetworkModel(ABC):

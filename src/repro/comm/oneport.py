@@ -23,8 +23,8 @@ from repro.comm.base import (
     FrontierView,
     KernelCaps,
     NetworkModel,
-    common_gap_start,
-    earliest_gap,
+    common_gap,
+    insert_interval,
 )
 from repro.platform.platform import Platform
 from repro.utils.errors import InvalidPlatformError
@@ -33,49 +33,33 @@ PortPolicy = Literal["append", "insertion"]
 
 
 class _GapTimeline:
-    """Busy intervals on one resource, supporting gap-filling insertion.
+    """Busy intervals on one port, for the ``insertion`` policy.
 
-    Kept sorted by start time; used only by the ``insertion`` policy.
-    ``earliest(ready, duration)`` returns the first feasible start.
-
-    ``version`` counts mutations so readers can cache derived state;
-    :meth:`gap_vectors` is the split ``(starts, ends)`` mirror the fast
-    kernel's gap-overlay scans copy from (rebuilt only when the
-    committed intervals actually changed).  Plain lists on purpose: at
-    the tens-of-intervals sizes real timelines reach, C-backed
-    ``bisect``/``list.insert`` beat ndarray scalar indexing by a wide
-    margin, and the scan stays bit-identical either way.
+    Kept as split ``starts`` / ``ends`` lists sorted by start (the
+    intervals are disjoint, so ends are sorted too): the exact input of
+    :func:`repro.comm.base.common_gap`, which the network and the fast
+    kernel's trials both scan with no conversion.  Plain lists on
+    purpose: at the tens-of-intervals sizes real timelines reach,
+    C-backed ``bisect``/``list.insert`` beat ndarray scalar indexing by
+    a wide margin.
     """
 
-    __slots__ = ("intervals", "version", "_vectors")
+    __slots__ = ("starts", "ends")
 
     def __init__(self) -> None:
-        self.intervals: list[tuple[float, float]] = []
-        self.version = 0
-        self._vectors: tuple[int, list[float], list[float]] | None = None
-
-    def earliest(self, ready: float, duration: float) -> float:
-        return earliest_gap(self.intervals, ready, duration)
+        self.starts: list[float] = []
+        self.ends: list[float] = []
 
     def reserve(self, start: float, finish: float) -> None:
-        bisect.insort(self.intervals, (start, finish))
-        self.version += 1
+        insert_interval(self.starts, self.ends, start, finish)
 
     def release(self, start: float, finish: float) -> None:
-        self.intervals.remove((start, finish))
-        self.version += 1
-
-    def gap_vectors(self) -> tuple[list[float], list[float]]:
-        """``(starts, ends)`` of the committed intervals (cached per version)."""
-        cached = self._vectors
-        if cached is None or cached[0] != self.version:
-            cached = (
-                self.version,
-                [s for s, _ in self.intervals],
-                [f for _, f in self.intervals],
-            )
-            self._vectors = cached
-        return cached[1], cached[2]
+        starts, ends = self.starts, self.ends
+        i = bisect.bisect_left(starts, start)
+        while ends[i] != finish:
+            i += 1
+        del starts[i]
+        del ends[i]
 
 
 class OnePortNetwork(NetworkModel):
@@ -96,13 +80,12 @@ class OnePortNetwork(NetworkModel):
         self._send_free = [0.0] * m
         self._recv_free = [0.0] * m
         self._link_free = [0.0] * (m * m)
-        # Insertion policy state: full busy timelines per resource.
+        # Insertion policy state: busy timelines per port.  A directed
+        # link carries only its sender's messages, so its intervals are a
+        # subset of the sender's and it needs no timeline of its own.
         self._send_tl = [_GapTimeline() for _ in range(m)] if policy == "insertion" else []
         self._recv_tl = [_GapTimeline() for _ in range(m)] if policy == "insertion" else []
-        self._link_tl = (
-            [_GapTimeline() for _ in range(m * m)] if policy == "insertion" else []
-        )
-        # Undo log: ("scalar", which, idx, old) or ("interval", which, idx, s, f)
+        # Undo log: ("scalar", which, idx, old) or ("interval", timeline, s, f)
         self._log: list[tuple] = []
         self._view: FrontierView | None = None
 
@@ -126,7 +109,6 @@ class OnePortNetwork(NetworkModel):
                 link_free=self._link_free,
                 send_timelines=self._send_tl or None,
                 recv_timelines=self._recv_tl or None,
-                link_timelines=self._link_tl or None,
             )
         return self._view
 
@@ -166,20 +148,13 @@ class OnePortNetwork(NetworkModel):
             return ready, ready
         li = src * self._m + dst
         if self.policy == "insertion":
-            start = common_gap_start(
-                (
-                    self._send_tl[src].intervals,
-                    self._recv_tl[dst].intervals,
-                    self._link_tl[li].intervals,
-                ),
-                ready,
-                w,
-            )
+            stl = self._send_tl[src]
+            rtl = self._recv_tl[dst]
+            start = common_gap(stl.starts, stl.ends, rtl.starts, rtl.ends, ready, w)
             finish = start + w
-            for which, idx in (("send", src), ("recv", dst), ("link", li)):
-                tl = getattr(self, f"_{which}_tl")[idx]
+            for tl in (stl, rtl):
                 tl.reserve(start, finish)
-                self._log.append(("interval", which, idx, start, finish))
+                self._log.append(("interval", tl, start, finish))
             # Keep scalar frontiers coherent for sender_bound()/inspection.
             for which, idx, arr in (("send", src, self._send_free),
                                     ("recv", dst, self._recv_free),
@@ -215,8 +190,8 @@ class OnePortNetwork(NetworkModel):
                 _kind, which, idx, old = entry
                 self._scalar_array(which)[idx] = old
             else:
-                _kind, which, idx, s, f = entry
-                getattr(self, f"_{which}_tl")[idx].release(s, f)
+                _kind, tl, s, f = entry
+                tl.release(s, f)
 
     def commit(self) -> None:
         self._log.clear()
@@ -229,7 +204,6 @@ class OnePortNetwork(NetworkModel):
         if self.policy == "insertion":
             self._send_tl = [_GapTimeline() for _ in range(m)]
             self._recv_tl = [_GapTimeline() for _ in range(m)]
-            self._link_tl = [_GapTimeline() for _ in range(m * m)]
         self._log.clear()
         self._view = None  # reset rebinds the state lists
 

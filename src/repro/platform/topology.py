@@ -119,15 +119,24 @@ class Topology:
         return tuple((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
 
     def effective_delay_matrix(self) -> np.ndarray:
-        """End-to-end unit delays: sum of link delays along each route."""
+        """End-to-end unit delays: sum of link delays along each route.
+
+        Filled along each source's shortest-path tree in order of route
+        length: a route is its parent's route plus one link, so
+        ``d[src][dst] = d[src][parent] + link_delay(parent, dst)``
+        repeats ``sum``'s left-to-right additions from int ``0`` — the
+        same floats with one addition per pair instead of one per hop.
+        """
         m = self.num_procs
         d = np.zeros((m, m))
         for src in range(m):
-            for dst in range(m):
-                if src != dst:
-                    d[src, dst] = sum(
-                        self.link_delay(a, b) for a, b in self.route_links(src, dst)
-                    )
+            routes = self._routes[src]
+            row = [0] * m
+            for dst in sorted(range(m), key=lambda x: len(routes[x])):
+                path = routes[dst]
+                if len(path) > 1:
+                    row[dst] = row[path[-2]] + self.link_delay(path[-2], dst)
+            d[src] = row
         return d
 
     def to_platform(self) -> Platform:

@@ -24,8 +24,8 @@ capabilities — it never inspects concrete model types — and covers:
   the epoch cache tracks per-directed-link versions so two routes
   sharing a physical link invalidate each other;
 * **gap-timeline** models (``OnePortNetwork(policy="insertion")``):
-  trials replay the insertion scan against trial-local copies of the
-  busy-interval timelines.
+  trials replay the insertion scan against the committed send
+  timelines and a trial-local copy of the receiver's timeline.
 
 A model whose ``kernel_caps()`` is ``None`` (or declares a combination
 the kernel cannot mirror) falls back to the exact slow path with a
@@ -70,8 +70,9 @@ The evaluator families (:meth:`TrialKernel._eval` dispatches):
   message could read is dominated by the receiver frontier (see the
   evaluator docstring);
 * **gap-timeline** models replay each message's first-common-gap scan
-  against trial-local gap overlays (``_eval_insertion``), copied on
-  first touch per resource.
+  (:func:`repro.comm.base.common_gap`, the one ``place_transfer`` runs)
+  over the sender's committed send timeline and a trial-local copy of
+  the receiver's timeline (``_eval_insertion``).
 
 An **epoch cache** skips rows whose inputs did not move: a placement only
 dirties the processors (and, for routed models, directed links) it
@@ -87,12 +88,12 @@ family, epoch-cache hits/misses, bounded and pruned sweep rows).
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right, insort
+from bisect import insort
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.base import KernelCaps
+from repro.comm.base import KernelCaps, common_gap, insert_interval
 from repro.schedule.schedule import TIE_EPS, Replica, Trial
 from repro.utils.errors import SchedulingError
 
@@ -174,130 +175,6 @@ def _caps_kind(caps: KernelCaps) -> str:
     if caps.compute_blocks:
         return "nooverlap"
     return "oneport"
-
-
-class _GapOverlay:
-    """Trial-local busy-interval overlay on one resource's gap vectors.
-
-    Seeded by slice-copying the committed split ``(starts, ends)``
-    mirror (:meth:`repro.comm.oneport._GapTimeline.gap_vectors`, cached
-    per version, so repeated trials between commits share one build);
-    the trial's simulated reservations are spliced in with C-backed
-    ``bisect`` + ``list.insert``.  No per-trial tuple lists are built,
-    and :meth:`earliest` skips the committed prefix the scalar interval
-    walk re-scans on every call.
-
-    Plain lists beat ndarray ``searchsorted`` here: the scans are a few
-    dozen intervals long and run hundreds of thousands of times per
-    campaign, so per-call constants dominate asymptotics.
-    """
-
-    __slots__ = ("starts", "ends")
-
-    def __init__(self, vectors) -> None:
-        starts, ends = vectors
-        self.starts = starts[:]
-        self.ends = ends[:]
-
-    def earliest(self, ready: float, duration: float) -> float:
-        """First feasible start for ``duration`` — bit-identical to
-        :func:`repro.comm.base.earliest_gap` over the same intervals.
-
-        ``bisect`` skips every interval ending at or before ``ready``
-        (the scalar walk only advances ``t`` through those, and the gap
-        test cannot fire inside them); from there the walk is the scalar
-        one, with ``t = max(t, f)`` collapsing to ``t = f`` because ends
-        are strictly increasing past the skip point.
-        """
-        ends = self.ends
-        i = bisect_right(ends, ready)
-        n = len(ends)
-        if i == n:
-            return ready
-        starts = self.starts
-        t = ready
-        while i < n:
-            if t + duration <= starts[i]:
-                return t
-            t = ends[i]
-            i += 1
-        return t
-
-    def insert(self, start: float, finish: float) -> None:
-        i = bisect_right(self.starts, start)
-        self.starts.insert(i, start)
-        self.ends.insert(i, finish)
-
-
-def _common_gap3(ss, se, rs, re_, ls, le, ready: float, duration: float) -> float:
-    """:func:`repro.comm.base.common_gap_start` over three gap vectors.
-
-    The send/recv/link trio is the only shape ``place_transfer`` ever
-    scans, so the fixed point is specialized to six flat lists with the
-    per-resource gap walk inlined.  Each walk chains off the previous
-    one's candidate (Gauss-Seidel) instead of restarting the round
-    (Jacobi, what ``common_gap_start`` does); both iterations converge
-    to the *least* common feasible start at or after ``ready`` — each
-    per-resource ``earliest_gap`` map is monotone and inflationary, so
-    every iterate stays bounded by any common fixed point — and no step
-    does arithmetic on times (candidates are existing interval ends or
-    ``ready`` itself), so the result is the identical float.  The
-    replay calls this hundreds of thousands of times per campaign;
-    dispatch and round count dominate, not asymptotics.
-
-    A resource's walk is skipped when it was the last to move the
-    candidate (round-robin with a quiet counter): the walk that set
-    ``t`` already certified ``t`` feasible for its own resource, so
-    re-walking it is pure confirmation overhead.  The sequence of
-    walks actually executed is a subsequence of the plain rounds with
-    identical inputs, so the least fixed point — and the exact float —
-    is unchanged.
-    """
-    t = ready
-    quiet = 0
-    while True:
-        t0 = t
-        i = bisect_right(se, t)
-        n = len(se)
-        while i < n:
-            if t + duration <= ss[i]:
-                break
-            t = se[i]
-            i += 1
-        if t == t0:
-            quiet += 1
-            if quiet == 3:
-                return t
-        else:
-            quiet = 1
-        t0 = t
-        i = bisect_right(re_, t)
-        n = len(re_)
-        while i < n:
-            if t + duration <= rs[i]:
-                break
-            t = re_[i]
-            i += 1
-        if t == t0:
-            quiet += 1
-            if quiet == 3:
-                return t
-        else:
-            quiet = 1
-        t0 = t
-        i = bisect_right(le, t)
-        n = len(le)
-        while i < n:
-            if t + duration <= ls[i]:
-                break
-            t = le[i]
-            i += 1
-        if t == t0:
-            quiet += 1
-            if quiet == 3:
-                return t
-        else:
-            quiet = 1
 
 
 class _TaskEntries:
@@ -453,12 +330,13 @@ _GAP_CHUNK = 1 << 15
 def _earliest_gaps(timelines, which, ready, w) -> np.ndarray:
     """Per query ``q``: the earliest start ``>= ready[q]`` at which
     ``w[q] > 0`` fits between the committed busy intervals of
-    ``timelines[which[q]]`` — :func:`repro.comm.base.earliest_gap`
-    vectorized over queries: the first gap ``j`` (from the end of
-    interval ``j-1`` to the start of interval ``j``) with ``max(gap
-    start, ready) + w <= gap end``, the walk's own fit test."""
+    ``timelines[which[q]]`` — one timeline's walk of
+    :func:`repro.comm.base.common_gap`, vectorized over queries: the
+    first gap ``j`` (from the end of interval ``j-1`` to the start of
+    interval ``j``) with ``max(gap start, ready) + w <= gap end``, the
+    walk's own fit test."""
     used, row = np.unique(which, return_inverse=True)
-    vecs = [timelines[i].gap_vectors() for i in used.tolist()]
+    vecs = [(timelines[i].starts, timelines[i].ends) for i in used.tolist()]
     width = max(len(starts) for starts, _ends in vecs) + 1
     gap_start = np.full((used.size, width), _INF)
     gap_end = np.full((used.size, width), _INF)
@@ -965,10 +843,10 @@ class TrialKernel:
         ``w == 0``.  Every frontier an evaluator simulates is at least its
         committed value and IEEE-754 rounding is monotone, so each exact
         arrival is at least its bound.  On the insertion family a message
-        gets the first common gap of the committed send, receive and link
-        timelines that fits it (:func:`_common_gap3`), plus ``w``: the
-        trial overlays only add busy intervals, so the gap the exact
-        replay finds fits the committed timelines too, and the scan
+        gets the first common gap of the committed send and receive
+        timelines that fits it (:func:`repro.comm.base.common_gap`), plus
+        ``w``: the trial copy only adds busy intervals, so the gap the
+        exact replay finds fits the committed timelines too, and the scan
         returns the least such start.  A predecessor with a head is
         supplied by that head alone (its finish when co-located); the
         others take the minimum over their pool's messages and the
@@ -979,7 +857,6 @@ class TrialKernel:
         """
         kind = self.kind
         view = self._frontiers
-        m = self._m
         strict = self.builder.strict_local_suppression
         preds = entries.preds
         vols = entries.vols
@@ -999,7 +876,6 @@ class TrialKernel:
             extras = self._frontier_cols(procs)
         send_tls = view.send_timelines
         recv_tls = view.recv_timelines
-        link_tls = view.link_timelines
         out = []
         for i, p in enumerate(procs):
             hp = heads[i] if heads is not None else None
@@ -1007,6 +883,8 @@ class TrialKernel:
             if not plain:
                 extra = extras[i]
                 rf = recv0[p]
+            elif not macro:
+                rtl = recv_tls[p]
             data_ready = 0.0
             for slot, pred in enumerate(preds):
                 h = hp.get(pred) if hp else None
@@ -1049,10 +927,10 @@ class TrialKernel:
                         b = ready + w
                     else:
                         # the message's start were it alone in the trial
-                        ss, se = send_tls[src].gap_vectors()
-                        rs, re_ = recv_tls[p].gap_vectors()
-                        ls, le = link_tls[src * m + p].gap_vectors()
-                        b = _common_gap3(ss, se, rs, re_, ls, le, ready, w) + w
+                        stl = send_tls[src]
+                        b = common_gap(
+                            stl.starts, stl.ends, rtl.starts, rtl.ends, ready, w
+                        ) + w
                     if b < supply:
                         supply = b
                 if supply > data_ready:
@@ -1103,9 +981,9 @@ class TrialKernel:
         IEEE-754 rounding is monotone, so each exact arrival is at least
         its bound.  On the insertion family a message gets the later of
         the earliest gaps fitting it on the committed send timeline of
-        ``src`` and receive timeline of ``p``, plus ``w``: the trial
-        overlays only add busy intervals, and the common gap the exact
-        replay finds must fit each timeline alone.  Supplies then merge
+        ``src`` and receive timeline of ``p``, plus ``w``: the trial copy
+        only adds busy intervals, and the common gap the exact replay
+        finds must fit each timeline alone.  Supplies then merge
         exactly as in :meth:`_finish_trial` (min per predecessor, local
         supply included; max over predecessors and 0; max with the
         processor's ready time, and the no-overlap compute floor
@@ -1125,8 +1003,8 @@ class TrialKernel:
         if kind == "macro":
             lb = READY + W
         elif kind == "insertion":
-            # a link's busy intervals are also its sender's, so the link
-            # timeline cannot raise the bound
+            # one walk per timeline instead of the common-gap fixpoint:
+            # the later of the two is still at most the common gap
             busy = VALID & (W > 0.0)
             lb = np.where(busy, _INF, READY)
             t, s, k, p = np.nonzero(busy)
@@ -1538,53 +1416,37 @@ class TrialKernel:
         """Gap-aware serialization for the insertion policy: eq. (6)
         ordering still comes from the scalar sender-side frontiers (that
         is what ``sender_bound`` reads), but each message is then placed
-        by the same first-common-gap scan ``place_transfer`` runs — over
-        trial-local :class:`_GapOverlay` copies of the busy timelines
-        (plain-list gap vectors, copied on first touch per resource), so
-        nothing is reserved.  A trial whose messages are all local or
-        zero-volume touches no timeline and copies nothing — including
-        the receiver's, which is only materialized for the first remote
-        message.
+        by the same first-common-gap scan ``place_transfer`` runs
+        (:func:`repro.comm.base.common_gap`), so nothing is reserved.
+
+        Only the receiver's timeline gets a trial-local copy: every
+        simulated message reserves ``recv[proc]``, so the trial's own
+        send intervals are a subset of the copy's, and adding a subset
+        of another constraint's intervals leaves the least common
+        feasible start unchanged.  Senders read their committed
+        timelines directly.  A trial whose messages are all local or
+        zero-volume copies nothing — the receiver's copy is made for the
+        first remote message.
         """
-        view = self._frontiers
-        m = self._m
+        send_tls = self._frontiers.send_timelines
         loc, remote = self._collect_messages(
             proc, entries, heads, self._frontier_cols((proc,))[0]
         )
 
         arrival = [_INF] * len(entries.preds)
-        #: trial-local overlays (copy-on-first-touch per resource; the
-        #: link toward ``proc`` is unique per sender, so both the send
-        #: and link overlays key on ``src``)
-        recv_ov: Optional[_GapOverlay] = None
-        send_ov: dict[int, _GapOverlay] = {}
-        link_ov: dict[int, _GapOverlay] = {}
+        rs = re_ = None
         for _key, _pred, _index, src, slot, ready, w in remote:
             if w == 0.0:
                 f = ready
             else:
-                sov = send_ov.get(src)
-                if sov is None:
-                    sov = _GapOverlay(view.gap_arrays("send", src))
-                    send_ov[src] = sov
-                if recv_ov is None:
-                    recv_ov = _GapOverlay(view.gap_arrays("recv", proc))
-                lov = link_ov.get(src)
-                if lov is None:
-                    lov = _GapOverlay(view.gap_arrays("link", src * m + proc))
-                    link_ov[src] = lov
-                # the same first-common-gap scan place_transfer runs,
-                # against the trial-local overlays (send/recv/link order)
-                start = _common_gap3(
-                    sov.starts, sov.ends,
-                    recv_ov.starts, recv_ov.ends,
-                    lov.starts, lov.ends,
-                    ready, w,
-                )
+                if rs is None:
+                    rtl = self._frontiers.recv_timelines[proc]
+                    rs = rtl.starts[:]
+                    re_ = rtl.ends[:]
+                stl = send_tls[src]
+                start = common_gap(stl.starts, stl.ends, rs, re_, ready, w)
                 f = start + w
-                sov.insert(start, f)
-                recv_ov.insert(start, f)
-                lov.insert(start, f)
+                insert_interval(rs, re_, start, f)
             if f < arrival[slot]:
                 arrival[slot] = f
 

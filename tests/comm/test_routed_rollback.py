@@ -105,8 +105,9 @@ def test_undo_depth_accessors():
 
     insertion = OnePortNetwork(plat, policy="insertion")
     insertion.place_transfer(0, 1, 0.0, 5.0)
-    # three interval reservations + three scalar frontier advances
-    assert insertion.undo_depth() == 6
+    # send + recv interval reservations (a link needs no timeline: its
+    # intervals are its sender's) + three scalar frontier advances
+    assert insertion.undo_depth() == 5
     insertion.rollback(0)
     assert insertion.undo_depth() == 0
 

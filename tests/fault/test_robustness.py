@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.comm.oneport import OnePortNetwork
 from repro.core.caft import caft
 from repro.dag.generators import chain, random_dag
 from repro.fault.model import FailureScenario
@@ -23,6 +24,7 @@ from repro.fault.scenarios import (
     random_crash_scenario,
 )
 from repro.fault.simulator import replay
+from repro.fault.validation import validate_execution
 from repro.platform.instance import ProblemInstance
 from repro.platform.platform import Platform
 from repro.schedulers.ftbar import ftbar
@@ -101,6 +103,46 @@ class TestExhaustiveRobustness:
         kinds = {r.kind for reps in sched.replicas for r in reps}
         assert check_robustness(sched).robust
         assert "mixed" in kinds or "greedy" in kinds  # the regime is exercised
+
+
+class TestExhaustiveRobustnessInsertion:
+    """The §5 guarantee under the gap-reusing insertion policy.
+
+    Every ≤ ε crash replay re-places each surviving message through the
+    insertion network's ``place_transfer``, so the cells also certify
+    the replay engine: each replay must pass ``validate_execution`` (no
+    work on dead processors, supplies before starts, exclusive ports),
+    and the failure-free replay must reproduce the committed times.
+    """
+
+    ALGOS = {
+        "caft": lambda inst, eps, net, seed: caft(inst, eps, model=net, rng=seed),
+        "ftsa": lambda inst, eps, net, seed: ftsa(inst, eps, model=net, rng=seed),
+        "ftbar": lambda inst, eps, net, seed: ftbar(inst, eps, model=net, rng=seed),
+    }
+
+    @pytest.mark.parametrize("eps", [1, 2])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_every_crash_subset(self, algo, seed, eps):
+        inst = make_instance(
+            num_tasks=16, num_procs=5, granularity=0.5, seed=seed + 40
+        )
+        net = OnePortNetwork(inst.platform, policy="insertion")
+        sched = self.ALGOS[algo](inst, eps, net, seed)
+        report = check_robustness(sched)
+        assert report.robust, report.violations[:3]
+        for scenario in all_crash_scenarios(inst.num_procs, eps):
+            validate_execution(replay(sched, scenario))
+
+        result = replay(sched, FailureScenario.none())
+        for reps in sched.replicas:
+            for r in reps:
+                out = result.outcome_of(r)
+                assert (out.start, out.finish) == (r.start, r.finish)
+        for e in sched.events:
+            eo = result.event_outcomes[e.seq]
+            assert eo.delivered and (eo.start, eo.finish) == (e.start, e.finish)
 
 
 class TestPaperLockingCounterexample:

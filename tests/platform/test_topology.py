@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.platform.topology import Topology
+from repro.platform.topology import Topology, randomize_link_delays
 from repro.utils.errors import InvalidPlatformError
 
 
@@ -63,6 +63,33 @@ class TestRouting:
         assert d[0, 1] == 2.0
         assert d[1, 1] == 0.0
         assert np.allclose(d, d.T)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Topology.ring(40),
+            lambda: Topology.torus(5, 8),
+            lambda: Topology.mesh2d(5, 8),
+            lambda: Topology.line(40),
+            lambda: Topology.star(40),
+            lambda: Topology.clique(40),
+            lambda: Topology.fat_tree(4, 10),
+        ],
+        ids=["ring", "torus", "mesh", "line", "star", "clique", "fat-tree"],
+    )
+    def test_effective_delay_matrix_is_route_sum_bytes(self, build):
+        """The route-tree fill gives the exact bytes of summing each
+        route's link delays from scratch, on random per-link delays."""
+        t = randomize_link_delays(build(), (0.1, 3.0), np.random.default_rng(7))
+        m = t.num_procs
+        want = np.zeros((m, m))
+        for src in range(m):
+            for dst in range(m):
+                if src != dst:
+                    want[src, dst] = sum(
+                        t.link_delay(a, b) for a, b in t.route_links(src, dst)
+                    )
+        assert t.effective_delay_matrix().tobytes() == want.tobytes()
 
     def test_to_platform(self):
         p = Topology.star(4, delay=1.5).to_platform()
