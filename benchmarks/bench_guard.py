@@ -15,16 +15,22 @@ cannot ratchet the ceiling down for good), tight enough that an
 accidental return to reserve-and-rollback trials (historically a 2-5x
 hit) trips it.  The first run on a fresh series just records a
 baseline.
+
+``guard-ftbar-rows`` is a count gate, not a timing one: FTBAR's exact
+kernel rows on two fixed instances repeat exactly from run to run, so
+it fails only when an algorithm change evaluates more rows.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import statistics
 import time
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from benchmarks.bench_fastpath import BENCH_LOG, append_bench_record
@@ -32,6 +38,13 @@ from benchmarks.conftest import bench_spec
 from repro.experiments.api import Campaign, CampaignSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import check_shape
+from repro.dag.generators import random_dag
+from repro.platform.heterogeneity import (
+    range_exec_matrix,
+    scale_to_granularity,
+    uniform_delay_platform,
+)
+from repro.platform.instance import ProblemInstance
 
 GUARD_GRAPHS = max(1, int(os.environ.get("REPRO_GRAPHS", "1")))
 GUARD_WORKERS = 2
@@ -213,3 +226,56 @@ def test_routed_m40_guard():
 def test_insertion_m40_guard():
     """Insertion evaluator: gap timelines m=40 within 2x of dense."""
     _model_guard("guard-insertion-m40", "oneport", None, "insertion")
+
+
+#: the fixed FTBAR instances of the row-count guard: (m, ε, tasks, seed)
+FTBAR_ROW_INSTANCES = {
+    "figure1-m10-eps1": (10, 1, 100, 0),
+    "m20-eps5": (20, 5, 100, 1),
+}
+#: exact kernel rows (``cache_misses``) each instance's FTBAR run took
+#: when the urgency pruning landed; counts repeat exactly, so a rise is
+#: a change of algorithm, not noise
+FTBAR_ROW_CEILING = {"figure1-m10-eps1": 371, "m20-eps5": 404}
+
+
+def _ftbar_instance(m: int, v: int, seed: int) -> ProblemInstance:
+    graph = random_dag(v, rng=seed)
+    platform = uniform_delay_platform(m, rng=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    cost = range_exec_matrix(rng.uniform(1, 2, v), m, rng=rng)
+    return ProblemInstance(graph, platform, scale_to_granularity(graph, platform, cost, 1.0))
+
+
+@pytest.mark.guard
+def test_ftbar_rows_guard(monkeypatch):
+    """Deterministic count gate: FTBAR's exact kernel rows on two fixed
+    instances (figure-1-sized, and m = 20 at ε = 5) may not rise above
+    the recorded ceiling.  Rows and pruned tasks go to the series."""
+    ftbar_mod = importlib.import_module("repro.schedulers.ftbar")
+    make_builder = ftbar_mod.make_builder
+    builders = []
+    monkeypatch.setattr(
+        ftbar_mod, "make_builder",
+        lambda *a, **k: builders.append(make_builder(*a, **k)) or builders[-1],
+    )
+    rows, pruned = {}, {}
+    for name, (m, eps, v, seed) in FTBAR_ROW_INSTANCES.items():
+        ftbar_mod.ftbar(_ftbar_instance(m, v, seed), eps, rng=seed)
+        stats = builders[-1].kernel_stats()
+        rows[name] = stats["cache_misses"]
+        pruned[name] = stats["urgency_pruned"]
+    append_bench_record(
+        {
+            "bench": "guard-ftbar-rows",
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "exact_rows": rows,
+            "pruned_tasks": pruned,
+        }
+    )
+    print(f"\nguard-ftbar-rows: exact rows {rows}, pruned tasks {pruned}")
+    for name, count in rows.items():
+        assert count <= FTBAR_ROW_CEILING[name], (
+            f"guard-ftbar-rows: FTBAR on {name} evaluated {count} exact rows, "
+            f"above the recorded {FTBAR_ROW_CEILING[name]}"
+        )

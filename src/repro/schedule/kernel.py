@@ -38,15 +38,24 @@ commit logs end to end).  Sound lower bounds decide which rows need
 that evaluation:
 
 * ``pressure_sweep`` — FTBAR's free-task × all-processor re-scoring
-  sweep.  One NumPy pass computes a sound **lower bound** on the start
-  of every stale (task, processor) row from the committed frontiers
-  (:meth:`TrialKernel._pressure_bounds`); only the rows whose bound could
-  still put them among their task's ε+1 minimum-``(σ, proc)`` rows are
-  evaluated exactly (:func:`select_pressure`), in as few rounds as the
-  bounds allow.  Exact starts, the commit versions they were computed
-  at and every free task's message tables live in per-schedule arrays
-  (:class:`_SweepState`), so no :class:`Trial` is built for a row that
-  is served from them or pruned.
+  sweep, which schedules only the most urgent task.  One NumPy pass over
+  the free tasks' message tables (:class:`_SweepState`) gives every
+  stale (task, processor) row a sound **lower** and **upper** bound on
+  its start (:meth:`TrialKernel._pressure_bounds`).  A task's urgency is
+  at most ``hi``, the σ of its (ε+1)-th smallest upper bound; tasks are
+  resolved exactly in decreasing ``hi`` order, and every task whose
+  ``hi`` is clear of the best resolved urgency by ``2·TIE_EPS`` is
+  pruned without a single exact row; so is one whose ε+1 rows with the
+  smallest upper bounds, evaluated exactly, cap its urgency clear of
+  the best.  The tie loop over the resolved
+  tasks (:func:`urgency_ties`) is certified against the largest pruned
+  ``hi``, falling back to resolving every task when the certificate
+  fails.  Within a resolved task a heap over its rows, keyed by the σ
+  of each row's best-known start, evaluates exactly only the rows that
+  can enter its ε+1 kept set (:meth:`TrialKernel._resolve_urgency`).
+  Exact starts and the commit versions they were computed at live in
+  the sweep arrays, so no :class:`Trial` is built for a row that is
+  served from them or pruned.
 * ``candidate_sweep`` — one placement's candidate processors (the
   HEFT/FTSA/CAFT candidate loops), optionally with designated
   per-predecessor heads per candidate (CAFT's one-to-one rounds, picked
@@ -89,6 +98,7 @@ from __future__ import annotations
 
 import logging
 from bisect import insort
+from heapq import heapify, heappop, heapreplace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -272,8 +282,10 @@ class _SweepState:
     tables hold each loaded task's supplier pools on a ``(slot, k)``
     grid — ``S`` slots (the graph's largest in-degree) by ``K`` pool
     entries — with the per-processor transfer durations ``w`` and the
-    ``valid`` mask (remote, not suppressed) that the bound pass reads;
-    ``local[t, s, p]`` is the co-located supply (``inf`` when none,
+    ``valid`` mask (remote, not suppressed, ``w > 0``) that the bound
+    pass reads; ``local[t, s, p]`` is the earliest supply that reads no
+    frontier — a co-located replica, or a zero-duration message, which
+    arrives at its ``ready`` and moves nothing — (``inf`` when none,
     ``-inf`` on padding slots so they never raise the data-ready max).
     ``entries[t]`` is the :class:`_TaskEntries` the row was loaded from:
     a new supplier pool means new entries, which reloads the tables and
@@ -315,76 +327,125 @@ class _SweepState:
             for k, (_index, src, ready) in enumerate(pool):
                 self.src[task, slot, k] = src
                 self.ready[task, slot, k] = ready
-                self.w[task, slot, k] = vol * delay[src]
+                w = self.w[task, slot, k]
+                w[:] = vol * delay[src]
                 valid = self.valid[task, slot, k]
                 valid[:] = True
                 valid[src] = False
                 valid[suppressed] = False
+                free = valid & (w == 0.0)
+                if free.any():
+                    local[slot, free] = np.minimum(local[slot, free], ready)
+                    valid[free] = False
 
 
-#: query rows per chunk of :func:`_earliest_gaps` times the widest
+#: query rows per chunk of :meth:`_GapTable.earliest` times the widest
 #: timeline: keeps its temporaries near 256 KiB each
 _GAP_CHUNK = 1 << 15
 
 
-def _earliest_gaps(timelines, which, ready, w) -> np.ndarray:
-    """Per query ``q``: the earliest start ``>= ready[q]`` at which
-    ``w[q] > 0`` fits between the committed busy intervals of
-    ``timelines[which[q]]`` — one timeline's walk of
-    :func:`repro.comm.base.common_gap`, vectorized over queries: the
-    first gap ``j`` (from the end of interval ``j-1`` to the start of
-    interval ``j``) with ``max(gap start, ready) + w <= gap end``, the
-    walk's own fit test."""
-    used, row = np.unique(which, return_inverse=True)
-    vecs = [(timelines[i].starts, timelines[i].ends) for i in used.tolist()]
-    width = max(len(starts) for starts, _ends in vecs) + 1
-    gap_start = np.full((used.size, width), _INF)
-    gap_end = np.full((used.size, width), _INF)
-    gap_start[:, 0] = -_INF
-    for i, (starts, ends) in enumerate(vecs):
-        gap_start[i, 1 : len(ends) + 1] = ends
-        gap_end[i, : len(starts)] = starts
-    out = np.empty(row.size)
-    step = max(1, _GAP_CHUNK // width)
-    for lo in range(0, row.size, step):
-        r = row[lo : lo + step]
-        cand = np.maximum(gap_start[r], ready[lo : lo + step, None])
-        first = (cand + w[lo : lo + step, None] <= gap_end[r]).argmax(axis=1)
-        out[lo : lo + step] = cand[np.arange(r.size), first]
-    return out
+class _GapTable:
+    """Committed busy timelines as padded gap arrays: gap ``j`` of
+    timeline ``i`` runs from ``start[i, j]`` (the end of interval
+    ``j-1``, ``-inf`` for the first gap) to ``end[i, j]`` (the start of
+    interval ``j``, ``inf`` for the last and on padding).
+
+    :meth:`sync` re-reads only the timelines whose interval count moved:
+    committed timelines only gain intervals while a schedule is built
+    (a trial's reservations are rolled back before the next sync), so an
+    unchanged count means unchanged intervals."""
+
+    __slots__ = ("timelines", "lens", "start", "end")
+
+    def __init__(self, timelines) -> None:
+        self.timelines = timelines
+        self.lens = [-1] * len(timelines)
+        self.start = np.full((len(timelines), 1), _INF)
+        self.end = np.full((len(timelines), 1), _INF)
+        self.sync()
+
+    def sync(self) -> None:
+        lens = [len(tl.starts) for tl in self.timelines]
+        width = self.start.shape[1]
+        need = max(lens, default=0) + 1
+        if need > width:
+            # grow geometrically; padding gaps never fit (see earliest)
+            pad = ((0, 0), (0, max(need, 2 * width) - width))
+            self.start = np.pad(self.start, pad, constant_values=_INF)
+            self.end = np.pad(self.end, pad, constant_values=_INF)
+        for i, (n, old) in enumerate(zip(lens, self.lens)):
+            if n != old:
+                tl = self.timelines[i]
+                start, end = self.start[i], self.end[i]
+                start[0] = -_INF
+                start[1 : n + 1] = tl.ends
+                start[n + 1 :] = _INF
+                end[:n] = tl.starts
+                end[n:] = _INF
+        self.lens = lens
+
+    def earliest(self, which, ready, w) -> np.ndarray:
+        """Per query ``q``: the earliest start ``>= ready[q]`` at which
+        ``w[q] > 0`` fits between the busy intervals of timeline
+        ``which[q]`` — one timeline's walk of
+        :func:`repro.comm.base.common_gap`, vectorized over queries: the
+        first gap with ``max(gap start, ready) + w <= gap end``, the
+        walk's own fit test.  The last real gap of every queried
+        timeline always fits, so no padding gap is ever the first fit."""
+        width = max((self.lens[i] for i in set(which.tolist())), default=0) + 1
+        start = self.start[:, :width]
+        end = self.end[:, :width]
+        out = np.empty(len(which))
+        step = max(1, _GAP_CHUNK // width)
+        for lo in range(0, len(which), step):
+            r = which[lo : lo + step]
+            cand = np.maximum(start[r], ready[lo : lo + step, None])
+            first = (cand + w[lo : lo + step, None] <= end[r]).argmax(axis=1)
+            out[lo : lo + step] = cand[np.arange(r.size), first]
+        return out
 
 
-def select_pressure(starts, exact, bl, current_length, keep, evaluate=None):
-    """FTBAR's per-task ε+1 minimum-``(σ, proc)`` sets from row starts.
+def urgency_ties(selections, ceiling: float = -_INF):
+    """FTBAR's streaming tie loop: the most urgent tasks, within
+    ``TIE_EPS`` of each other.
 
-    ``starts[i, p]`` is the start of task ``i`` on processor ``p`` —
-    exact where ``exact[i, p]``, else a lower bound.  ``σ = (start +
-    bl[i]) - current_length`` (FTBAR's arithmetic, monotone in the
-    start), so a row's bound-σ never exceeds its exact σ.  Each round
-    evaluates (through ``evaluate(rows, procs)``, which returns their
-    exact starts) every inexact row among the first ``keep`` of its task
-    in ``(σ, proc)`` order; the loop ends when those are all exact.
-    Then every other row's ``(σ, proc)`` — exact, or bounded below by its
-    bound's — sorts after them, so the kept sets, their order and the
-    urgencies are exactly those of evaluating every row.  Both arrays
-    are updated in place.
+    ``selections`` holds ``(task, urgency, kept processors)`` in
+    free-list order.  A task more urgent than the running best by more
+    than ``TIE_EPS`` resets the best and the tie list; one within
+    ``TIE_EPS`` below or above it joins the list.  The loop depends on
+    order — with ``TIE_EPS = 1`` the urgencies 8.9, 9.5, 10 give
+    ``[10]``, but ``[9.5, 10]`` once 8.9 is left out — so leaving tasks
+    out needs a certificate.
 
-    Returns one ``(urgency, procs)`` per task: the kept processors in
-    ``(σ, proc)`` order and the σ of the last one.
+    ``ceiling`` is an upper bound on the urgency of every task left out
+    of ``selections`` (``-inf``: none left out).  Returns the tie list,
+    or ``None`` when the certificate fails: some urgency lies in the band
+    ``(ceiling, ceiling + 2·TIE_EPS]`` (tested as ``u − TIE_EPS <=
+    ceiling + TIE_EPS``), or none lies above it.  Otherwise the loop over
+    ``selections`` returns what the loop over every task would.  *Proof.*
+    Call an urgency low when it is at most ``ceiling`` (every omitted
+    task is low) and clear when ``u − TIE_EPS > ceiling + TIE_EPS``.
+    Before the first clear task the running best is low or ``-inf``, so
+    ``best + TIE_EPS <= ceiling + TIE_EPS < u − TIE_EPS <= u`` (IEEE-754
+    rounding is monotone) and the clear task resets the loop, dropping
+    every earlier tie.  From then on ``best`` never falls, so for a low
+    ``u``, ``best − TIE_EPS >= u_clear − TIE_EPS > ceiling + TIE_EPS >=
+    u``: it neither resets the loop nor joins the ties.  Both loops
+    therefore agree from the first clear task on, and low tasks change
+    neither.
     """
-    sigma = (starts + bl[:, None]) - current_length
-    tasks = np.arange(len(sigma))[:, None]
-    while True:
-        order = np.argsort(sigma, axis=1, kind="stable")[:, :keep]
-        rows, cols = np.nonzero(~exact[tasks, order])
-        if not rows.size:
-            break
-        procs = order[rows, cols]
-        starts[rows, procs] = evaluate(rows, procs)
-        exact[rows, procs] = True
-        sigma[rows, procs] = (starts[rows, procs] + bl[rows]) - current_length
-    urgency = sigma[tasks[:, 0], order[:, -1]]
-    return list(zip(urgency.tolist(), order.tolist()))
+    best = -_INF
+    ties: list[tuple[int, list[int]]] = []
+    band_top = ceiling + TIE_EPS
+    for task, urgency, procs in selections:
+        if urgency > ceiling and urgency - TIE_EPS <= band_top:
+            return None
+        if urgency > best + TIE_EPS:
+            best = urgency
+            ties = [(task, procs)]
+        elif urgency >= best - TIE_EPS:
+            ties.append((task, procs))
+    return ties if best > ceiling else None
 
 
 def select_candidates(bounds, finishes, keep, evaluate):
@@ -442,6 +503,7 @@ class TrialKernel:
         "_cols",
         "_delay_cols",
         "_sweep",
+        "_gaps",
         "_stats",
     )
 
@@ -489,12 +551,18 @@ class TrialKernel:
         self._delay_cols = view.delay_np.T.tolist()
         #: pressure-sweep arrays (built on the first :meth:`pressure_sweep`)
         self._sweep: Optional[_SweepState] = None
+        #: insertion family: [commit version synced at, send and receive
+        #: :class:`_GapTable`] behind :meth:`_gap_bounds`
+        self._gaps: Optional[list] = None
         #: observability counters (see :meth:`kernel_stats`)
         self._stats = {
             "cache_hits": 0,
             "cache_misses": 0,
             "bound_rows": 0,
             "pruned_rows": 0,
+            "urgency_tasks": 0,
+            "urgency_pruned": 0,
+            "urgency_fallbacks": 0,
         }
 
     @classmethod
@@ -757,20 +825,39 @@ class TrialKernel:
 
     def pressure_sweep(
         self, tasks: Sequence[int], bl: np.ndarray, current_length: float
-    ) -> list[tuple[float, list[int]]]:
-        """FTBAR's schedule-pressure step over every (free task, processor).
+    ) -> list[tuple[int, list[int]]]:
+        """FTBAR's schedule-pressure step: the tie list of the most urgent
+        free tasks, each with its ε+1 minimum-``(σ, proc)`` processors.
 
         ``tasks`` are unscheduled tasks whose predecessors are all placed
         (every processor eligible, full fan-in supply); ``bl[i]`` is the
         bottom level of ``tasks[i]`` and ``current_length`` the schedule
         length ``R``.  Rows whose exact start is still valid under the
         epoch rules are served from the sweep arrays; every other row
-        gets a lower bound (:meth:`_pressure_bounds`), and
-        :func:`select_pressure` evaluates exactly only the rows whose
-        bound could still place them in their task's ε+1 set.
+        gets a lower and an upper bound on its start
+        (:meth:`_pressure_bounds`).  A task's urgency — the σ of its
+        (ε+1)-th smallest ``(σ, proc)`` row — is at most ``hi``, the σ of
+        its (ε+1)-th smallest upper bound (order statistics are monotone
+        and so is σ).
 
-        Returns one ``(urgency, kept processors)`` per task, in ``tasks``
-        order — exactly what evaluating every row would select.
+        Tasks are taken in decreasing ``hi`` order.  Once the next ``hi``
+        is clear of the best resolved urgency (``hi + TIE_EPS < best −
+        TIE_EPS``) that task and every later one are pruned.  Before it
+        resolves any task but the first, the sweep evaluates exactly the
+        task's ε+1 rows with the smallest upper bounds: the largest of
+        their σ also caps its urgency (the (ε+1)-th smallest of all rows
+        is at most the largest of any ε+1 of them), and a cap clear of
+        ``best`` prunes the task too.  Every other task is resolved
+        exactly (:meth:`_resolve_urgency`).  A pruned task's urgency is at
+        most ``θ``, the largest ``hi`` or cap among the pruned, so
+        :func:`urgency_ties` over the resolved tasks alone is certified
+        against ``θ``; when the certificate fails the pruned tasks are
+        resolved too.  The tie list is therefore exactly that of scoring
+        every row and running FTBAR's tie loop over every task.
+
+        Every free task's predecessors are fully placed, so its supplier
+        pools never grow while it waits: its sweep rows stay loaded until
+        the task is scheduled.
         """
         st = self._sweep
         if st is None:
@@ -796,41 +883,195 @@ class TrialKernel:
             ents.append(entries)
 
         version = self._version
+        keep = self.builder.epsilon + 1
         tix = np.asarray(tasks, dtype=np.int64)
-        starts = st.start[tix]
-        exact = st.version[tix] >= self._epochs_read(tix)
-        stale = ~exact
-        nstale = int(stale.sum())
-        stats = self._stats
-        stats["cache_hits"] += exact.size - nstale
-        stats["bound_rows"] += nstale
-        if nstale:
-            bound, certified = self._pressure_bounds(tix)
-            starts[stale] = bound[stale]
+        lower = st.start[tix]
+        cached = st.version[tix] >= self._epochs_read(tix)
+        exact = cached.copy()
+        upper = lower
+        if not cached.all():
+            lb, ub, certified = self._pressure_bounds(tix)
+            stale = ~cached
+            lower = np.where(cached, lower, lb)
+            upper = np.where(cached, lower, ub)
             # a bound with no contended message in it is the exact start
             fresh = stale & certified
-            exact |= fresh
+            exact = cached | fresh
             rows, procs = np.nonzero(fresh)
-            st.start[tix[rows], procs] = starts[rows, procs]
+            st.start[tix[rows], procs] = lower[rows, procs]
             st.version[tix[rows], procs] = version
+        bls = np.asarray(bl, dtype=np.float64)
+        kth = np.partition(upper, keep - 1, axis=1)[:, keep - 1]
+        hi = ((kth + bls) - current_length).tolist()
+        bls = bls.tolist()
 
-        def evaluate(rows, procs):
-            out = [
-                self._eval(tasks[r], p, ents[r]).start
-                for r, p in zip(rows.tolist(), procs.tolist())
-            ]
-            stats["cache_misses"] += len(out)
-            st.start[tix[rows], procs] = out
-            st.version[tix[rows], procs] = version
-            return out
-
+        stats = self._stats
         misses = stats["cache_misses"]
-        kept = select_pressure(
-            starts, exact, np.asarray(bl, dtype=np.float64), current_length,
-            self.builder.epsilon + 1, evaluate,
+        resolved: dict[int, tuple[float, list[int]]] = {}
+
+        def resolve(i: int, limit: float) -> float:
+            out = resolved[i] = self._resolve_urgency(
+                tasks[i], ents[i], lower[i].tolist(), exact[i].tolist(),
+                bls[i], current_length, keep, version, limit,
+            )
+            return out[0]
+
+        def cap(i: int) -> float:
+            # the largest σ among the task's ε+1 rows with the smallest
+            # upper bounds, evaluated exactly: its urgency is at most that
+            row_lower, row_exact = lower[i], exact[i]
+            task = tasks[i]
+            sigma = -_INF
+            for p in np.argpartition(upper[i], keep - 1)[:keep].tolist():
+                if not row_exact[p]:
+                    s = self._eval(task, p, ents[i]).start
+                    stats["cache_misses"] += 1
+                    st.start[task, p] = row_lower[p] = s
+                    st.version[task, p] = version
+                    row_exact[p] = True
+                sigma = max(sigma, (float(row_lower[p]) + bls[i]) - current_length)
+            return sigma
+
+        order = sorted(range(len(tasks)), key=hi.__getitem__, reverse=True)
+        best = -_INF
+        pruned: list[int] = []
+        ceiling = -_INF
+        for n, i in enumerate(order):
+            if hi[i] + TIE_EPS < best - TIE_EPS:
+                pruned += order[n:]
+                ceiling = max(ceiling, hi[i])
+                break
+            bound = hi[i]
+            if resolved:
+                bound = cap(i)
+                if bound + TIE_EPS < best - TIE_EPS:
+                    pruned.append(i)
+                    ceiling = max(ceiling, bound)
+                    continue
+            best = max(best, resolve(i, bound))
+        ties = urgency_ties(
+            [(tasks[i], *resolved[i]) for i in sorted(resolved)], ceiling
         )
-        stats["pruned_rows"] += nstale - (stats["cache_misses"] - misses)
-        return kept
+        if ties is None:
+            stats["urgency_fallbacks"] += 1
+            for i in pruned:
+                resolve(i, hi[i])
+            pruned = []
+            ties = urgency_ties([(tasks[i], *resolved[i]) for i in range(len(tasks))])
+
+        # row accounting: hits come only from resolved tasks and misses
+        # from evaluated rows; every other row of the sweep is pruned
+        hits = int(cached[list(resolved)].sum())
+        evaluated = stats["cache_misses"] - misses
+        total = len(tasks) * self._m
+        stats["cache_hits"] += hits
+        stats["bound_rows"] += total - hits
+        stats["pruned_rows"] += total - hits - evaluated
+        stats["urgency_tasks"] += len(tasks)
+        stats["urgency_pruned"] += len(pruned)
+        return ties
+
+    def _resolve_urgency(
+        self, task, entries, starts, exact, bl, current_length, keep, version, limit
+    ) -> tuple[float, list[int]]:
+        """One free task's urgency and kept processors, exactly.
+
+        ``starts[p]`` is the start of ``task`` on ``p`` — exact where
+        ``exact[p]``, else a lower bound.  A heap holds every row keyed by
+        ``(σ of its best-known start, proc)``.  The top row, if exact, is
+        the next kept processor: every other row's exact ``(σ, proc)`` is
+        at least its key, which sorts after the top's.  An inexact top is
+        refined and pushed back: on the insertion family it first gets
+        its committed-gap bound (:meth:`_gap_bounds`, computed for every
+        row of the task at once when the first inexact row reaches the
+        top); then :meth:`_eval`, whose exact start goes into the sweep
+        arrays at ``version``.  The first ``keep`` exact rows popped are
+        the task's kept set in the ``(σ, proc)`` order of sorting every
+        exact row, and the urgency is the last one's σ — the same
+        IEEE-754 operations ``(start + bl) − R`` as the exact path.
+        ``limit`` is an upper bound on the task's urgency: every kept
+        row's key is at most its exact σ, which is at most ``limit``, so
+        a row keyed above ``limit`` would reach the top only after the
+        kept set is complete and never enters the heap.
+        """
+        st = self._sweep
+        insertion = self.kind == "insertion"
+        # stage per row: 0 = the bound pass's bound, 1 = the insertion
+        # family's committed-gap bound, 2 = exact
+        heap = []
+        for p, (s, e) in enumerate(zip(starts, exact)):
+            sigma = (s + bl) - current_length
+            if sigma <= limit:
+                heap.append((sigma, p, 2 if e else 0))
+        heapify(heap)
+        kept: list[int] = []
+        stats = self._stats
+        gaps = None
+        while True:
+            sigma, p, stage = heap[0]
+            if stage == 2:
+                heappop(heap)
+                kept.append(p)
+                if len(kept) == keep:
+                    return sigma, kept
+                continue
+            if stage == 0 and insertion:
+                if gaps is None:
+                    gaps = self._gap_bounds(
+                        task, [q for _sigma, q, stage in heap if stage == 0]
+                    )
+                s = gaps[p]
+                stage = 1
+            else:
+                s = self._eval(task, p, entries).start
+                stats["cache_misses"] += 1
+                st.start[task, p] = s
+                st.version[task, p] = version
+                stage = 2
+            heapreplace(heap, ((s + bl) - current_length, p, stage))
+
+    def _gap_bounds(self, task: int, procs: list[int]) -> dict[int, float]:
+        """Insertion family: lower bounds on the start of ``task`` on each
+        of ``procs``, from the committed gap timelines.
+
+        Each message gets the later of the earliest gaps that fit it on
+        the committed send timeline of ``src`` and receive timeline of
+        ``p`` (:class:`_GapTable`, both synced once per commit version),
+        plus ``w``: the exact replay only adds trial intervals to the
+        receiver's copy, and the common gap it finds must fit each
+        committed timeline alone (the link timeline adds nothing: every
+        interval on a link is also on its sender's port).  Supplies then
+        merge as in :meth:`_pressure_bounds`.  Hence bound ≤ exact start.
+        """
+        st = self._sweep
+        gaps = self._gaps
+        if gaps is None:
+            view = self._frontiers
+            gaps = self._gaps = [
+                self._version,
+                _GapTable(view.send_timelines),
+                _GapTable(view.recv_timelines),
+            ]
+        elif gaps[0] != self._version:
+            gaps[0] = self._version
+            gaps[1].sync()
+            gaps[2].sync()
+        _version, send, recv = gaps
+        cols = np.asarray(procs)
+        valid = st.valid[task][:, :, cols]
+        s, k, j = np.nonzero(valid)
+        p = cols[j]
+        ready = st.ready[task][s, k]
+        w = st.w[task][s, k, p]
+        start = np.maximum(
+            send.earliest(st.src[task][s, k], ready, w), recv.earliest(p, ready, w)
+        )
+        lb = np.full(valid.shape, _INF)
+        lb[s, k, j] = start + w
+        supply = np.minimum(st.local[task][:, cols], lb.min(axis=1))
+        start = np.maximum(supply.max(axis=0), 0.0)
+        proc_ready = np.asarray(self.builder.proc_ready)[cols]
+        return dict(zip(procs, np.maximum(proc_ready, start).tolist()))
 
     def _finish_bounds(self, task, procs, entries, heads) -> list[float]:
         """Lower bounds on the finish of ``task`` on each of ``procs``.
@@ -970,29 +1211,56 @@ class TrialKernel:
             )
         return read
 
-    def _pressure_bounds(self, tix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower bounds on the start of every ``(tasks[i], p)`` row.
+    def _pressure_bounds(
+        self, tix: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lower and upper bounds on the start of every ``(tasks[i], p)``
+        row, in one pass over the sweep's message tables.
 
-        Each remote message gets ``max(ready, send_free[src], F(src→p),
-        recv_free[p]) + w`` — ``F`` the directed-link frontier (clique)
-        or the route-hop maximum (routed) — ``ready + w`` on
-        macro-dataflow, and ``ready`` when ``w == 0``.  Every frontier
-        the evaluators simulate is at least its committed value and
-        IEEE-754 rounding is monotone, so each exact arrival is at least
-        its bound.  On the insertion family a message gets the later of
-        the earliest gaps fitting it on the committed send timeline of
-        ``src`` and receive timeline of ``p``, plus ``w``: the trial copy
-        only adds busy intervals, and the common gap the exact replay
-        finds must fit each timeline alone.  Supplies then merge
-        exactly as in :meth:`_finish_trial` (min per predecessor, local
-        supply included; max over predecessors and 0; max with the
-        processor's ready time, and the no-overlap compute floor
-        ``max(send_free[p], recv_free[p])``), all monotone.  Hence
-        bound ≤ exact start.
+        Zero-duration messages arrive at their ``ready`` and move no
+        frontier; the tables hold them as supplies that read no frontier
+        (``_SweepState.local``), so every message below has ``w > 0``.
 
-        Also returns which bounds *are* the exact start: every row of the
-        macro-dataflow family (``ready + w`` is its exact arrival) and
-        every row without a positive-duration remote message.
+        *Lower bound.*  Each remote message gets ``max(ready,
+        send_free[src], F(src→p), recv_free[p]) + w`` — ``F`` the
+        directed-link frontier (clique) or the route-hop maximum (routed)
+        — and ``ready + w`` on macro-dataflow and on the insertion family
+        (whose committed-gap bound :meth:`_gap_bounds` is computed only
+        for the tasks :meth:`_resolve_urgency` resolves).  Every frontier the
+        evaluators simulate is at least its committed value and IEEE-754
+        rounding is monotone, so each exact arrival is at least its
+        bound.  Supplies then merge exactly as in :meth:`_finish_trial`
+        (min per predecessor, local supply included; max over
+        predecessors and 0; max with the processor's ready time, and the
+        no-overlap compute floor ``max(send_free[p], recv_free[p])``), all
+        monotone.  Hence bound ≤ exact start.
+
+        *Upper bound.*  A live message's eq. (6) key is ``max(ready,
+        send_free[src], F(src→p)) + w``, the order every evaluator
+        serializes in (zero-duration messages sort among them but move
+        nothing).  ``K*`` is the largest over
+        predecessors of their smallest key; the messages with key ≤ ``K*``
+        include every predecessor's first supplier and every message
+        serialized before one.  In every contended family message ``j``
+        starts at most ``max(C_j, rf)`` with ``C_j = key − w`` its
+        committed base and ``rf`` the latest finish on the receiver so
+        far (initially ``recv_free[p]``): on one-port and uni-port the
+        simulated sender and link frontiers are finishes of earlier
+        messages, dominated by ``rf``; on routed models it is
+        ``_eval_routed``'s recurrence ``f = max(key, rf + w)``; on the
+        insertion family appending after both timelines' last ends always
+        fits, and the scalar frontiers are those last ends.  So every
+        first supplier arrives by ``max(recv_free[p], max C) + Σ w`` over
+        those messages, inflated by ``(n + 2)·2⁻⁵⁰`` for the rounding of
+        ``n`` additions and of the bound's own sum.  No-overlap's compute
+        floor adds the same bound over all of a row's messages.  The
+        supply merge then runs as for the lower bound.  Macro rows are
+        exact.
+
+        Also returns which lower bounds *are* the exact start: every row
+        of the macro-dataflow family (``ready + w`` is its exact arrival)
+        and every row without a positive-duration remote message; their
+        upper bound is the same value.
         """
         st = self._sweep
         kind = self.kind
@@ -1000,58 +1268,71 @@ class TrialKernel:
         READY = st.ready[tix][..., None]
         W = st.w[tix]
         VALID = st.valid[tix]
+        LOCAL = st.local[tix]
+        proc_ready = np.asarray(self.builder.proc_ready, dtype=np.float64)
+
+        def merge(arrival):
+            supply = np.minimum(LOCAL, arrival)
+            return np.maximum(proc_ready, np.maximum(supply.max(axis=1), 0.0))
+
         if kind == "macro":
-            lb = READY + W
-        elif kind == "insertion":
-            # one walk per timeline instead of the common-gap fixpoint:
-            # the later of the two is still at most the common gap
-            busy = VALID & (W > 0.0)
-            lb = np.where(busy, _INF, READY)
-            t, s, k, p = np.nonzero(busy)
-            if t.size:
-                src = st.src[tix][t, s, k]
-                ready = READY[t, s, k, 0]
-                w = W[t, s, k, p]
-                start = np.maximum(
-                    _earliest_gaps(view.send_timelines, src, ready, w),
-                    _earliest_gaps(view.recv_timelines, p, ready, w),
-                )
-                lb[t, s, k, p] = start + w
+            start = merge(np.where(VALID, READY + W, _INF).min(axis=2))
+            return start, start, np.ones(start.shape, dtype=bool)
+        m = self._m
+        SRC = st.src[tix]
+        send0 = np.asarray(view.send_free, dtype=np.float64)
+        recv0 = np.asarray(view.recv_free, dtype=np.float64)
+        if kind == "routed":
+            F = self._routemax_matrix()[SRC]
         else:
-            m = self._m
-            SRC = st.src[tix]
-            send0 = np.asarray(view.send_free, dtype=np.float64)
-            recv0 = np.asarray(view.recv_free, dtype=np.float64)
-            if kind == "routed":
-                F = self._routemax_matrix()[SRC]
-            else:
-                F = np.asarray(view.link_free, dtype=np.float64).reshape(m, m)[SRC]
-            base = np.maximum(READY, send0[SRC][..., None])
-            lb = np.maximum(np.maximum(base, F), recv0) + W
-            lb = np.where(W > 0.0, lb, READY)
-        arrival = np.where(VALID, lb, _INF).min(axis=2)
-        supply = np.minimum(st.local[tix], arrival)
-        start = np.maximum(supply.max(axis=1), 0.0)
-        start = np.maximum(np.asarray(self.builder.proc_ready, dtype=np.float64), start)
+            F = np.asarray(view.link_free, dtype=np.float64).reshape(m, m)[SRC]
+        # every valid message has w > 0 (zero-duration ones are in LOCAL)
+        base = np.maximum(np.maximum(READY, send0[SRC][..., None]), F)
+        key = np.where(VALID, base + W, _INF)
+        if kind == "insertion":
+            lb = np.where(VALID, READY + W, _INF)
+        else:
+            lb = np.maximum(key, recv0 + W)
+        lower = merge(lb.min(axis=2))
+
+        first = key.min(axis=2)
+        live = first < _INF
+        kstar = np.where(live, first, -_INF).max(axis=1)
+        ahead = key <= kstar[:, None, None, :]
+
+        def serialized(msgs):
+            top = np.maximum(np.where(msgs, base, -_INF).max(axis=(1, 2)), recv0)
+            total = np.where(msgs, W, 0.0).sum(axis=(1, 2))
+            n = msgs.sum(axis=(1, 2))
+            return (top + total) * (1.0 + (n + 2) * 2.0**-50)
+
+        upper = merge(np.where(live, serialized(ahead)[:, None, :], _INF))
         if kind == "nooverlap":
-            start = np.maximum(start, np.maximum(send0, recv0))
-        if kind == "macro":
-            certified = np.ones(start.shape, dtype=bool)
-        else:
-            certified = ~(VALID & (W > 0.0)).any(axis=(1, 2))
-        return start, certified
+            lower = np.maximum(lower, np.maximum(send0, recv0))
+            upper = np.maximum(upper, np.maximum(send0, serialized(VALID)))
+        certified = ~live.any(axis=1)
+        upper = np.where(certified, lower, upper)
+        return lower, upper, certified
 
     def kernel_stats(self) -> dict:
         """Observability counters: evaluator family, epoch-cache traffic,
-        and bounded and pruned sweep rows.
+        bounded and pruned sweep rows, and FTBAR's urgency pruning.
 
         ``cache_hits`` counts (task, proc) rows served exact from the
         epoch cache or the sweep arrays, ``cache_misses`` every row
         evaluated exactly (with or without designated heads);
         ``bound_rows`` counts the pressure- and candidate-sweep rows that
-        got a lower bound instead, and ``pruned_rows`` those of them that
-        were never evaluated, so every row of a sweep is a hit, a miss
-        or pruned.
+        got a bound instead, and ``pruned_rows`` those of them that were
+        never evaluated, so every row of a sweep is a hit, a miss or
+        pruned.  In a pressure sweep hits come only from the tasks it
+        resolved and misses only from the rows it evaluated (for a
+        resolved task, or to cap a pruned one): every other row of a
+        pruned task counts as pruned, cached or not, so
+        ``cache_hit_rate`` is the hit share of the rows the kernel
+        actually looked up.  ``urgency_tasks`` counts the
+        free tasks the pressure sweeps saw, ``urgency_pruned`` those left
+        unresolved, and ``urgency_fallbacks`` the sweeps whose tie
+        certificate failed and resolved every task.
         """
         s = dict(self._stats)
         s["evaluator"] = self.kind

@@ -426,39 +426,34 @@ class ScheduleBuilder:
 
     def pressure_sweep(
         self, tasks: Sequence[int], bl, current_length: float
-    ) -> list[tuple[float, list[int]]]:
-        """FTBAR's schedule-pressure step: per free task, its ε+1
-        minimum-``(σ, proc)`` processors and its urgency (see
-        :func:`repro.schedule.kernel.select_pressure`).
+    ) -> list[tuple[int, list[int]]]:
+        """FTBAR's schedule-pressure step: the ``(task, processors)`` tie
+        list of the most urgent free tasks (see
+        :func:`repro.schedule.kernel.urgency_ties`), each with its ε+1
+        minimum-``(σ, proc)`` processors.
 
         Tasks must be unscheduled with every predecessor placed (every
         processor eligible, full fan-in supply); ``bl[i]`` is the bottom
-        level of ``tasks[i]``.  With the kernel active only the rows whose
-        lower bound could enter a kept set are evaluated; otherwise every
-        row goes through the exact path.  The selection is identical.
+        level of ``tasks[i]``.  With the kernel active only the tasks
+        that can enter the tie list are resolved, and within them only
+        the rows that can enter a kept set are evaluated; otherwise every
+        row goes through the exact path.  The tie list is identical.
         """
-        from repro.schedule.kernel import select_pressure
+        from repro.schedule.kernel import urgency_ties
 
         if self._kernel is not None:
             return self._kernel.pressure_sweep(tasks, bl, current_length)
         replicas = self.schedule.replicas
-        starts = []
-        for t in tasks:
+        keep = self.epsilon + 1
+        selections = []
+        for t, b in zip(tasks, np.asarray(bl, dtype=np.float64).tolist()):
             sources = {p: replicas[p] for p in self.instance.graph.preds(t)}
-            starts.append(
-                [
-                    self._place(t, p, sources, record=False).start
-                    for p in range(self.instance.num_procs)
-                ]
-            )
-        starts = np.asarray(starts, dtype=np.float64)
-        return select_pressure(
-            starts,
-            np.ones(starts.shape, dtype=bool),
-            np.asarray(bl, dtype=np.float64),
-            current_length,
-            self.epsilon + 1,
-        )
+            scored = sorted(
+                ((self._place(t, p, sources, record=False).start + b) - current_length, p)
+                for p in range(self.instance.num_procs)
+            )[:keep]
+            selections.append((t, scored[-1][0], [p for _sigma, p in scored]))
+        return urgency_ties(selections)
 
     def kernel_stats(self) -> Optional[dict]:
         """The active kernel's observability counters (``None`` when the

@@ -21,6 +21,15 @@ not affect the qualitative comparison the paper reports.
 
 Time complexity is O(P·N³) in the original paper — noticeably slower than
 FTSA/CAFT, which our complexity benchmark reproduces.
+
+With the fast kernel a step resolves exactly only the free tasks that can
+be the most urgent (:meth:`repro.schedule.kernel.TrialKernel.pressure_sweep`):
+every other task's urgency is bounded from above below the best one, and
+the tie loop over the resolved tasks is certified to return what the loop
+over every task would (:func:`repro.schedule.kernel.urgency_ties`).  So the
+tie list, every kept processor set, the RNG draws and the schedule are
+exactly those of scoring every (task, processor) row, which is what the
+exact path (``fast=False``) still does.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ from repro.schedule.schedule import Schedule
 from repro.schedulers.base import (
     FreeTaskList,
     ModelSpec,
-    TIE_EPS,
     full_fanin_sources,
     make_builder,
     seeded,
@@ -59,20 +67,13 @@ def ftbar(
 
     while free:
         candidates = free.free_tasks()
-        # One pressure sweep scores every (free task, processor) pair:
-        # each task's ε+1 minimum-σ processors and its urgency (the
-        # largest kept σ).  With the fast kernel, rows come from the
-        # epoch cache or a lower bound, and only rows whose bound could
-        # still enter a kept set are evaluated exactly.
-        kept = builder.pressure_sweep(candidates, bl[candidates], current_length)
-        best_urgency = -float("inf")
-        ties: list[tuple[int, list[int]]] = []
-        for task, (urgency, procs) in zip(candidates, kept):
-            if urgency > best_urgency + TIE_EPS:
-                best_urgency = urgency
-                ties = [(task, procs)]
-            elif urgency >= best_urgency - TIE_EPS:
-                ties.append((task, procs))
+        # One pressure sweep scores the free tasks: each task's ε+1
+        # minimum-σ processors and its urgency (the largest kept σ), and
+        # the tie list of the most urgent tasks.  With the fast kernel,
+        # only the tasks whose urgency bound can reach the tie list are
+        # resolved, and only their rows that can enter a kept set are
+        # evaluated exactly.
+        ties = builder.pressure_sweep(candidates, bl[candidates], current_length)
         best_task, best_procs = ties[int(gen.integers(len(ties)))] if len(ties) > 1 else ties[0]
 
         sources = full_fanin_sources(builder, best_task)

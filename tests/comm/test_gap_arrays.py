@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.comm.base import common_gap, insert_interval
 from repro.comm.oneport import OnePortNetwork, _GapTimeline
 from repro.platform.platform import Platform
-from repro.schedule.kernel import _earliest_gaps
+from repro.schedule.kernel import _GapTable
 from repro.schedulers.base import make_builder
 from tests.conftest import make_instance
 
@@ -317,18 +317,24 @@ def test_timeline_split_lists_track_reserve_and_release():
 @given(
     st.lists(interval_lists(), min_size=1, max_size=4),
     st.lists(st.tuples(st.integers(0, 3), _times, _durations), min_size=1, max_size=12),
+    st.integers(0, 10),
 )
 @settings(max_examples=200, deadline=None)
-def test_vectorized_earliest_gaps_match_interval_walk(timelines, queries):
+def test_vectorized_earliest_gaps_match_interval_walk(timelines, queries, cut):
     """The pressure sweep's vectorized gap scan (one query per message,
-    over committed timelines) equals the scalar walk query by query."""
-    tls = []
-    for intervals in timelines:
-        tl = _GapTimeline()
-        for s, f in intervals:
+    over committed timelines) equals the scalar walk query by query —
+    also after the timelines gained intervals and the table re-synced
+    only the rows that moved."""
+    tls = [_GapTimeline() for _ in timelines]
+    for tl, intervals in zip(tls, timelines):
+        for s, f in intervals[:cut]:
             tl.reserve(s, f)
-        tls.append(tl)
+    table = _GapTable(tls)
+    for tl, intervals in zip(tls, timelines):
+        for s, f in intervals[cut:]:
+            tl.reserve(s, f)
+    table.sync()
     queries = [(i % len(tls), ready, w) for i, ready, w in queries]
     which, ready, w = (np.array(col) for col in zip(*queries))
-    got = _earliest_gaps(tls, which, ready, w).tolist()
+    got = table.earliest(which, ready, w).tolist()
     assert got == [earliest_gap(timelines[i], r, d) for i, r, d in queries]
