@@ -150,23 +150,27 @@ class FrontierView:
 
     Fields (unused ones are ``None`` / empty for a given model):
 
-    * ``delay`` — the model platform's unit-delay matrix as nested
-      lists (for routed models these are the end-to-end route delays);
-      ``delay_np`` is the same matrix as the read-only ndarray.
+    * ``delay_np`` — the model platform's unit-delay matrix as the
+      read-only ndarray (for routed models these are the end-to-end
+      route delays).
     * ``send_free`` / ``recv_free`` — per-processor scalar port
       frontiers (aliased for shared-port models).
-    * ``link_free`` — directed-link scalar frontiers: a flat
-      ``m * m`` list indexed ``src * m + dst`` for clique models, or a
-      per-directed-physical-link list indexed by hop id for routed
-      models (``num_links`` entries, hop ids from ``route_hops``).
+    * ``link_free`` — routed models only: per-directed-physical-link
+      scalar frontiers indexed by hop id (``num_links`` entries, hop
+      ids from ``route_hops``); routes really share those hops.
     * ``route_hops`` — routed models only: ``route_hops[src][dst]`` is
       the tuple of directed hop ids the transfer reserves.
     * ``send_timelines`` / ``recv_timelines`` — gap-timeline models
       only: per-processor busy timelines, each exposing its sorted
       split ``starts`` / ``ends`` lists (the :func:`common_gap` input).
-      There are no link timelines: on a clique the ``src -> dst`` link
-      carries only ``src``'s messages, so its busy intervals are a
-      subset of ``send_timelines[src]``'s and never bind a start.
+
+    Clique models expose no link state, neither frontiers nor
+    timelines: the ``src -> dst`` link carries only ``src``'s messages.
+    Its busy intervals are therefore a subset of
+    ``send_timelines[src]``'s, and its frontier, set to the same finish
+    as ``send_free[src]`` on every reservation while ``send_free`` never
+    decreases, is at most ``send_free[src]`` in every reachable state —
+    so neither ever binds a start.
 
     Derived accessor for the kernel (lazily built and cached):
     :meth:`hop_csr` — routed models: ``route_hops`` flattened into one
@@ -176,7 +180,6 @@ class FrontierView:
     """
 
     __slots__ = (
-        "delay",
         "delay_np",
         "send_free",
         "recv_free",
@@ -201,7 +204,6 @@ class FrontierView:
         hop_csr=None,
     ) -> None:
         self.delay_np = delay_np
-        self.delay = delay_np.tolist()
         self.send_free = send_free
         self.recv_free = recv_free
         self.link_free = link_free

@@ -12,6 +12,15 @@ Resources are granted **append-only**: a transfer starts at the max of the
 data-ready time and the three resource free-times, exactly like eqs. (4)
 and (6).  An optional insertion-based policy (reuse idle gaps) is provided
 for ablation studies; the paper's equations correspond to ``"append"``.
+
+On a clique the link constraint (1) is implied by the port constraints
+(2)–(3): the directed link ``src -> dst`` carries only ``src``'s sends, so
+every reservation leaves it at the finish that ``send_free[src]`` also
+takes, and ``send_free`` never decreases.  Hence ``R(src -> dst) <=
+SF(src)`` in every reachable state (rollback only restores earlier ones),
+and ``max(ready, SF(src), R(link))`` equals ``max(ready, SF(src))`` bit
+for bit.  The models therefore keep no link frontier at all; the
+validator still checks every directed link independently.
 """
 
 from __future__ import annotations
@@ -63,7 +72,15 @@ class _GapTimeline:
 
 
 class OnePortNetwork(NetworkModel):
-    """Bi-directional one-port state: send/receive ports + dedicated links."""
+    """Bi-directional one-port state: send and receive ports.
+
+    The dedicated ``src -> dst`` links need no state of their own: a
+    link's frontier never exceeds its sender's ``send_free`` (append:
+    ``finish >= send_free[src]`` and both take ``finish``; insertion,
+    uni-port and no-overlap: running maxima), and under the insertion
+    policy its busy intervals are a subset of the sender's (see the
+    module docstring).
+    """
 
     name = "oneport"
 
@@ -76,10 +93,10 @@ class OnePortNetwork(NetworkModel):
         self._m = m
         # Plain nested lists beat numpy scalar indexing in the hot loop.
         self._delay = platform.delay_matrix.tolist()
-        # Append policy state: scalar free-times per resource.
+        # Append policy state: scalar free-times per port (no link
+        # frontier: it never exceeds the sender's send_free).
         self._send_free = [0.0] * m
         self._recv_free = [0.0] * m
-        self._link_free = [0.0] * (m * m)
         # Insertion policy state: busy timelines per port.  A directed
         # link carries only its sender's messages, so its intervals are a
         # subset of the sender's and it needs no timeline of its own.
@@ -106,7 +123,6 @@ class OnePortNetwork(NetworkModel):
                 self.platform.delay_matrix,
                 send_free=self._send_free,
                 recv_free=self._recv_free,
-                link_free=self._link_free,
                 send_timelines=self._send_tl or None,
                 recv_timelines=self._recv_tl or None,
             )
@@ -124,10 +140,6 @@ class OnePortNetwork(NetworkModel):
         """The paper's ``RF(P)``: when ``proc`` may start its next receive."""
         return self._recv_free[proc]
 
-    def link_ready(self, src: int, dst: int) -> float:
-        """The paper's ``R(l)`` for the directed link ``src -> dst``."""
-        return self._link_free[src * self._m + dst]
-
     # ------------------------------------------------------------------
     def sender_bound(self, src: int, dst: int, ready: float, volume: float) -> float:
         if src == dst:
@@ -135,8 +147,8 @@ class OnePortNetwork(NetworkModel):
         w = volume * self._delay[src][dst]
         if w == 0.0:
             return ready
-        start = max(ready, self._send_free[src], self._link_free[src * self._m + dst])
-        return start + w
+        sf = self._send_free[src]
+        return (sf if sf > ready else ready) + w
 
     def place_transfer(
         self, src: int, dst: int, ready: float, volume: float
@@ -146,7 +158,6 @@ class OnePortNetwork(NetworkModel):
         w = volume * self._delay[src][dst]
         if w == 0.0:
             return ready, ready
-        li = src * self._m + dst
         if self.policy == "insertion":
             stl = self._send_tl[src]
             rtl = self._recv_tl[dst]
@@ -157,26 +168,18 @@ class OnePortNetwork(NetworkModel):
                 self._log.append(("interval", tl, start, finish))
             # Keep scalar frontiers coherent for sender_bound()/inspection.
             for which, idx, arr in (("send", src, self._send_free),
-                                    ("recv", dst, self._recv_free),
-                                    ("link", li, self._link_free)):
+                                    ("recv", dst, self._recv_free)):
                 if finish > arr[idx]:
                     self._log.append(("scalar", which, idx, arr[idx]))
                     arr[idx] = finish
             return start, finish
 
-        start = max(
-            ready,
-            self._send_free[src],
-            self._recv_free[dst],
-            self._link_free[li],
-        )
+        start = max(ready, self._send_free[src], self._recv_free[dst])
         finish = start + w
         self._log.append(("scalar", "send", src, self._send_free[src]))
         self._send_free[src] = finish
         self._log.append(("scalar", "recv", dst, self._recv_free[dst]))
         self._recv_free[dst] = finish
-        self._log.append(("scalar", "link", li, self._link_free[li]))
-        self._link_free[li] = finish
         return start, finish
 
     # ------------------------------------------------------------------
@@ -200,7 +203,6 @@ class OnePortNetwork(NetworkModel):
         m = self._m
         self._send_free = [0.0] * m
         self._recv_free = [0.0] * m
-        self._link_free = [0.0] * (m * m)
         if self.policy == "insertion":
             self._send_tl = [_GapTimeline() for _ in range(m)]
             self._recv_tl = [_GapTimeline() for _ in range(m)]
@@ -208,11 +210,7 @@ class OnePortNetwork(NetworkModel):
         self._view = None  # reset rebinds the state lists
 
     def _scalar_array(self, which: str) -> list[float]:
-        if which == "send":
-            return self._send_free
-        if which == "recv":
-            return self._recv_free
-        return self._link_free
+        return self._send_free if which == "send" else self._recv_free
 
 
 class UniPortNetwork(OnePortNetwork):
@@ -243,9 +241,7 @@ class UniPortNetwork(OnePortNetwork):
         self._recv_free = self._send_free
 
     def _scalar_array(self, which: str) -> list[float]:
-        if which in ("send", "recv"):
-            return self._send_free
-        return self._link_free
+        return self._send_free
 
 
 class NoOverlapOnePortNetwork(OnePortNetwork):

@@ -175,6 +175,66 @@ def one_to_one_round(
     return replica
 
 
+def fit_support(proc: int, heads: dict[int, Replica], budget: int) -> frozenset[int]:
+    """Demote ``heads`` to fan-in until the candidate's support fits.
+
+    The support of a replica on ``proc`` is ``{proc}`` plus its heads'
+    supports.  While it exceeds ``budget``, the head with the largest
+    ``(len(support), pred)`` is deleted from ``heads``.  The kept heads
+    are therefore the longest prefix of the ``(len(support), pred)``
+    order whose support fits (the support only grows along that
+    order), found in one pass over the sorted heads.  Returns the kept
+    heads' support.
+
+    The budget is compared with the plain size, because the support
+    never meets the locked set: ``proc`` is unlocked, and
+    :func:`support_pools` admits only replicas whose support misses it.
+    """
+    support = frozenset({proc}).union(*(h.support for h in heads.values()))
+    if len(support) <= budget:
+        return support
+    order = sorted(heads, key=lambda p: (len(heads[p].support), p))
+    grown = {proc}
+    for kept, pred in enumerate(order):
+        grown |= heads[pred].support
+        if len(grown) > budget:
+            break
+    for pred in order[kept:]:
+        del heads[pred]
+    return frozenset({proc}).union(*(h.support for h in heads.values()))
+
+
+def support_rows(
+    builder: ScheduleBuilder,
+    task: int,
+    state: PlacementState,
+    remaining_after: int,
+) -> list[tuple[int, dict[int, Replica], frozenset[int]]]:
+    """The candidate rows ``(proc, heads, support)`` of one
+    :func:`support_round`.
+
+    The unlocked processors are budgeted evenly over this and the
+    outstanding replicas (:func:`fit_support` trims each candidate's
+    heads to the budget), and a candidate whose support would leave
+    fewer unlocked processors than replicas outstanding is dropped.
+    """
+    m = builder.instance.num_procs
+    # Spread the unlocked processors evenly over this and the outstanding
+    # replicas; anything the budget does not cover is served by fan-in.
+    unlocked = m - len(state.locked)
+    budget = max(1, unlocked // (remaining_after + 1))
+    procs = [proc for proc in range(m) if proc not in state.locked]
+    rows = []
+    for proc, heads in zip(procs, _candidate_heads(builder, task, procs, state.pools)):
+        support = fit_support(proc, heads, budget)
+        # the support misses the locked set, so it removes len(support)
+        # processors from the unlocked ones
+        if unlocked - len(support) < remaining_after:
+            continue  # cannot even place the bare replica here
+        rows.append((proc, heads, support))
+    return rows
+
+
 def support_round(
     builder: ScheduleBuilder,
     task: int,
@@ -196,29 +256,9 @@ def support_round(
     module docstring).
     """
     m = builder.instance.num_procs
-    graph = builder.instance.graph
-    preds = graph.preds(task)
+    preds = builder.instance.graph.preds(task)
     all_replicas = {p: builder.schedule.replicas[p] for p in preds}
-    # Spread the unlocked processors evenly over this and the outstanding
-    # replicas; anything the budget does not cover is served by fan-in.
-    unlocked = m - len(state.locked)
-    budget = max(1, unlocked // (remaining_after + 1))
-
-    procs = [proc for proc in range(m) if proc not in state.locked]
-    rows: list[tuple[int, dict[int, Replica], frozenset[int]]] = []
-    for proc, heads in zip(procs, _candidate_heads(builder, task, procs, state.pools)):
-        # Demote the widest-support heads to fan-in until within budget.
-        while True:
-            support = frozenset({proc}).union(*(h.support for h in heads.values())) \
-                if heads else frozenset({proc})
-            if len(support - state.locked) <= budget or not heads:
-                break
-            widest = max(heads, key=lambda p: (len(heads[p].support), p))
-            del heads[widest]
-        if m - len(state.locked | support) < remaining_after:
-            continue  # cannot even place the bare replica here
-        rows.append((proc, heads, support))
-
+    rows = support_rows(builder, task, state, remaining_after)
     if not rows:
         raise SchedulingError(
             f"no feasible processor for a replica of t{task} "

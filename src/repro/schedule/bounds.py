@@ -26,30 +26,29 @@ def latency_upper_bound(schedule: Schedule) -> float:
     The propagation preserves the committed per-resource order, delays
     every message until its source's worst-case completion, and starts
     every replica after the worst-case arrival of *all* its supplies.
+    A directed link's chain needs no bound of its own: every message on
+    ``src -> dst`` also sets ``send_ub[src]`` to its finish, and
+    ``send_ub`` never decreases, so the link's bound never exceeds it.
     """
     m = schedule.instance.num_procs
     proc_ub = [0.0] * m
     send_ub = [0.0] * m
     recv_ub = [0.0] * m
-    link_ub: dict[tuple[int, int], float] = {}
     replica_ub: dict[int, float] = {}  # replica.seq -> worst-case finish
     event_ub: dict[int, float] = {}  # event.seq -> worst-case arrival
 
     for entry in schedule.commit_log:
         if isinstance(entry, CommEvent):
-            lk = (entry.src_proc, entry.dst_proc)
             start = max(
                 entry.start,
                 replica_ub[entry.src_replica.seq],
                 send_ub[entry.src_proc],
                 recv_ub[entry.dst_proc],
-                link_ub.get(lk, 0.0),
             )
             finish = start + entry.duration
             event_ub[entry.seq] = finish
             send_ub[entry.src_proc] = finish
             recv_ub[entry.dst_proc] = finish
-            link_ub[lk] = finish
         else:
             r: Replica = entry
             data = 0.0

@@ -16,9 +16,12 @@ resources via ``kernel_caps()`` and exposes them through
 ``frontier_view()``.  The kernel dispatches purely on the declared
 capabilities — it never inspects concrete model types — and covers:
 
-* scalar port/link frontiers (the paper's bi-directional one-port, the
-  §2 uni-port and no-overlap variants, and the contention-free
-  macro-dataflow model);
+* scalar port frontiers (the paper's bi-directional one-port, the §2
+  uni-port and no-overlap variants, and the contention-free
+  macro-dataflow model).  A clique's link constraint (1) never binds
+  beside the sender port (a link's frontier is at most its sender's
+  ``send_free``, see :mod:`repro.comm.oneport`), so no clique evaluator,
+  key or bound reads a link;
 * **routed** models (§7 sparse topologies): serialization takes the max
   over the per-hop link frontiers of each message's static route, and
   the epoch cache tracks per-directed-link versions so two routes
@@ -61,7 +64,11 @@ that evaluation:
   per-predecessor heads per candidate (CAFT's one-to-one rounds, picked
   for every candidate in one pass by ``candidate_heads``).  The eq. (6)
   message prologue — supplier pools, sender-side key bases, suppression
-  tables — is built once per task and shared across every candidate.
+  tables — is gathered once per task and shared across every candidate.
+  Its per-predecessor part is a supply record (:class:`_Supply`) kept
+  per predecessor and rebuilt only when that predecessor gains a
+  replica, so a task's entries cost O(in-degree), not a walk over every
+  replica of every predecessor.
   Rows the epoch cache serves are exact; every other row gets a sound
   lower bound on its finish (:meth:`TrialKernel._finish_bounds`), and
   :func:`select_candidates` evaluates exactly, in ``(bound, proc)``
@@ -71,7 +78,7 @@ that evaluation:
 The evaluator families (:meth:`TrialKernel._eval` dispatches):
 
 * scalar-frontier models sort the eq. (6) keys and advance simulated
-  port/link frontiers message by message;
+  port frontiers message by message;
 * **routed** models read each route's committed hop maximum from one
   CSR ``np.maximum.reduceat`` per commit (:meth:`TrialKernel._routemax_matrix`)
   and run the serialization recurrence ``f = max(key, rf + w)``
@@ -99,6 +106,7 @@ from __future__ import annotations
 import logging
 from bisect import insort
 from heapq import heapify, heappop, heapreplace
+from operator import is_
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -187,12 +195,51 @@ def _caps_kind(caps: KernelCaps) -> str:
     return "oneport"
 
 
+class _Supply:
+    """One predecessor's supplier pool, in the form every sweep reads.
+
+    Depends only on the replica list it was built from.  The kernel keeps
+    one per predecessor for the live ``schedule.replicas[pred]`` list,
+    valid while that list's length is unchanged: the list is append-only
+    and a committed replica never changes, so the length fixes the
+    content (:meth:`TrialKernel._supply`).  Every successor's
+    :class:`_TaskEntries` gathers these records instead of re-walking
+    the replicas.
+    """
+
+    __slots__ = ("pool", "local", "selfsuff", "procs")
+
+    def __init__(self, replicas: Sequence[Replica]) -> None:
+        #: [(index, src proc, ready time), ...] in pool order
+        self.pool: list[tuple[int, int, float]] = []
+        #: proc -> earliest co-located supply (min by (finish, index))
+        self.local: dict[int, float] = {}
+        suff = []
+        keys: dict[int, tuple[float, int]] = {}
+        for r in replicas:
+            proc = r.proc
+            self.pool.append((r.index, proc, r.finish))
+            key = (r.finish, r.index)
+            prev = keys.get(proc)
+            if prev is None or key < prev:
+                keys[proc] = key
+                self.local[proc] = r.finish
+            support = r.support
+            if not support or (len(support) == 1 and proc in support):
+                suff.append(proc)
+        #: procs hosting a self-sufficient co-located replica (its
+        #: support is at most ``{proc}``)
+        self.selfsuff = frozenset(suff)
+        #: procs hosting a replica of the pool
+        self.procs = keys.keys()
+
+
 class _TaskEntries:
     """Per-task supplier state shared by every candidate processor.
 
-    Built once per (task, supplier-pool version) and reused across the
-    whole candidate sweep — this is the per-predecessor
-    message-serialization state the kernel caches.
+    Gathers each predecessor's :class:`_Supply` and edge volume, in
+    O(in-degree); built once per (task, supplier-pool version) and
+    reused across the whole candidate sweep.
     """
 
     __slots__ = (
@@ -206,46 +253,14 @@ class _TaskEntries:
         "np_sbase",
     )
 
-    def __init__(self, graph, task: int, sources: Mapping[int, Sequence[Replica]]):
-        preds = graph.preds(task)
+    def __init__(self, preds, vols: list[float], supplies: list[_Supply]) -> None:
         self.preds = preds
-        self.vols: list[float] = []
-        #: per pred slot: [(index, src proc, ready time), ...] in pool order
-        self.pools: list[list[tuple[int, int, float]]] = []
-        #: per pred slot: proc -> earliest co-located supply (min by (finish, index))
-        self.local: list[dict[int, float]] = []
-        #: per pred slot: procs hosting a self-sufficient co-located replica
-        self.selfsuff: list[frozenset[int]] = []
-        srcs: set[int] = set()
-        for pred in preds:
-            try:
-                srcs_list = sources[pred]
-            except KeyError:
-                raise SchedulingError(
-                    f"no sources provided for predecessor t{pred} of t{task}"
-                ) from None
-            if not srcs_list:
-                raise SchedulingError(
-                    f"empty source list for predecessor t{pred} of t{task}"
-                )
-            self.vols.append(graph.volume(pred, task))
-            pool = []
-            local: dict[int, tuple[float, int]] = {}
-            suff = set()
-            for r in srcs_list:
-                proc = r.proc
-                pool.append((r.index, proc, r.finish))
-                srcs.add(proc)
-                key = (r.finish, r.index)
-                prev = local.get(proc)
-                if prev is None or key < prev:
-                    local[proc] = key
-                if r.support <= frozenset((proc,)):
-                    suff.add(proc)
-            self.pools.append(pool)
-            self.local.append({p: k[0] for p, k in local.items()})
-            self.selfsuff.append(frozenset(suff))
-        self.srcs = sorted(srcs)
+        self.vols = vols
+        #: per pred slot: the :class:`_Supply` fields
+        self.pools = [s.pool for s in supplies]
+        self.local = [s.local for s in supplies]
+        self.selfsuff = [s.selfsuff for s in supplies]
+        self.srcs = sorted(set().union(*(s.procs for s in supplies)))
         self.sig = tuple(len(p) for p in self.pools)
         self.np_sbase = None
 
@@ -283,16 +298,20 @@ class _SweepState:
     grid — ``S`` slots (the graph's largest in-degree) by ``K`` pool
     entries — with the per-processor transfer durations ``w`` and the
     ``valid`` mask (remote, not suppressed, ``w > 0``) that the bound
-    pass reads; ``local[t, s, p]`` is the earliest supply that reads no
+    pass reads, and ``pooled[t, s, k]``, whether any processor's row reads
+    entry ``(s, k)`` (``valid`` on some processor); ``local[t, s, p]`` is the earliest supply that reads no
     frontier — a co-located replica, or a zero-duration message, which
     arrives at its ``ready`` and moves nothing — (``inf`` when none,
     ``-inf`` on padding slots so they never raise the data-ready max).
-    ``entries[t]`` is the :class:`_TaskEntries` the row was loaded from:
-    a new supplier pool means new entries, which reloads the tables and
-    forgets the task's exact starts.
+    ``entries[t]`` is the :class:`_TaskEntries` the row was loaded from,
+    or ``None`` once a predecessor of ``t`` commits another replica
+    (:meth:`TrialKernel.note_commit`): a new supplier pool means new
+    entries, which reloads the tables and forgets the task's exact starts.
     """
 
-    __slots__ = ("start", "version", "entries", "src", "ready", "w", "valid", "local")
+    __slots__ = (
+        "start", "version", "entries", "src", "ready", "w", "valid", "pooled", "local"
+    )
 
     def __init__(self, n: int, m: int, slots: int, k: int) -> None:
         self.start = np.zeros((n, m))
@@ -302,6 +321,7 @@ class _SweepState:
         self.ready = np.zeros((n, slots, k))
         self.w = np.zeros((n, slots, k, m))
         self.valid = np.zeros((n, slots, k, m), dtype=bool)
+        self.pooled = np.zeros((n, slots, k), dtype=bool)
         self.local = np.full((n, slots, m), -_INF)
 
     def load(self, task: int, entries: _TaskEntries, delay, strict: bool) -> None:
@@ -313,30 +333,51 @@ class _SweepState:
             self.ready = np.pad(self.ready, pad)
             self.w = np.pad(self.w, pad + ((0, 0),))
             self.valid = np.pad(self.valid, pad + ((0, 0),))
+            self.pooled = np.pad(self.pooled, pad)
         self.entries[task] = entries
         self.version[task] = -1
         self.valid[task] = False
+        self.pooled[task] = False
         local = self.local[task]
         local[:] = -_INF
+        local[: len(entries.pools)] = _INF
+        # one row per pool entry (slot, k), filled in one pass per table
+        slots: list[int] = []
+        ks: list[int] = []
+        srcs: list[int] = []
+        readys: list[float] = []
+        vols: list[float] = []
+        suppressed = np.zeros(local.shape, dtype=bool)
         for slot, pool in enumerate(entries.pools):
-            local[slot] = _INF
             for p, finish in entries.local[slot].items():
                 local[slot, p] = finish
-            suppressed = list(entries.local[slot] if strict else entries.selfsuff[slot])
+            off = entries.local[slot] if strict else entries.selfsuff[slot]
+            suppressed[slot, list(off)] = True
             vol = entries.vols[slot]
             for k, (_index, src, ready) in enumerate(pool):
-                self.src[task, slot, k] = src
-                self.ready[task, slot, k] = ready
-                w = self.w[task, slot, k]
-                w[:] = vol * delay[src]
-                valid = self.valid[task, slot, k]
-                valid[:] = True
-                valid[src] = False
-                valid[suppressed] = False
-                free = valid & (w == 0.0)
-                if free.any():
-                    local[slot, free] = np.minimum(local[slot, free], ready)
-                    valid[free] = False
+                slots.append(slot)
+                ks.append(k)
+                srcs.append(src)
+                readys.append(ready)
+                vols.append(vol)
+        if not slots:
+            return
+        src = np.asarray(srcs, dtype=np.int64)
+        ready = np.asarray(readys)
+        w = np.asarray(vols)[:, None] * delay[src]
+        valid = ~suppressed[slots]
+        valid[np.arange(src.size), src] = False
+        # a zero-duration message reads no frontier: it is a local supply
+        free = valid & (w == 0.0)
+        valid &= ~free
+        self.src[task, slots, ks] = src
+        self.ready[task, slots, ks] = ready
+        self.w[task, slots, ks] = w
+        self.valid[task, slots, ks] = valid
+        self.pooled[task, slots, ks] = valid.any(axis=1)
+        rows, procs = np.nonzero(free)
+        if rows.size:
+            np.minimum.at(local, (np.asarray(slots)[rows], procs), ready[rows])
 
 
 #: query rows per chunk of :meth:`_GapTable.earliest` times the widest
@@ -490,12 +531,12 @@ class TrialKernel:
         "kind",
         "_frontiers",
         "_cost",
-        "_delay",
         "_m",
         "_version",
         "_send_changed",
         "_recv_changed",
         "_link_changed",
+        "_supplies",
         "_entries",
         "_cache",
         "_ctx_version",
@@ -521,10 +562,6 @@ class TrialKernel:
             )
         self._frontiers = view
         self._cost = builder.instance.exec_cost.tolist()
-        #: unit delays come from the *network's* platform (for routed
-        #: models these are the end-to-end route delays), exactly what
-        #: the slow path's ``transfer_time`` uses
-        self._delay = view.delay
         self._m = builder.instance.num_procs
         #: monotone commit counter plus, per processor, the version at
         #: which its send side (port + outgoing links) and receive side
@@ -535,8 +572,10 @@ class TrialKernel:
         #: routed models: per-directed-physical-link versions — two
         #: routes sharing a hop must invalidate each other's cache lines
         self._link_changed = [0] * view.num_links if caps.routed else None
-        #: task -> (pool signature, _TaskEntries)
-        self._entries: dict[int, tuple[tuple, _TaskEntries]] = {}
+        #: pred -> _Supply of the live replica list (see _supply)
+        self._supplies: dict[int, _Supply] = {}
+        #: task -> _TaskEntries of the live pools (keyed by its ``sig``)
+        self._entries: dict[int, _TaskEntries] = {}
         #: task -> (pool signature, {proc: (version, Trial)})
         self._cache: dict[int, tuple[tuple, dict]] = {}
         #: commit version the per-version derived state below is valid
@@ -547,7 +586,10 @@ class TrialKernel:
         #: routed: per destination, the plain-list column of
         #: ``_routemax`` (see :meth:`_frontier_cols`)
         self._cols: Optional[list] = None
-        #: per destination, the unit delays from every source
+        #: per destination, the unit delays from every source.  They come
+        #: from the *network's* platform (for routed models the
+        #: end-to-end route delays), exactly what the slow path's
+        #: ``transfer_time`` uses
         self._delay_cols = view.delay_np.T.tolist()
         #: pressure-sweep arrays (built on the first :meth:`pressure_sweep`)
         self._sweep: Optional[_SweepState] = None
@@ -579,21 +621,28 @@ class TrialKernel:
     # ------------------------------------------------------------------
     # Cache invalidation
     # ------------------------------------------------------------------
-    def note_commit(self, proc: int, placed) -> None:
-        """Record which resources a commit dirtied.
+    def note_commit(self, task: int, proc: int, placed) -> None:
+        """Record which resources a commit of ``task`` dirtied.
 
-        ``proc`` hosts the new replica: its ready time, receive port,
-        incoming links and compute floor moved (receive side).  Every
-        placed message with nonzero duration moved its sender's port and
-        the link(s) toward ``proc`` (send side; for routed models every
-        directed hop of the message's route gets its epoch bumped).  The
-        contention-free macro model reserves nothing, so only the host's
-        ready time moves.
+        ``proc`` hosts the new replica: its ready time, receive port and
+        compute floor moved (receive side).  Every placed message with
+        nonzero duration moved its sender's port (send side; for routed
+        models every directed hop of the message's route gets its epoch
+        bumped too).  The contention-free macro model reserves nothing,
+        so only the host's ready time moves.
 
         The shared-port (uniport) model has one engine per processor —
         its send and receive frontiers are the *same* array — so there
         every touched processor moves on both sides at once.
+
+        ``task``'s replica list grew, so a successor whose sweep tables
+        were loaded from the shorter list is reloaded on its next
+        pressure sweep.
         """
+        st = self._sweep
+        if st is not None:
+            for succ in self.graph.succs(task):
+                st.entries[succ] = None
         self._version += 1
         v = self._version
         kind = self.kind
@@ -605,7 +654,7 @@ class TrialKernel:
         if kind == "routed":
             link_changed = self._link_changed
             hop_row = self._frontiers.route_hops
-            for _pred, r, start, finish in placed:
+            for _pred, r, start, finish, _vol in placed:
                 if finish > start:
                     send_changed[r.proc] = v
                     for h in hop_row[r.proc][proc]:
@@ -616,7 +665,7 @@ class TrialKernel:
             # the host's receive activity occupies its shared port, which
             # is also what suppliers' sender_bound/send state reads
             send_changed[proc] = v
-        for _pred, r, start, finish in placed:
+        for _pred, r, start, finish, _vol in placed:
             if finish > start:
                 send_changed[r.proc] = v
                 if uni:
@@ -636,35 +685,54 @@ class TrialKernel:
         ``schedule.replicas[pred]`` list — are cached: those lists are
         append-only, so (task, per-pool length) fully determines their
         content.  An arbitrary filtered pool of the same length would
-        alias the cache line, so it is built fresh (and the caller must
-        not reuse cached trials for it either).
+        alias the cache line, so it is built fresh, from uncached
+        :class:`_Supply` records (and the caller must not reuse cached
+        trials for it either).
         """
-        preds = self.graph.preds(task)
+        graph = self.graph
+        preds = graph.preds(task)
         replicas = self.builder.schedule.replicas
         try:
-            canonical = all(sources[p] is replicas[p] for p in preds)
+            lists = list(map(sources.__getitem__, preds))
         except KeyError as exc:
             raise SchedulingError(
                 f"no sources provided for predecessor t{exc.args[0]} of t{task}"
             ) from None
-        if not canonical:
-            return _TaskEntries(self.graph, task, sources), False
-        sig = tuple(len(sources[p]) for p in preds)
-        cached = self._entries.get(task)
-        if cached is not None and cached[0] == sig:
-            return cached[1], True
-        entries = _TaskEntries(self.graph, task, sources)
-        self._entries[task] = (sig, entries)
-        return entries, True
+        canonical = all(map(is_, lists, map(replicas.__getitem__, preds)))
+        if canonical:
+            cached = self._entries.get(task)
+            if cached is not None and cached.sig == tuple(map(len, lists)):
+                return cached, True
+        supplies = []
+        for pred, lst in zip(preds, lists):
+            if not lst:
+                raise SchedulingError(
+                    f"empty source list for predecessor t{pred} of t{task}"
+                )
+            supplies.append(self._supply(pred, lst) if canonical else _Supply(lst))
+        entries = _TaskEntries(
+            preds, [graph.volume(pred, task) for pred in preds], supplies
+        )
+        if canonical:
+            self._entries[task] = entries
+        return entries, canonical
+
+    def _supply(self, pred: int, replicas: Sequence[Replica]) -> _Supply:
+        """The cached :class:`_Supply` of the live ``replicas`` list of
+        ``pred``, rebuilt when the list has grown since."""
+        rec = self._supplies.get(pred)
+        if rec is None or len(rec.pool) != len(replicas):
+            rec = self._supplies[pred] = _Supply(replicas)
+        return rec
 
     def _srcs_changed_after(self, entries: _TaskEntries) -> int:
         """Latest version at which any supplier's send side moved.
 
         A trial of this task on candidate ``p`` reads ``send_free[src]``
-        and the link frontier(s) toward ``p`` for every supplier ``src``
-        — both move only when ``src`` sends (routed link sharing is
-        covered separately by the per-hop epochs).  Shared by every
-        candidate, so the cache validity check per processor is O(1)
+        (and, on routed models, the hop frontiers toward ``p``) for every
+        supplier ``src`` — it moves only when ``src`` sends (routed link
+        sharing is covered separately by the per-hop epochs).  Shared by
+        every candidate, so the cache validity check per processor is O(1)
         for clique models: a cached trial computed at version ``v`` is
         exact iff ``v >= max(srcs_changed, recv_changed[p])`` (plus
         ``send_changed[p]`` for the no-overlap compute floor, plus the
@@ -784,7 +852,8 @@ class TrialKernel:
         with the minimum ``(eq. (6) sender key toward the candidate,
         index)`` (Algorithm 5.2, lines 3–4).  The key is
         ``sender_bound``'s arithmetic on the committed frontiers —
-        ``max(ready, send_free[src], link or route-hop max) + w``,
+        ``max(ready, send_free[src]) + w``, with the route-hop maximum
+        inside the max on routed models,
         ``ready + w`` on macro-dataflow, ``ready`` for a co-located
         replica or ``w == 0`` — in one pass over every (candidate,
         predecessor, eligible replica) instead of one ``sender_bound``
@@ -792,7 +861,9 @@ class TrialKernel:
         macro = self.kind == "macro"
         send0 = self._frontiers.send_free
         dcols = self._delay_cols
-        extras = [None] * len(procs) if macro else self._frontier_cols(procs)
+        extras = (
+            self._frontier_cols(procs) if self.kind == "routed" else [None] * len(procs)
+        )
         graph = self.graph
         out: list[dict[int, Replica]] = [{} for _ in procs]
         for pred, pool in pools.items():
@@ -813,8 +884,8 @@ class TrialKernel:
                         w = vol * dcol[src]
                         if w == 0.0:
                             key = ready
-                        elif macro:
-                            key = ready + w
+                        elif extra is None:
+                            key = base + w
                         else:
                             ex = extra[src]
                             key = (ex if ex > base else base) + w
@@ -857,7 +928,8 @@ class TrialKernel:
 
         Every free task's predecessors are fully placed, so its supplier
         pools never grow while it waits: its sweep rows stay loaded until
-        the task is scheduled.
+        the task is scheduled (a commit to a predecessor would unload
+        them, see :meth:`note_commit`).
         """
         st = self._sweep
         if st is None:
@@ -870,12 +942,9 @@ class TrialKernel:
         ents = []
         for t in tasks:
             entries = st.entries[t]
-            if entries is None or entries.sig != tuple(
-                len(replicas[p]) for p in entries.preds
-            ):
-                entries, _ = self._entries_for(
-                    t, {p: replicas[p] for p in self.graph.preds(t)}
-                )
+            if entries is None:  # never loaded, or a predecessor grew since
+                # the live replica lists are the canonical pools
+                entries, _ = self._entries_for(t, replicas)
                 st.load(
                     t, entries, self._frontiers.delay_np,
                     self.builder.strict_local_suppression,
@@ -1078,9 +1147,9 @@ class TrialKernel:
 
         The per-row form of :meth:`_pressure_bounds`, with the designated
         heads of :meth:`candidate_sweep`: a remote message gets
-        ``max(ready, send_free[src], F(src→p), recv_free[p]) + w`` — ``F``
-        the directed-link frontier (clique) or the route-hop maximum
-        (routed) — ``ready + w`` on macro-dataflow, and ``ready`` when
+        ``max(ready, send_free[src], recv_free[p]) + w`` — with the
+        route-hop maximum inside the max on routed models —
+        ``ready + w`` on macro-dataflow, and ``ready`` when
         ``w == 0``.  Every frontier an evaluator simulates is at least its
         committed value and IEEE-754 rounding is monotone, so each exact
         arrival is at least its bound.  On the insertion family a message
@@ -1110,10 +1179,11 @@ class TrialKernel:
         send0 = view.send_free
         recv0 = view.recv_free
         macro = kind == "macro"
+        routed = kind == "routed"
         # no scalar port frontier bounds a message start on these
         plain = macro or kind == "insertion"
         sb_pools = entries.sbase_pools(send0, self._version)
-        if not plain:
+        if routed:
             extras = self._frontier_cols(procs)
         send_tls = view.send_timelines
         recv_tls = view.recv_timelines
@@ -1122,7 +1192,8 @@ class TrialKernel:
             hp = heads[i] if heads is not None else None
             dcol = dcols[p]
             if not plain:
-                extra = extras[i]
+                if routed:
+                    extra = extras[i]
                 rf = recv0[p]
             elif not macro:
                 rtl = recv_tls[p]
@@ -1158,9 +1229,10 @@ class TrialKernel:
                     if w == 0.0:
                         b = ready
                     elif not plain:
-                        ex = extra[src]
-                        if ex > a:
-                            a = ex
+                        if routed:
+                            ex = extra[src]
+                            if ex > a:
+                                a = ex
                         if rf > a:
                             a = rf
                         b = a + w
@@ -1197,7 +1269,7 @@ class TrialKernel:
             return np.broadcast_to(read, (tix.size, self._m))
         # the pool entries some row reads (padding and entries every
         # processor suppresses or hosts locally read nothing)
-        pooled = st.valid[tix].any(axis=3)
+        pooled = st.pooled[tix]
         SRC = st.src[tix]
         send_changed = np.asarray(self._send_changed, dtype=np.int64)
         srcs = np.where(pooled, send_changed[SRC], 0).max(axis=(1, 2))
@@ -1223,8 +1295,9 @@ class TrialKernel:
 
         *Lower bound.*  Each remote message gets ``max(ready,
         send_free[src], F(src→p), recv_free[p]) + w`` — ``F`` the
-        directed-link frontier (clique) or the route-hop maximum (routed)
-        — and ``ready + w`` on macro-dataflow and on the insertion family
+        route-hop maximum on routed models, absent on a clique (whose
+        link frontier never exceeds ``send_free[src]``) — and
+        ``ready + w`` on macro-dataflow and on the insertion family
         (whose committed-gap bound :meth:`_gap_bounds` is computed only
         for the tasks :meth:`_resolve_urgency` resolves).  Every frontier the
         evaluators simulate is at least its committed value and IEEE-754
@@ -1245,8 +1318,8 @@ class TrialKernel:
         starts at most ``max(C_j, rf)`` with ``C_j = key − w`` its
         committed base and ``rf`` the latest finish on the receiver so
         far (initially ``recv_free[p]``): on one-port and uni-port the
-        simulated sender and link frontiers are finishes of earlier
-        messages, dominated by ``rf``; on routed models it is
+        simulated sender frontiers are finishes of earlier messages,
+        dominated by ``rf``; on routed models it is
         ``_eval_routed``'s recurrence ``f = max(key, rf + w)``; on the
         insertion family appending after both timelines' last ends always
         fits, and the scalar frontiers are those last ends.  So every
@@ -1278,16 +1351,13 @@ class TrialKernel:
         if kind == "macro":
             start = merge(np.where(VALID, READY + W, _INF).min(axis=2))
             return start, start, np.ones(start.shape, dtype=bool)
-        m = self._m
         SRC = st.src[tix]
         send0 = np.asarray(view.send_free, dtype=np.float64)
         recv0 = np.asarray(view.recv_free, dtype=np.float64)
-        if kind == "routed":
-            F = self._routemax_matrix()[SRC]
-        else:
-            F = np.asarray(view.link_free, dtype=np.float64).reshape(m, m)[SRC]
         # every valid message has w > 0 (zero-duration ones are in LOCAL)
-        base = np.maximum(np.maximum(READY, send0[SRC][..., None]), F)
+        base = np.maximum(READY, send0[SRC][..., None])
+        if kind == "routed":
+            base = np.maximum(base, self._routemax_matrix()[SRC])
         key = np.where(VALID, base + W, _INF)
         if kind == "insertion":
             lb = np.where(VALID, READY + W, _INF)
@@ -1391,16 +1461,10 @@ class TrialKernel:
         return out.reshape(m, m)
 
     def _frontier_cols(self, procs: Sequence[int]) -> list[list]:
-        """Per processor in ``procs``, a plain list indexed by source of
-        the committed frontier a message toward it clears beside its
-        sender port: the route-hop maximum (routed; columns of
-        :meth:`_routemax_matrix`, one ``tolist`` per commit) or the
-        directed-link frontier (clique; link ``src * m + p``, a strided
-        slice)."""
-        if self.kind != "routed":
-            link0 = self._frontiers.link_free
-            m = self._m
-            return [link0[p::m] for p in procs]
+        """Routed models: per processor in ``procs``, a plain list indexed
+        by source of the route-hop maximum a message toward it clears
+        beside its sender port (columns of :meth:`_routemax_matrix`, one
+        ``tolist`` per commit).  Clique models have no such frontier."""
         self._sync_version()
         cols = self._cols
         if cols is None:
@@ -1453,139 +1517,63 @@ class TrialKernel:
             return self._eval_routed(task, proc, entries, heads)
         if kind == "insertion":
             return self._eval_insertion(task, proc, entries, heads)
-        view = self._frontiers
-        m = self._m
-        delay = self._delay
-        strict = self.builder.strict_local_suppression
-        preds = entries.preds
-        vols = entries.vols
-        pools = entries.pools
-        locals_ = entries.local
-        selfsuff = entries.selfsuff
-        nslots = len(preds)
-        macro = kind == "macro"
-        if not macro:
-            send0 = view.send_free
-            link0 = view.link_free
-            lbase = proc  # link index of src -> proc is src * m + proc
-
-        # eq. (6): collect remote messages with their sender-side keys.
-        # (The contention-free macro model needs no keys: arrivals are
-        # order-independent, so the sort is skipped entirely.)
-        remote: list[tuple] = []
-        loc: list[Optional[float]] = [None] * nslots
-        for slot in range(nslots):
-            pred = preds[slot]
-            if heads is not None and pred in heads:
-                # Designated one-to-one supplier: sole source for this
-                # predecessor — co-located means pure local supply.
-                h = heads[pred]
-                src = h.proc
-                if src == proc:
-                    loc[slot] = h.finish
-                    continue
-                ready = h.finish
-                w = vols[slot] * delay[src][proc]
-                if macro or w == 0.0:
-                    key = ready
-                else:
-                    key = ready
-                    sf = send0[src]
-                    if sf > key:
-                        key = sf
-                    lf = link0[src * m + lbase]
-                    if lf > key:
-                        key = lf
-                    key += w
-                remote.append((key, pred, h.index, src, slot, ready, w))
-                continue
-            local = locals_[slot]
-            lf_local = local.get(proc)
-            if lf_local is not None:
-                loc[slot] = lf_local
-                if strict or proc in selfsuff[slot]:
-                    continue
-            vol = vols[slot]
-            for index, src, ready in pools[slot]:
-                if src == proc:
-                    continue
-                w = vol * delay[src][proc]
-                if macro or w == 0.0:
-                    key = ready
-                else:
-                    key = ready
-                    sf = send0[src]
-                    if sf > key:
-                        key = sf
-                    lf = link0[src * m + lbase]
-                    if lf > key:
-                        key = lf
-                    key += w
-                remote.append((key, pred, index, src, slot, ready, w))
-
-        # Serialize the messages against simulated port/link frontiers.
-        arrival = [_INF] * nslots
-        if macro:
+        loc, remote = self._collect_messages(proc, entries, heads, None)
+        arrival = [_INF] * len(loc)
+        if kind == "macro":
+            # contention-free: arrivals are order-independent
             for _key, _pred, _index, _src, slot, ready, w in remote:
                 f = ready + w
                 if f < arrival[slot]:
                     arrival[slot] = f
-            floor = 0.0
-        else:
-            remote.sort()
-            # Uniport aliasing needs no special casing: ``send_free`` IS
-            # ``recv_free`` there, so ``send0`` reads the shared port and
-            # the overlays below touch disjoint indices (src != proc).
-            rf = view.recv_free[proc]
-            sf_sim: dict[int, float] = {}
-            lf_sim: dict[int, float] = {}
-            for _key, _pred, _index, src, slot, ready, w in remote:
-                if w == 0.0:
-                    f = ready
-                else:
-                    start = ready
-                    s = sf_sim.get(src)
-                    if s is None:
-                        s = send0[src]
-                    if s > start:
-                        start = s
-                    if rf > start:
-                        start = rf
-                    l = lf_sim.get(src)
-                    if l is None:
-                        l = link0[src * m + lbase]
-                    if l > start:
-                        start = l
-                    f = start + w
-                    sf_sim[src] = f
-                    rf = f
-                    lf_sim[src] = f
-                if f < arrival[slot]:
-                    arrival[slot] = f
-            if kind == "nooverlap":
-                floor = send0[proc]
-                if rf > floor:
-                    floor = rf
-            else:
-                floor = 0.0
+            return self._finish_trial(task, proc, loc, arrival, 0.0)
 
+        # Serialize the messages against simulated port frontiers.
+        # Uniport aliasing needs no special casing: ``send_free`` IS
+        # ``recv_free`` there, so ``send0`` reads the shared port and the
+        # overlays below touch disjoint indices (src != proc).
+        view = self._frontiers
+        send0 = view.send_free
+        rf = view.recv_free[proc]
+        sf_sim: dict[int, float] = {}
+        for _key, _pred, _index, src, slot, ready, w in remote:
+            if w == 0.0:
+                f = ready
+            else:
+                start = ready
+                s = sf_sim.get(src)
+                if s is None:
+                    s = send0[src]
+                if s > start:
+                    start = s
+                if rf > start:
+                    start = rf
+                f = start + w
+                sf_sim[src] = f
+                rf = f
+            if f < arrival[slot]:
+                arrival[slot] = f
+        floor = 0.0
+        if kind == "nooverlap":
+            floor = send0[proc]
+            if rf > floor:
+                floor = rf
         return self._finish_trial(task, proc, loc, arrival, floor)
 
     def _collect_messages(self, proc, entries, heads, extra):
-        """eq. (6) prologue shared by the routed/insertion evaluators.
+        """eq. (6) prologue shared by every evaluator.
 
         Splits each predecessor's supply into a co-located replica and
-        remote messages sorted by their sender-side keys — the same slot
-        loop ``_eval`` inlines for the scalar-frontier models.
-        ``extra[src]`` is the per-candidate-processor frontier a message
-        from ``src`` additionally clears (the route-hop maximum for
-        routed models, the directed-link scalar for insertion); the
-        sender-side bases ``max(ready, send_free[src])`` come precomputed
-        per task (:meth:`_TaskEntries.sbase_pools`), so the per-processor
-        work is one max and one add per pool entry — no closure
-        allocation, no repeated sender-frontier reads.
+        remote messages sorted by their sender-side keys.  ``extra[src]``
+        is the per-candidate-processor frontier a message from ``src``
+        additionally clears: the route-hop maximum on routed models,
+        ``None`` on a clique, whose link never binds beside the sender
+        port.  The sender-side bases ``max(ready, send_free[src])`` come
+        precomputed per task and commit version
+        (:meth:`_TaskEntries.sbase_pools`), so the per-processor work is
+        one add (and, routed, one max) per pool entry.  Macro-dataflow
+        keys are ``ready + w``; its evaluator ignores the order.
         """
-        delay = self._delay
+        dcol = self._delay_cols[proc]
         send0 = self._frontiers.send_free
         strict = self.builder.strict_local_suppression
         preds = entries.preds
@@ -1606,41 +1594,29 @@ class TrialKernel:
                     loc[slot] = h.finish
                     continue
                 ready = h.finish
-                w = vols[slot] * delay[src][proc]
-                if w == 0.0:
-                    key = ready
-                else:
-                    key = ready
-                    sf = send0[src]
-                    if sf > key:
-                        key = sf
-                    ex = extra[src]
-                    if ex > key:
-                        key = ex
-                    key += w
-                remote.append((key, pred, h.index, src, slot, ready, w))
-                continue
-            local = locals_[slot]
-            lf_local = local.get(proc)
-            if lf_local is not None:
-                loc[slot] = lf_local
-                if strict or proc in selfsuff[slot]:
-                    continue
+                sf = ready if send0 is None else send0[src]
+                pool = ((h.index, src, ready),)
+                sbases = (sf if sf > ready else ready,)
+            else:
+                lf_local = locals_[slot].get(proc)
+                if lf_local is not None:
+                    loc[slot] = lf_local
+                    if strict or proc in selfsuff[slot]:
+                        continue
+                pool = pools[slot]
+                sbases = sb_pools[slot]
             vol = vols[slot]
-            sbases = sb_pools[slot]
-            pool = pools[slot]
-            for i in range(len(pool)):
-                index, src, ready = pool[i]
+            for (index, src, ready), key in zip(pool, sbases):
                 if src == proc:
                     continue
-                w = vol * delay[src][proc]
+                w = vol * dcol[src]
                 if w == 0.0:
                     key = ready
                 else:
-                    key = sbases[i]
-                    ex = extra[src]
-                    if ex > key:
-                        key = ex
+                    if extra is not None:
+                        ex = extra[src]
+                        if ex > key:
+                            key = ex
                     key += w
                 remote.append((key, pred, index, src, slot, ready, w))
         remote.sort()
@@ -1710,9 +1686,7 @@ class TrialKernel:
         first remote message.
         """
         send_tls = self._frontiers.send_timelines
-        loc, remote = self._collect_messages(
-            proc, entries, heads, self._frontier_cols((proc,))[0]
-        )
+        loc, remote = self._collect_messages(proc, entries, heads, None)
 
         arrival = [_INF] * len(entries.preds)
         rs = re_ = None

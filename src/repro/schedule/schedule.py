@@ -22,6 +22,7 @@ crash-replay engine need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -139,6 +140,10 @@ class CommEvent:
 
 
 CommitEntry = Union[Replica, CommEvent]
+
+#: eq. (6) message order: sender-side key, then predecessor, replica
+#: index and source processor (the replica itself is never compared)
+_MESSAGE_ORDER = itemgetter(0, 1, 2, 3)
 
 
 @dataclass
@@ -279,7 +284,7 @@ class ScheduleBuilder:
 
     def _sorted_remote_messages(
         self, task: int, proc: int, sources: Mapping[int, Sequence[Replica]]
-    ) -> tuple[dict[int, Replica], list[tuple[int, Replica]]]:
+    ) -> tuple[dict[int, Replica], list[tuple[int, Replica, float]]]:
         """Split sources into local suppliers and eq.-(6)-sorted messages.
 
         For each predecessor with a replica on ``proc``, intra-processor
@@ -291,11 +296,13 @@ class ScheduleBuilder:
         while ``proc`` survives, so in that case the remote copies still
         send (their messages keep the replica robust).  Remaining messages
         are sorted by sender-side earliest finish (the eq. (6)
-        serialization order), with deterministic tie-breaking.
+        serialization order), with deterministic tie-breaking.  Messages
+        come back as ``(pred, replica, volume)``.
         """
         graph = self.instance.graph
+        bound = self.network.sender_bound
         local: dict[int, Replica] = {}
-        remote: list[tuple[float, int, int, int, Replica]] = []
+        remote: list[tuple[float, int, int, int, Replica, float]] = []
         proc_only = frozenset({proc})
         for pred in graph.preds(task):
             try:
@@ -308,21 +315,26 @@ class ScheduleBuilder:
                 raise SchedulingError(
                     f"empty source list for predecessor t{pred} of t{task}"
                 )
-            on_proc = [r for r in srcs if r.proc == proc]
-            if on_proc:
-                local[pred] = min(on_proc, key=lambda r: (r.finish, r.index))
-                if self.strict_local_suppression or any(
-                    r.support <= proc_only for r in on_proc
-                ):
+            best = None
+            self_sufficient = False
+            for r in srcs:
+                if r.proc == proc:
+                    # the earliest by (finish, index), first on ties
+                    if best is None or (r.finish, r.index) < (best.finish, best.index):
+                        best = r
+                    if r.support <= proc_only:
+                        self_sufficient = True
+            if best is not None:
+                local[pred] = best
+                if self.strict_local_suppression or self_sufficient:
                     continue
             vol = graph.volume(pred, task)
             for r in srcs:
-                if r.proc == proc:
-                    continue
-                key = self.network.sender_bound(r.proc, proc, r.finish, vol)
-                remote.append((key, pred, r.index, r.proc, r))
-        remote.sort(key=lambda item: item[:4])
-        return local, [(pred, r) for _k, pred, _i, _p, r in remote]
+                if r.proc != proc:
+                    key = bound(r.proc, proc, r.finish, vol)
+                    remote.append((key, pred, r.index, r.proc, r, vol))
+        remote.sort(key=_MESSAGE_ORDER)
+        return local, [(pred, r, vol) for _k, pred, _i, _p, r, vol in remote]
 
     def _place(
         self,
@@ -335,13 +347,14 @@ class ScheduleBuilder:
         graph = self.instance.graph
         local, ordered = self._sorted_remote_messages(task, proc, sources)
 
-        token = self.network.checkpoint()
+        network = self.network
+        token = network.checkpoint()
         first_arrival: dict[int, float] = {}
-        placed: list[tuple[int, Replica, float, float]] = []
-        for pred, r in ordered:
-            vol = graph.volume(pred, task)
-            start, finish = self.network.place_transfer(r.proc, proc, r.finish, vol)
-            placed.append((pred, r, start, finish))
+        # (pred, supplier, start, finish, volume) per placed message
+        placed: list[tuple[int, Replica, float, float, float]] = []
+        for pred, r, vol in ordered:
+            start, finish = network.place_transfer(r.proc, proc, r.finish, vol)
+            placed.append((pred, r, start, finish, vol))
             if pred not in first_arrival or finish < first_arrival[pred]:
                 first_arrival[pred] = finish
 
@@ -491,20 +504,14 @@ class ScheduleBuilder:
         )
 
         inputs: dict[int, list[CommEvent]] = {}
-        for pred, r, ev_start, ev_finish in placed:
-            event = CommEvent(
-                seq=self._next_seq(),
-                src_replica=r,
-                dst_task=task,
-                dst_proc=proc,
-                volume=self.instance.graph.volume(pred, task),
-                start=ev_start,
-                finish=ev_finish,
-            )
+        events = self.schedule.events
+        commit_log = self.schedule.commit_log
+        for pred, r, ev_start, ev_finish, vol in placed:
+            event = CommEvent(self._next_seq(), r, task, proc, vol, ev_start, ev_finish)
             event.dst_replica = replica
             inputs.setdefault(pred, []).append(event)
-            self.schedule.events.append(event)
-            self.schedule.commit_log.append(event)
+            events.append(event)
+            commit_log.append(event)
         replica.seq = self._next_seq()
         replica.inputs = {p: tuple(evs) for p, evs in inputs.items()}
         replica.local_inputs = dict(local)
@@ -516,7 +523,7 @@ class ScheduleBuilder:
         self.network.note_compute(proc, start, finish)
         self.network.commit()
         if self._kernel is not None:
-            self._kernel.note_commit(proc, placed)
+            self._kernel.note_commit(task, proc, placed)
         return replica
 
     def mark_task_done(self, task: int) -> None:

@@ -127,22 +127,14 @@ def test_oneport_rollback_roundtrip(ops):
     """Placing any transfer sequence then rolling back restores all state."""
     net = OnePortNetwork(Platform.homogeneous(4, unit_delay=1.0))
     net.place_transfer(0, 1, 0.0, 5.0)  # some pre-existing state
-    snapshot = (
-        list(net._send_free),
-        list(net._recv_free),
-        list(net._link_free),
-    )
+    snapshot = (list(net._send_free), list(net._recv_free))
     token = net.checkpoint()
     for src, dst, ready, vol in ops:
         start, finish = net.place_transfer(src, dst, ready, vol)
         assert start >= ready
         assert finish - start == pytest.approx(net.transfer_time(src, dst, vol))
     net.rollback(token)
-    assert (
-        list(net._send_free),
-        list(net._recv_free),
-        list(net._link_free),
-    ) == snapshot
+    assert (list(net._send_free), list(net._recv_free)) == snapshot
 
 
 @settings(max_examples=40, deadline=None)

@@ -130,7 +130,7 @@ class TestUndoLog:
         net.place_transfer(0, 1, 0.0, 5.0)
         net.reset()
         assert net.send_free(0) == 0.0
-        assert net.link_ready(0, 1) == 0.0
+        assert net.recv_free(1) == 0.0
 
 
 class TestInsertionPolicy:

@@ -99,20 +99,20 @@ def test_undo_depth_accessors():
     plat = Platform.homogeneous(3, unit_delay=1.0)
     oneport = OnePortNetwork(plat)
     oneport.place_transfer(0, 1, 0.0, 5.0)
-    assert oneport.undo_depth() == 3  # send + recv + link scalars
+    assert oneport.undo_depth() == 2  # send + recv scalars (no link frontier)
     oneport.commit()
     assert oneport.undo_depth() == 0
 
     insertion = OnePortNetwork(plat, policy="insertion")
     insertion.place_transfer(0, 1, 0.0, 5.0)
     # send + recv interval reservations (a link needs no timeline: its
-    # intervals are its sender's) + three scalar frontier advances
-    assert insertion.undo_depth() == 5
+    # intervals are its sender's) + two scalar port frontier advances
+    assert insertion.undo_depth() == 4
     insertion.rollback(0)
     assert insertion.undo_depth() == 0
 
     uniport = UniPortNetwork(plat)
     uniport.place_transfer(0, 1, 0.0, 5.0)
-    assert uniport.undo_depth() == 3
+    assert uniport.undo_depth() == 2
     uniport.reset()
     assert uniport.undo_depth() == 0

@@ -366,7 +366,7 @@ def test_subclass_with_overridden_semantics_falls_back():
             w = 2.0 * volume * self._delay[src][dst]
             if w == 0.0:
                 return ready
-            return max(ready, self._send_free[src], self._link_free[src * self._m + dst]) + w
+            return max(ready, self._send_free[src]) + w
 
         def place_transfer(self, src, dst, ready, volume):
             return super().place_transfer(src, dst, ready, 2.0 * volume)
