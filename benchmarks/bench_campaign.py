@@ -23,13 +23,13 @@ import pytest
 
 from benchmarks.bench_fastpath import append_bench_record
 from benchmarks.conftest import bench_graphs, bench_spec, bench_workers
-from repro.experiments import (
-    Campaign,
+from repro.experiments import Campaign
+from repro.experiments.executors import (
     ProcessExecutor,
     SerialExecutor,
     SocketExecutor,
+    sockets_available,
 )
-from repro.experiments.executors import sockets_available
 
 
 def _timed(executor) -> tuple[float, object]:

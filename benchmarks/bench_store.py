@@ -114,7 +114,8 @@ def _fill(store, n_units: int) -> None:
 _FILL_SCRIPT = """\
 import sys
 from benchmarks.bench_store import _fill
-from repro.experiments import ColumnarStore, RunStore
+from repro.experiments.columnar import ColumnarStore
+from repro.experiments.store import RunStore
 
 cls = ColumnarStore if sys.argv[2] == "columnar" else RunStore
 _fill(cls(sys.argv[1]), int(sys.argv[3]))
@@ -123,8 +124,8 @@ _fill(cls(sys.argv[1]), int(sys.argv[3]))
 #: measured in a subprocess so ru_maxrss is this store's peak, nothing else's
 _MEASURE_SCRIPT = """\
 import json, resource, sys, time
-from repro.experiments import open_store, rep_series
-from repro.experiments.stats import summarize_series
+from repro.experiments.stats import rep_series, summarize_series
+from repro.experiments.store import open_store
 
 t0 = time.perf_counter()
 store = open_store(sys.argv[1])

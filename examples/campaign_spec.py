@@ -21,14 +21,9 @@ Run:  python examples/campaign_spec.py
 import tempfile
 from pathlib import Path
 
-from repro.experiments import (
-    Campaign,
-    CampaignConfigError,
-    CampaignSpec,
-    apply_overrides,
-    figure_spec,
-    panel_c,
-)
+from repro.experiments import Campaign, CampaignSpec, apply_overrides, figure_spec
+from repro.experiments.report import panel_c
+from repro.utils.errors import CampaignConfigError
 
 
 def small_figure1_spec(store_dir: str) -> CampaignSpec:

@@ -25,14 +25,12 @@ Run:  python examples/distributed_campaign.py
 import tempfile
 from dataclasses import replace
 
-from repro.experiments import (
-    FIGURES,
-    RunStore,
-    ScenarioGrid,
-    SocketExecutor,
-    panel_c,
-    run_grid,
-)
+from repro.experiments.campaign import run_grid
+from repro.experiments.config import FIGURES
+from repro.experiments.executors import SocketExecutor
+from repro.experiments.grid import ScenarioGrid
+from repro.experiments.report import panel_c
+from repro.experiments.store import RunStore
 
 
 def small_figure1_grid() -> ScenarioGrid:

@@ -30,15 +30,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments import (
-    Campaign,
-    ColumnarStore,
-    StoreCampaignView,
-    apply_overrides,
-    campaign_comparison_table,
-    figure_spec,
-    open_store,
-)
+from repro.experiments import Campaign, apply_overrides, figure_spec
+from repro.experiments.columnar import ColumnarStore
+from repro.experiments.compare import campaign_comparison_table
+from repro.experiments.query import StoreCampaignView
+from repro.experiments.store import open_store
 from repro.experiments.grid import unit_id_for
 from repro.experiments.harness import RepResult
 

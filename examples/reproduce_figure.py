@@ -13,14 +13,9 @@ Run:  python examples/reproduce_figure.py [figure-number] [graphs-per-point]
 
 import sys
 
-from repro.experiments import (
-    Campaign,
-    apply_overrides,
-    check_shape,
-    figure_spec,
-    panel_c,
-    write_csv,
-)
+from repro.experiments import Campaign, apply_overrides, figure_spec
+from repro.experiments.figures import check_shape
+from repro.experiments.report import panel_c, write_csv
 
 
 def main() -> None:

@@ -26,12 +26,9 @@ from repro import (
     range_exec_matrix,
     scale_to_granularity,
 )
-from repro.experiments import (
-    Campaign,
-    CampaignSpec,
-    ExperimentConfig,
-    campaign_comparison_table,
-)
+from repro.experiments import Campaign, CampaignSpec
+from repro.experiments.compare import campaign_comparison_table
+from repro.experiments.config import ExperimentConfig
 
 PROCS = 9
 

@@ -90,15 +90,6 @@ from repro.utils.errors import (
 
 __version__ = "1.0.0"
 
-#: registry of scheduling algorithms, keyed by the names used in figures
-SCHEDULERS = {
-    "heft": heft,
-    "ftsa": ftsa,
-    "ftbar": ftbar,
-    "caft": caft,
-    "caft-batch": caft_batch,
-}
-
 __all__ = [
     "TaskGraph",
     "random_dag",
@@ -158,5 +149,4 @@ __all__ = [
     "SchedulingError",
     "ScheduleValidationError",
     "ExecutionFailedError",
-    "SCHEDULERS",
 ]

@@ -50,7 +50,13 @@ from repro.experiments.api import (
 )
 from repro.experiments.config import FIGURES, PORT_POLICIES
 from repro.experiments.figures import check_shape
-from repro.experiments.registry import executor_names, network_names, topology_names
+from repro.experiments.registry import (
+    SCHEDULERS,
+    executor_names,
+    network_names,
+    scheduler_names,
+    topology_names,
+)
 from repro.experiments.report import render_figure, write_csv
 from repro.fault.model import FailureScenario
 from repro.fault.scenarios import random_crash_scenario
@@ -63,9 +69,6 @@ from repro.platform.heterogeneity import (
 from repro.platform.instance import ProblemInstance
 from repro.schedule.gantt import render_gantt
 from repro.schedule.metrics import summarize
-from repro.schedulers.ftbar import ftbar
-from repro.schedulers.ftsa import ftsa
-from repro.schedulers.heft import heft
 from repro.utils.errors import CampaignConfigError
 
 
@@ -437,23 +440,10 @@ def _cmd_service_cancel(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    workload = ALL_WORKLOADS[args.workload](args.size)
-    graph = workload.graph
-    platform = uniform_delay_platform(args.procs, rng=args.seed)
-    exec_cost = range_exec_matrix(
-        workload.base_costs, args.procs, heterogeneity=0.5, rng=args.seed + 1
+    inst = _make_demo_instance(args)
+    sched = SCHEDULERS.get(args.scheduler).runner(
+        inst, args.epsilon, args.seed, "oneport"
     )
-    exec_cost = scale_to_granularity(graph, platform, exec_cost, args.granularity)
-    inst = ProblemInstance(graph, platform, exec_cost)
-
-    schedulers = {
-        "heft": lambda: heft(inst, rng=args.seed),
-        "ftsa": lambda: ftsa(inst, args.epsilon, rng=args.seed),
-        "ftbar": lambda: ftbar(inst, args.epsilon, rng=args.seed),
-        "caft": lambda: caft(inst, args.epsilon, rng=args.seed),
-    }
-    run = schedulers[args.scheduler]
-    sched = run()
     print(render_gantt(sched, width=args.width, show_comms=args.comms))
     report = summarize(sched)
     print(
@@ -859,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--procs", type=int, default=6)
     p_demo.add_argument("--epsilon", type=int, default=1)
     p_demo.add_argument("--granularity", type=float, default=1.0)
-    p_demo.add_argument("--scheduler", choices=["heft", "ftsa", "ftbar", "caft"], default="caft")
+    p_demo.add_argument("--scheduler", choices=scheduler_names(), default="caft")
     p_demo.add_argument("--crash", type=int, default=0, help="replay with this many crashes")
     p_demo.add_argument("--comms", action="store_true", help="show link rows in the Gantt")
     p_demo.add_argument("--width", type=int, default=100)

@@ -5,8 +5,9 @@ Two granularities of the same question:
 * :func:`compare_algorithms` — "which scheduler should I use for *this*
   application on *this* cluster": run every algorithm on one instance,
   collect the full metric set (latency, bounds, messages, utilization,
-  crash behaviour) and print one table.  Backs the
-  ``repro-ftsched compare`` subcommand.
+  crash behaviour) and print one table.  Algorithms are the names of
+  :data:`~repro.experiments.registry.SCHEDULERS`, the table campaigns
+  use.  Backs the ``repro-ftsched compare`` subcommand.
 * :func:`campaign_comparison` — the same verdict over a whole stored
   campaign: reads the scenario-tagged per-rep rows a
   :class:`~repro.experiments.store.RunStore` (or
@@ -19,34 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from repro.core.caft import caft
-from repro.core.caft_batch import caft_batch
+from repro.experiments.registry import SCHEDULERS
 from repro.fault.montecarlo import monte_carlo_crashes
 from repro.platform.instance import ProblemInstance
 from repro.schedule.bounds import latency_upper_bound
 from repro.schedule.metrics import normalized_latency
-from repro.schedule.schedule import Schedule
 from repro.schedule.utilization import replication_traffic_share
-from repro.schedulers.ftbar import ftbar
-from repro.schedulers.ftsa import ftsa
-from repro.schedulers.heft import heft
 from repro.utils.rng import RngLike
-
-#: name -> callable(instance, epsilon, model, rng) -> Schedule
-COMPARABLE: dict[str, Callable[..., Schedule]] = {
-    "heft": lambda inst, eps, model, rng: heft(inst, model=model, rng=rng),
-    "ftsa": lambda inst, eps, model, rng: ftsa(inst, eps, model=model, rng=rng),
-    "ftbar": lambda inst, eps, model, rng: ftbar(inst, eps, model=model, rng=rng),
-    "caft": lambda inst, eps, model, rng: caft(inst, eps, model=model, rng=rng),
-    "caft-paper": lambda inst, eps, model, rng: caft(
-        inst, eps, model=model, locking="paper", rng=rng
-    ),
-    "caft-batch": lambda inst, eps, model, rng: caft_batch(
-        inst, eps, model=model, rng=rng
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -72,17 +54,20 @@ def compare_algorithms(
     samples: int = 25,
     rng: RngLike = 0,
 ) -> list[ComparisonRow]:
-    """Run each algorithm and collect the comparison metrics.
+    """Run each registered algorithm and collect the comparison metrics.
 
-    ``heft`` is automatically skipped when ``epsilon > 0`` unless
-    explicitly requested (it provides no fault tolerance).
+    The default list is every registered scheduler in name order, with
+    ``heft`` skipped when ``epsilon > 0`` (it provides no fault
+    tolerance) unless explicitly requested.  Crashes are sampled only
+    for schedules replicated with ε > 0 (the schedule's own ε: ``heft``
+    builds ε = 0 whatever ``epsilon`` is).
     """
     if algorithms is None:
-        algorithms = [a for a in COMPARABLE if a != "heft" or epsilon == 0]
+        algorithms = [a for a in SCHEDULERS.names() if a != "heft" or epsilon == 0]
     rows = []
     for name in algorithms:
-        eps = 0 if name == "heft" else epsilon
-        sched = COMPARABLE[name](instance, eps, model, rng)
+        sched = SCHEDULERS.get(name).runner(instance, epsilon, rng, model)
+        eps = sched.epsilon
         if eps > 0 and crashes > 0:
             mc = monte_carlo_crashes(sched, min(crashes, eps), samples=samples, rng=rng)
             survival = mc.survival_rate

@@ -10,7 +10,7 @@ stores — whatever the worker count or :class:`LeasePolicy` batch size.
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Union
 
 from repro.experiments.executors.base import (
     Executor,
@@ -66,11 +66,11 @@ def _serial_factory(workers=None, lease=None, **_options) -> Executor:
     return SerialExecutor()
 
 
-def _process_factory(workers=None, lease=None, clamp=True, **_options) -> Executor:
+def _process_factory(workers=None, lease=None, **_options) -> Executor:
     # Asking for the process executor without a count means "use the
     # machine", not "run serially".
     count = int(workers) if workers else (os.cpu_count() or 1)
-    return ProcessExecutor(count, clamp=clamp, lease=lease)
+    return ProcessExecutor(count, lease=lease)
 
 
 def _socket_factory(
@@ -141,40 +141,27 @@ register_executor("process", _process_factory)
 register_executor("socket", _socket_factory)
 register_executor("service", _service_factory)
 
-#: the specs `make_executor` accepts by name (import-time snapshot;
-#: ``repro.experiments.registry.executor_names()`` is the live view)
-EXECUTOR_NAMES: tuple[str, ...] = EXECUTORS.names()
+def make_executor(spec: Union[Executor, str, None] = None) -> Executor:
+    """Resolve an executor from a spec string or instance.
 
-
-def make_executor(
-    spec: Union[Executor, str, None] = None,
-    workers: Optional[int] = None,
-    clamp: bool = True,
-    lease: LeaseSpec = None,
-) -> Executor:
-    """Resolve an executor from a spec string, instance, or worker count.
-
-    ``None`` picks :class:`ProcessExecutor` when ``workers`` asks for
-    parallelism and :class:`SerialExecutor` otherwise.  A string names a registered
+    ``None`` is :class:`SerialExecutor`.  A string names a registered
     executor (``"serial"``, ``"process"``, ``"process:4"``, ``"socket"``
-    — the latter binds an ephemeral localhost port and spawns
-    ``workers`` local worker processes, which is the zero-config way to
-    try the distributed path); the ``:N`` suffix overrides ``workers``.
-    Dispatch goes through the :data:`~repro.experiments.registry.
-    EXECUTORS` registry, so kinds added via ``register_executor`` work
-    everywhere this is called (API, spec files, CLI).  ``lease`` sizes
-    worker leases / pool chunks (``"auto"`` or an int; see
-    :class:`LeasePolicy`).  An :class:`Executor` instance passes
-    through unchanged — configured :class:`SocketExecutor` masters
-    carry their own lease policy.
+    — the latter binds an ephemeral localhost port and spawns local
+    worker processes, which is the zero-config way to try the
+    distributed path); the ``:N`` suffix is the worker count.  Dispatch
+    goes through the :data:`~repro.experiments.registry.EXECUTORS`
+    registry, so kinds added via ``register_executor`` work everywhere
+    this is called.  An :class:`Executor` instance passes through
+    unchanged.  Campaign specs build theirs with
+    :meth:`~repro.experiments.api.ExecutorSpec.build`, which also
+    threads a lease policy.
     """
     if spec is None:
-        if workers is not None and int(workers) > 1:
-            return ProcessExecutor(workers, clamp=clamp, lease=lease)
         return SerialExecutor()
     if isinstance(spec, str):
         name, _, arg = spec.partition(":")
         factory = EXECUTORS.get(name, key="executor")
+        workers = None
         if arg:
             try:
                 workers = int(arg)
@@ -184,7 +171,7 @@ def make_executor(
                     "suffix after ':' must be a worker count",
                     key="executor",
                 ) from None
-        return factory(workers=workers, lease=lease, clamp=clamp)
+        return factory(workers=workers)
     return spec
 
 
@@ -206,7 +193,6 @@ __all__ = [
     "run_worker",
     "sockets_available",
     "unit_progress_line",
-    "EXECUTOR_NAMES",
     "PROTO_VERSION",
     "WORKER_EXIT_OK",
     "WORKER_EXIT_ERROR",

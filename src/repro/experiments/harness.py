@@ -32,7 +32,6 @@ import numpy as np
 from repro.comm.base import NetworkModel
 from repro.comm.oneport import OnePortNetwork
 from repro.comm.routed import RoutedOnePortNetwork
-from repro.core.caft import caft
 from repro.dag.analysis import min_critical_path
 from repro.dag.generators import random_dag
 from repro.experiments.config import ExperimentConfig
@@ -47,51 +46,10 @@ from repro.platform.heterogeneity import (
 from repro.platform.instance import ProblemInstance
 from repro.platform.topology import Topology, make_topology, randomize_link_delays
 from repro.schedule.bounds import latency_upper_bound
-from repro.schedulers.ftbar import ftbar
-from repro.schedulers.ftsa import ftsa
 from repro.utils.errors import ExecutionFailedError
 from repro.utils.rng import RngStream
 
-from repro.experiments.registry import (
-    SCHEDULERS,
-    faultfree_representative,
-    register_scheduler,
-)
-
-# The paper's algorithms, registered once in the SCHEDULERS registry —
-# the source of truth every campaign validates its ``algorithms`` tuple
-# against.  The fault-free reference is the default ε = 0 form of each
-# runner (which keeps caft-paper's literal locking).  CAFT (either
-# locking) and FTSA form one fault-free class with FTSA, the cheapest,
-# as its representative (see ``faultfree_latencies``).
-if "caft" not in SCHEDULERS:
-    register_scheduler(
-        "caft",
-        lambda inst, eps, rng, model, fast=True: caft(
-            inst, eps, model=model, rng=rng, fast=fast
-        ),
-        faultfree_class="ftsa",
-    )
-    register_scheduler(
-        "caft-paper",
-        lambda inst, eps, rng, model, fast=True: caft(
-            inst, eps, model=model, locking="paper", rng=rng, fast=fast
-        ),
-        faultfree_class="ftsa",
-    )
-    register_scheduler(
-        "ftsa",
-        lambda inst, eps, rng, model, fast=True: ftsa(
-            inst, eps, model=model, rng=rng, fast=fast
-        ),
-        faultfree_class="ftsa",
-    )
-    register_scheduler(
-        "ftbar",
-        lambda inst, eps, rng, model, fast=True: ftbar(
-            inst, eps, model=model, rng=rng, fast=fast
-        ),
-    )
+from repro.experiments.registry import SCHEDULERS, faultfree_representative
 
 
 def faultfree_latencies(
@@ -357,7 +315,8 @@ def run_rep(config: ExperimentConfig, granularity: float, rep: int) -> RepResult
             row["norm_crash"] = crash_lat / cp
             row["overhead_crash"] = 100.0 * (crash_lat - ref_latency) / ref_latency
         except ExecutionFailedError:
-            # Only possible for non-robust variants (caft-paper).
+            # Only possible for non-robust variants (caft-paper, and
+            # heft, which runs one replica per task).
             pass
         metrics[name] = row
     return RepResult(

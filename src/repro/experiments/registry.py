@@ -11,12 +11,17 @@ implementations without touching any dispatch site::
 
     register_scheduler("my-heft", lambda inst, eps, rng, model, fast=True: ...)
 
-Builtin entries are registered by the modules that own them (schedulers
-by ``experiments.harness``, executors by ``experiments.executors``,
-stores by ``experiments.store``); network models and topology shapes
-live in the lower ``repro.comm`` / ``repro.platform`` layers, whose
-``register_network`` / ``register_topology`` are re-exported here so
-one import surface covers every extension point.
+The six builtin schedulers (``caft``, ``caft-paper``, ``ftsa``,
+``ftbar``, ``heft``, ``caft-batch``) are registered below, next to
+:data:`SCHEDULERS`, which is the only table mapping an algorithm name
+to a scheduler: campaigns, :func:`~repro.experiments.compare.
+compare_algorithms` and the CLI ``demo`` all resolve names here.
+Executors and stores are registered by the modules that own them
+(``experiments.executors``, ``experiments.store``), which importing
+``repro.experiments`` loads; network models, topology shapes, arrival
+processes and failure models live in their own layers, whose
+``register_*`` functions are re-exported here so one import surface
+covers every extension point.
 
 Lookups of unknown names raise
 :class:`~repro.utils.errors.CampaignConfigError` naming the offending
@@ -39,12 +44,17 @@ from __future__ import annotations
 from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
 from repro.comm import network_names, register_network
+from repro.core.caft import caft
+from repro.core.caft_batch import caft_batch
 from repro.experiments.arrival import (
     arrival_process_names,
     register_arrival_process,
 )
 from repro.fault.model import failure_model_names, register_failure_model
 from repro.platform.topology import register_topology, topology_names
+from repro.schedulers.ftbar import ftbar
+from repro.schedulers.ftsa import ftsa
+from repro.schedulers.heft import heft
 from repro.utils.errors import CampaignConfigError
 from repro.utils.registry import check_registration
 
@@ -161,6 +171,53 @@ def register_scheduler(
     else:
         FAULTFREE_CLASSES[name] = faultfree_class
     return runner
+
+
+# The builtin algorithms.  The fault-free reference is the default
+# ε = 0 form of each runner (which keeps caft-paper's literal locking).
+# CAFT (either locking) and FTSA form one fault-free class with FTSA,
+# the cheapest, as its representative (see
+# ``harness.faultfree_latencies``).  HEFT replicates nothing: it runs
+# one replica per task whatever ε is asked for.
+register_scheduler(
+    "caft",
+    lambda inst, eps, rng, model, fast=True: caft(
+        inst, eps, model=model, rng=rng, fast=fast
+    ),
+    faultfree_class="ftsa",
+)
+register_scheduler(
+    "caft-paper",
+    lambda inst, eps, rng, model, fast=True: caft(
+        inst, eps, model=model, locking="paper", rng=rng, fast=fast
+    ),
+    faultfree_class="ftsa",
+)
+register_scheduler(
+    "ftsa",
+    lambda inst, eps, rng, model, fast=True: ftsa(
+        inst, eps, model=model, rng=rng, fast=fast
+    ),
+    faultfree_class="ftsa",
+)
+register_scheduler(
+    "ftbar",
+    lambda inst, eps, rng, model, fast=True: ftbar(
+        inst, eps, model=model, rng=rng, fast=fast
+    ),
+)
+register_scheduler(
+    "heft",
+    lambda inst, eps, rng, model, fast=True: heft(
+        inst, model=model, rng=rng, fast=fast
+    ),
+)
+register_scheduler(
+    "caft-batch",
+    lambda inst, eps, rng, model, fast=True: caft_batch(
+        inst, eps, model=model, rng=rng, fast=fast
+    ),
+)
 
 
 def faultfree_representative(name: str) -> Optional[str]:

@@ -32,7 +32,8 @@ def pinned_config() -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def pinned_serial_rows(pinned_config):
     """The serial-executor baseline every other executor must match."""
-    from repro.experiments import ScenarioGrid, run_grid
+    from repro.experiments.campaign import run_grid
+    from repro.experiments.grid import ScenarioGrid
 
     [result] = run_grid(ScenarioGrid.from_config(pinned_config))
     return result.rows()

@@ -61,24 +61,20 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.experiments import (
-    ColumnarStore,
-    ExperimentConfig,
+from repro.experiments.campaign import run_grid
+from repro.experiments.columnar import ColumnarStore
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.store import RunStore, open_store
+from repro.experiments.executors import (
     ProcessExecutor,
-    RunStore,
-    ScenarioGrid,
     SerialExecutor,
     SocketExecutor,
-    open_store,
-    run_grid,
-)
-from repro.experiments.executors import (
+    SpeculationPolicy,
     WORKER_EXIT_FAULT_INJECTED,
     WORKER_EXIT_OK,
-    SpeculationPolicy,
     sockets_available,
 )
-from repro.experiments.grid import WorkUnit
+from repro.experiments.grid import ScenarioGrid, WorkUnit
 from repro.experiments.harness import RepResult
 
 EXECUTORS: tuple[str, ...] = ("serial", "process", "socket")
@@ -492,18 +488,25 @@ def _abort_then_resume(
                  store=store, resume=True)
 
 
-#: executor spec the SIGKILL victim subprocess resolves (socket masters
-#: self-host two local workers; process pools skip the CPU clamp so the
-#: fault lands mid-drain even on a 1-CPU container)
-_VICTIM_SPECS = {"serial": "serial", "process": "process:2", "socket": "socket:2"}
-
+#: the SIGKILL victim subprocess builds its executor from the cell name
+#: (socket masters self-host two local workers; process pools skip the
+#: CPU clamp so the fault lands mid-drain even on a 1-CPU container)
 _VICTIM_SCRIPT = """\
 import json, sys, time
-from repro.experiments import (
-    ColumnarStore, ExperimentConfig, RunStore, ScenarioGrid, run_grid,
+from repro.experiments.campaign import run_grid
+from repro.experiments.columnar import ColumnarStore
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.executors import (
+    ProcessExecutor, SerialExecutor, SocketExecutor,
 )
-from repro.experiments.executors import make_executor
+from repro.experiments.grid import ScenarioGrid
+from repro.experiments.store import RunStore
 
+executor = {
+    "serial": lambda: SerialExecutor(),
+    "process": lambda: ProcessExecutor(2, clamp=False, lease="auto"),
+    "socket": lambda: SocketExecutor(spawn_workers=2, lease="auto"),
+}[sys.argv[3]]()
 cfg = ExperimentConfig.from_dict(json.load(open(sys.argv[1])))
 if sys.argv[4] == "columnar":
     store = ColumnarStore(sys.argv[2], chunk_rows=int(sys.argv[5]))
@@ -513,7 +516,7 @@ else:
 # instead of racing a fast finish.
 run_grid(
     ScenarioGrid.from_config(cfg),
-    executor=make_executor(sys.argv[3], lease="auto"),
+    executor=executor,
     store=store,
     progress=lambda message: time.sleep(0.4),
 )
@@ -679,7 +682,7 @@ def _sigkill_master_then_resume(
             _VICTIM_SCRIPT,
             str(cfg_path),
             str(store_dir),
-            _VICTIM_SPECS[executor_name],
+            executor_name,
             backend,
             str(CONFORMANCE_CHUNK_ROWS),
         ],

@@ -8,6 +8,10 @@ specs store rows byte-identical to the checked-in golden files under
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +37,13 @@ from repro.experiments.executors import (
     SerialExecutor,
     SocketExecutor,
 )
+from repro.dag.analysis import min_critical_path
 from repro.experiments.grid import ScenarioGrid
+from repro.experiments.harness import (
+    campaign_network,
+    generate_instance,
+    generate_topology,
+)
 from repro.experiments.registry import (
     EXECUTORS,
     SCHEDULERS,
@@ -44,7 +54,9 @@ from repro.experiments.registry import (
     scheduler_names,
 )
 from repro.experiments.store import RunStore
+from repro.schedulers.heft import heft
 from repro.utils.errors import CampaignConfigError
+from repro.utils.rng import RngStream
 
 TINY = {
     "graphs": 1,
@@ -63,9 +75,47 @@ def tiny_spec(**overrides) -> CampaignSpec:
 
 class TestRegistries:
     def test_builtin_names(self):
-        assert {"caft", "caft-paper", "ftsa", "ftbar"} <= set(scheduler_names())
+        assert scheduler_names() == (
+            "caft", "caft-batch", "caft-paper", "ftbar", "ftsa", "heft",
+        )
         assert EXECUTORS.names() == ("process", "serial", "service", "socket")
         assert {"jsonl", "memory"} <= set(STORES.names())
+
+    def test_registries_complete_in_a_fresh_interpreter(self):
+        # importing the registry module alone loads every builtin
+        script = (
+            "import json\n"
+            "import repro.experiments.registry as r\n"
+            "print(json.dumps({\n"
+            "    'schedulers': r.SCHEDULERS.names(),\n"
+            "    'executors': r.EXECUTORS.names(),\n"
+            "    'stores': r.STORES.names(),\n"
+            "    'networks': r.network_names(),\n"
+            "    'topologies': r.topology_names(),\n"
+            "    'arrivals': r.arrival_process_names(),\n"
+            "    'failures': r.failure_model_names(),\n"
+            "}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout
+        names = {key: set(value) for key, value in json.loads(out).items()}
+        assert names["schedulers"] == {
+            "caft", "caft-paper", "ftsa", "ftbar", "heft", "caft-batch",
+        }
+        assert {"serial", "process", "socket", "service"} <= names["executors"]
+        assert {"memory", "jsonl", "columnar"} <= names["stores"]
+        assert {
+            "oneport", "uniport", "oneport-nooverlap", "macro-dataflow",
+            "routed-oneport",
+        } <= names["networks"]
+        assert {
+            "clique", "ring", "line", "star", "mesh", "torus", "fat-tree",
+        } <= names["topologies"]
+        assert {"poisson", "uniform", "trace"} <= names["arrivals"]
+        assert {"iid", "domains", "topology"} <= names["failures"]
 
     def test_unknown_lookup_is_config_error_listing_registered(self):
         with pytest.raises(CampaignConfigError, match="registered: .*serial"):
@@ -108,6 +158,51 @@ class TestRegistries:
             assert rows[0]["caft-bis_latency0"] == rows[0]["caft_latency0"]
         finally:
             SCHEDULERS.remove("caft-bis")
+
+    def test_heft_and_caft_batch_run_in_a_campaign(self):
+        base = apply_overrides(
+            tiny_spec(), {"config.algorithms": ["caft", "ftsa"]}
+        )
+        extended = apply_overrides(
+            base, {"config.algorithms": ["caft", "ftsa", "heft", "caft-batch"]}
+        )
+        assert base.executor.kind == extended.executor.kind == "serial"
+        result = Campaign(extended).run().result()
+        for row in result.rows():
+            for name in ("heft", "caft-batch"):
+                assert row[f"{name}_latency0"] > 0
+                assert f"{name}_overhead0" in row
+        rep_rows = result.rep_rows()
+        algos = [row["algorithm"] for row in rep_rows]
+        assert algos.count("heft") == algos.count("caft-batch") == algos.count("caft")
+
+        # each runner draws from its own integer seed: adding names
+        # leaves every caft and ftsa value as it was
+        def keyed(rows):
+            return {
+                (row["granularity"], row["rep"], row["algorithm"]): row
+                for row in rows
+                if row["algorithm"] in ("caft", "ftsa")
+            }
+
+        assert keyed(rep_rows) == keyed(Campaign(base).run().result().rep_rows())
+
+        # heft's column is a direct heft() call on the unit's instance
+        config = result.config
+        for row in rep_rows:
+            if row["algorithm"] != "heft":
+                continue
+            g, rep = row["granularity"], row["rep"]
+            topology = generate_topology(config, g, rep)
+            inst = generate_instance(config, g, rep, topology=topology)
+            sched = heft(
+                inst,
+                model=campaign_network(config, inst, topology),
+                rng=RngStream(config.base_seed).seed("algo", config.name, g, rep),
+                fast=config.fast,
+            )
+            assert sched.epsilon == 0
+            assert row["norm_latency"] == sched.latency() / min_critical_path(inst)
 
     def test_unknown_algorithm_in_config_rejected(self):
         with pytest.raises(CampaignConfigError, match="unknown scheduler"):

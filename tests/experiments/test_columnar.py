@@ -14,29 +14,25 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import (
-    CampaignConfigError,
-    ColumnarStore,
+from repro.experiments import StoreSpec
+from repro.experiments.campaign import run_grid
+from repro.experiments.compare import campaign_comparison_table
+from repro.experiments.query import StoreCampaignView, aggregate_points
+from repro.experiments.stats import compare_reps, paired_rep_series, rep_series
+from repro.utils.errors import CampaignConfigError
+from repro.experiments.columnar import ColumnarStore, INDEX_NAME
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.grid import ScenarioGrid, WorkUnit, unit_id_for
+from repro.experiments.harness import RepResult
+from repro.experiments.store import (
+    COLUMNAR_TAIL_NAME,
+    ROWS_NAME,
     RunStore,
-    ScenarioGrid,
-    StoreCampaignView,
     StoreError,
-    StoreSpec,
-    aggregate_points,
-    campaign_comparison_table,
-    compare_reps,
     make_store,
     open_store,
-    paired_rep_series,
     read_store_backend,
-    rep_series,
-    run_grid,
 )
-from repro.experiments.columnar import INDEX_NAME
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import WorkUnit, unit_id_for
-from repro.experiments.harness import RepResult
-from repro.experiments.store import COLUMNAR_TAIL_NAME, ROWS_NAME
 
 from test_store import fake_result
 

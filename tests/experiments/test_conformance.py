@@ -19,7 +19,9 @@ matrix with ``pytest -m conformance``.
 import pytest
 
 import executor_conformance as ec
-from repro.experiments import RunStore, ScenarioGrid, run_grid
+from repro.experiments.campaign import run_grid
+from repro.experiments.grid import ScenarioGrid
+from repro.experiments.store import RunStore
 
 pytestmark = pytest.mark.conformance
 

@@ -16,31 +16,27 @@ import time
 
 import pytest
 
-from repro.experiments import (
-    CampaignResult,
+from repro.experiments.campaign import run_grid
+from repro.experiments.executors import (
     ProcessExecutor,
-    RunStore,
-    ScenarioGrid,
     SerialExecutor,
     SocketExecutor,
-    StoreError,
+    effective_workers,
     make_executor,
-    run_grid,
 )
+from repro.experiments.grid import ScenarioGrid
+from repro.experiments.harness import CampaignResult
+from repro.experiments.store import RunStore, StoreError
 
 
 class TestMakeExecutor:
     def test_default_is_serial(self):
         assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(None, workers=1), SerialExecutor)
-
-    def test_workers_pick_process(self):
-        ex = make_executor(None, workers=2, clamp=False)
-        assert isinstance(ex, ProcessExecutor) and ex.workers == 2
 
     def test_spec_strings(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert make_executor("process:3", clamp=False).workers == 3
+        assert make_executor("process:1").workers == 1
+        assert make_executor("process:3").workers == effective_workers(3)
         sock = make_executor("socket:2")
         assert isinstance(sock, SocketExecutor)
         assert len(sock._worker_specs) == 2
@@ -134,7 +130,9 @@ class TestKillAndResume:
         # the kill mid-campaign instead of racing a fast finish.
         script = (
             "import json, time\n"
-            "from repro.experiments import ExperimentConfig, ScenarioGrid, run_grid\n"
+            "from repro.experiments.campaign import run_grid\n"
+            "from repro.experiments.config import ExperimentConfig\n"
+            "from repro.experiments.grid import ScenarioGrid\n"
             f"cfg = ExperimentConfig.from_dict(json.load(open({str(cfg_path)!r})))\n"
             f"run_grid(ScenarioGrid.from_config(cfg), store={str(store_dir)!r},\n"
             "         progress=lambda m: time.sleep(0.3))\n"

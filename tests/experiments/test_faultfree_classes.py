@@ -81,6 +81,8 @@ def test_registry_declares_the_class():
         "caft-paper": "ftsa",
         "ftsa": "ftsa",
         "ftbar": None,
+        "heft": None,
+        "caft-batch": None,
     }
 
 

@@ -9,9 +9,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import LeasePolicy
+from repro.experiments import ExecutorSpec
 from repro.experiments.config import FIGURES
-from repro.experiments.executors import ProcessExecutor, make_executor
+from repro.experiments.executors import LeasePolicy, ProcessExecutor
 from repro.experiments.grid import ScenarioGrid, WorkUnit
 
 
@@ -172,7 +172,7 @@ class TestChunkFailure:
         # A chunk of [ok, ok, fail, ok]: the two completed results must
         # land in the store even though the chunk's third unit raises —
         # a --resume then only recomputes from the failure on.
-        from repro.experiments import RunStore
+        from repro.experiments.store import RunStore
 
         units = [_StubUnit("a"), _StubUnit("b"), _StubUnit("c", fail=True),
                  _StubUnit("d")]
@@ -184,24 +184,25 @@ class TestChunkFailure:
 
 
 class TestLeaseThreading:
-    def test_make_executor_threads_lease_to_process(self):
-        ex = make_executor("process:2", clamp=False, lease=5)
+    def test_spec_build_threads_lease_to_process(self):
+        ex = ExecutorSpec(kind="process", workers=2).build(lease=5)
         assert isinstance(ex, ProcessExecutor)
         assert ex.lease_policy.size == 5
 
-    def test_make_executor_threads_lease_to_socket(self):
-        ex = make_executor("socket:2", lease="auto")
+    def test_spec_build_threads_lease_to_socket(self):
+        ex = ExecutorSpec(kind="socket", workers=2).build(lease="auto")
         assert ex.lease_policy.adaptive
 
     def test_socket_default_targets_twice_heartbeat(self):
-        from repro.experiments import SocketExecutor
+        from repro.experiments.executors import SocketExecutor
 
         ex = SocketExecutor(heartbeat=0.5)
         assert ex.lease_policy.adaptive
         assert ex.lease_policy.target_seconds == pytest.approx(1.0)
 
     def test_process_lease_equivalence(self, small_config, tmp_path):
-        from repro.experiments import ScenarioGrid, run_grid
+        from repro.experiments.campaign import run_grid
+        from repro.experiments.grid import ScenarioGrid
 
         grid = ScenarioGrid.from_config(small_config)
         [serial] = run_grid(grid)

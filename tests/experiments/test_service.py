@@ -15,23 +15,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import (
-    Campaign,
-    CampaignSpec,
-    ExecutorSpec,
-    ScenarioGrid,
-    open_store,
-    run_grid,
-)
+from repro.experiments import Campaign, CampaignSpec, ExecutorSpec
+from repro.experiments.campaign import run_grid
 from repro.experiments.config import FIGURES
 from repro.experiments.executors import (
     WORKER_EXIT_FAULT_INJECTED,
     sockets_available,
 )
 from repro.experiments.executors.socket import _LineConn
-from repro.experiments.grid import WorkUnit
+from repro.experiments.grid import ScenarioGrid, WorkUnit
 from repro.experiments.service import CampaignService, ServiceClient
-from repro.experiments.store import result_to_dict
+from repro.experiments.store import open_store, result_to_dict
 from repro.utils.errors import CampaignConfigError
 
 import executor_conformance as ec

@@ -11,7 +11,9 @@ import socket
 
 import pytest
 
-from repro.experiments import ScenarioGrid, SocketExecutor, run_grid
+from repro.experiments.campaign import run_grid
+from repro.experiments.executors import SocketExecutor
+from repro.experiments.grid import ScenarioGrid
 from repro.experiments.executors.socket import _LineConn, sockets_available
 
 pytestmark = [
@@ -136,7 +138,8 @@ class TestSocketExecutor:
             executor=SocketExecutor(spawn_workers=2, timeout=DEADLINE_S),
             store=tmp_path / "s",
         )
-        from repro.experiments import CampaignResult, RunStore
+        from repro.experiments.harness import CampaignResult
+        from repro.experiments.store import RunStore
 
         reloaded = CampaignResult.from_store(RunStore(tmp_path / "s"))
         assert reloaded.rows() == pinned_serial_rows

@@ -13,8 +13,10 @@ import subprocess
 
 import pytest
 
-from repro.experiments import ScenarioGrid, SocketExecutor, run_grid
+from repro.experiments.campaign import run_grid
+from repro.experiments.grid import ScenarioGrid
 from repro.experiments.executors import (
+    SocketExecutor,
     WORKER_EXIT_FAULT_INJECTED,
     WORKER_EXIT_OK,
     WORKER_RESPAWN_LIMIT,

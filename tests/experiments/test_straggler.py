@@ -20,8 +20,8 @@ import time
 
 import pytest
 
-from repro.experiments import ScenarioGrid, SocketExecutor, run_grid
-from repro.experiments.executors import SpeculationPolicy, parse_steal
+from repro.experiments.campaign import run_grid
+from repro.experiments.executors import SocketExecutor, SpeculationPolicy, parse_steal
 from repro.experiments.executors.socket import (
     WORKER_EXIT_ERROR,
     WORKER_EXIT_OK,

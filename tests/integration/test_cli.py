@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.registry import scheduler_names
 
 #: one granularity of small graphs: enough for the plumbing tests, which
 #: check arguments and outputs rather than the figure itself
@@ -125,7 +126,8 @@ class TestCampaignCommands:
     ):
         """Spec file < explicit flags < --override, and the stored rows
         reflect the final values."""
-        from repro.experiments import CampaignSpec, RunStore, apply_overrides, figure_spec
+        from repro.experiments import CampaignSpec, apply_overrides, figure_spec
+        from repro.experiments.store import RunStore
 
         store = tmp_path / "store"
         spec = apply_overrides(
@@ -173,7 +175,7 @@ class TestCampaignCommands:
         assert main(["campaign", "run", "1", "--graphs", "1",
                      "--store", str(store), *TINY]) == 0
         capsys.readouterr()
-        from repro.experiments import StoreError
+        from repro.experiments.store import StoreError
 
         with pytest.raises(StoreError, match="resume"):
             main(["campaign", "run", "1", "--graphs", "1",
@@ -191,10 +193,11 @@ class TestCommands:
         assert "latency=" in out
         assert "replay under" in out
 
-    def test_demo_heft(self, capsys):
-        rc = main(["demo", "--scheduler", "heft", "--size", "4", "--procs", "4"])
+    @pytest.mark.parametrize("scheduler", scheduler_names())
+    def test_demo_scheduler(self, capsys, scheduler):
+        rc = main(["demo", "--scheduler", scheduler, "--size", "4", "--procs", "4"])
         assert rc == 0
-        assert "heft" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith(scheduler)
 
     def test_demo_all_workloads(self, capsys):
         for wl in ("fft_butterfly", "stencil_1d", "tiled_cholesky"):

@@ -120,7 +120,8 @@ class TestShippedSpecs:
         )
 
     def test_all_shipped_specs_are_covered(self):
-        from repro.experiments import FIGURES, shipped_spec_paths
+        from repro.experiments.api import shipped_spec_paths
+        from repro.experiments.config import FIGURES
 
         names = {p.stem for p in shipped_spec_paths()}
         assert names == {f"figure{n}" for n in FIGURES} | {"figure_online"}
@@ -140,14 +141,10 @@ class TestShippedSpecs:
             assert f"{algo}_latency0" in row
 
     def test_shipped_online_spec_runs(self):
-        from repro.experiments import (
-            Campaign,
-            CampaignSpec,
-            apply_overrides,
-            check_online_shape,
-            render_online,
-            shipped_spec_paths,
-        )
+        from repro.experiments import Campaign, CampaignSpec, apply_overrides
+        from repro.experiments.api import shipped_spec_paths
+        from repro.experiments.online import check_online_shape
+        from repro.experiments.report import render_online
 
         path = next(
             p for p in shipped_spec_paths() if p.stem == "figure_online"
