@@ -22,13 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.experiments.registry import SCHEDULERS
 from repro.fault.montecarlo import monte_carlo_crashes
 from repro.platform.instance import ProblemInstance
 from repro.schedule.bounds import latency_upper_bound
 from repro.schedule.metrics import normalized_latency
 from repro.schedule.utilization import replication_traffic_share
-from repro.utils.rng import RngLike
+from repro.utils.rng import RngLike, as_rng
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,13 @@ def compare_algorithms(
     tolerance) unless explicitly requested.  Crashes are sampled only
     for schedules replicated with ε > 0 (the schedule's own ε: ``heft``
     builds ε = 0 whatever ``epsilon`` is).
+
+    Every scheduler and crash-sampling call gets the same integer seed,
+    so each row is independent of which algorithms ran before it: a
+    ``Generator`` (or ``None``) is drawn from once, up front.
     """
+    if rng is None or not isinstance(rng, (int, np.integer)):
+        rng = int(as_rng(rng).integers(2**63))
     if algorithms is None:
         algorithms = [a for a in SCHEDULERS.names() if a != "heft" or epsilon == 0]
     rows = []

@@ -1,53 +1,46 @@
-"""Distributed campaign execution over TCP (master + remote workers).
+"""Distributed campaign execution over TCP: the wire, the worker, and
+the one-shot master.
 
-The :class:`SocketExecutor` is a master in the mappy mould: it binds a
-TCP port, streams :class:`~repro.experiments.grid.WorkUnit`\\ s to any
+The :class:`SocketExecutor` runs one campaign as the only job of the
+campaign master (:mod:`repro.experiments.service`): it binds a port,
+streams :class:`~repro.experiments.grid.WorkUnit`\\ s to any
 ``repro-ftsched campaign worker`` process that connects — from this
 machine or another — and appends results to the store as they arrive.
 Workers heartbeat while computing; a worker that goes silent (crash,
-kill, network partition) has its in-flight unit *requeued* for the next
-live worker, so a campaign survives any worker failure as long as one
-worker remains.  Fitting machinery for a paper about tolerating crashes.
+kill, network partition) has the unfinished remainder of its lease
+*requeued* for the next live worker, so a campaign survives any worker
+failure as long as one worker remains.
 
-Wire protocol: newline-delimited JSON, one message per line.  Version 2
-adds batch leases — the master hands a worker several units per
-round-trip and the worker acks each unit as it completes, so a dead
-worker only requeues the *unfinished remainder* of its lease.  Version 3
-adds ``revoke``: the master reclaims the unstarted remainder of a lease
-from a straggling worker and re-leases it to an idle one (work
-stealing).  Version 4 adds the campaign-service *client* messages
-(``submit`` / ``status`` / ``jobs`` / ``cancel`` / ``submit_units``,
-served by :mod:`repro.experiments.service`); the worker flow is
-unchanged from v3.
+Wire protocol: newline-delimited JSON, one message per line, one
+version (:data:`PROTO_VERSION`) — every peer ships from this repo.  A
+``hello`` naming any other ``proto`` (or none) is answered with
+``error`` and the connection is closed before anything is leased.
+The worker side of the protocol:
 
-======================  ==========================================  =========
-message                 fields                                      direction
-======================  ==========================================  =========
-``hello``               ``worker`` (label), ``heartbeat`` (s),      w -> m
-                        ``proto`` (int, absent = 1)
-``unit``                ``unit`` (WorkUnit dict)           [v1]     m -> w
-``lease``               ``units`` (list of WorkUnit dicts) [v2]     m -> w
-``heartbeat``           —                                           w -> m
-``result``              ``unit_id``, ``result`` (RepResult),        w -> m
-                        ``seconds`` (compute time)         [v2]
-``revoke``              ``unit_ids`` (units stolen from the         m -> w
-                        lease; skip any not yet started)   [v3]
-``shutdown``            —                                           m -> w
-======================  ==========================================  =========
+==============  ==========================================  =========
+message         fields                                      direction
+==============  ==========================================  =========
+``hello``       ``worker`` (label), ``heartbeat`` (s),      w -> m
+                ``proto`` (must equal ``PROTO_VERSION``)
+``error``       ``error``, ``key`` (a refused ``hello``)    m -> w
+``lease``       ``units`` (list of WorkUnit dicts)          m -> w
+``heartbeat``   —                                           w -> m
+``result``      ``unit_id``, ``result`` (RepResult),        w -> m
+                ``seconds`` (compute time)
+``revoke``      ``unit_ids`` (units stolen from the         m -> w
+                lease; skip any not yet started)
+``shutdown``    —                                           m -> w
+==============  ==========================================  =========
 
-Version negotiation: the worker's ``hello`` names the highest protocol
-it speaks and the master answers in ``min(worker, PROTO_VERSION)`` — a
-v1 worker (no ``proto`` field) is streamed single ``unit`` messages
-exactly as before, a v2 worker gets ``lease`` batches sized by the
-master's :class:`~repro.experiments.executors.base.LeasePolicy`, and
-only v3 workers are ever sent a ``revoke`` — a v2 worker keeps working
-its lease un-revoked (the master simply never steals from it).
+Leases are sized by a :class:`~repro.experiments.executors.base.
+LeasePolicy` and acked per unit.  The service's client messages are
+listed in :mod:`repro.experiments.service`.
 
 Straggler mitigation is master-side and per-connection:
 
 * **Work stealing** (on by default): a worker that goes idle against an
   empty queue triggers a steal — the master removes all but the first
-  remaining unit of the largest outstanding v3 lease (the head is what
+  remaining unit of the largest outstanding lease (the head is what
   the victim is computing *right now*; everything behind it has not
   started), tells the victim via ``revoke``, and leases the reclaimed
   units to the idle worker tagged ``"stolen"``.
@@ -92,12 +85,10 @@ from repro.experiments.executors.base import (
     unit_progress_line,
 )
 from repro.experiments.grid import WorkUnit
-from repro.experiments.store import RunStore, result_from_dict, result_to_dict
+from repro.experiments.store import RunStore, result_to_dict
 
-#: highest wire-protocol version this build speaks (3 = lease
-#: revocation; 4 = the campaign-service client messages ``submit`` /
-#: ``status`` / ``jobs`` / ``cancel`` / ``submit_units`` — the worker
-#: flow is unchanged from v3)
+#: the one wire-protocol version masters and workers speak; a ``hello``
+#: with any other ``proto`` is refused
 PROTO_VERSION = 4
 
 #: worker process exit codes — the conformance harness asserts *why* a
@@ -170,7 +161,7 @@ class _LineConn:
         Reads through an explicit buffer rather than ``sock.makefile``:
         a buffered file object that hits a timeout is poisoned for every
         later read, which would break callers that poll with short
-        timeouts (the service's idle loops).  Here a timeout leaves any
+        timeouts (the master's idle loops).  Here a timeout leaves any
         partial line in the buffer and the next call picks it back up.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -208,9 +199,8 @@ def _reap_worker(proc: subprocess.Popen) -> int:
 
 
 class WorkerPool:
-    """Lifecycle of locally spawned worker subprocesses — launch,
-    bounded respawn, terminate, reap — shared by the one-shot campaign
-    master and the long-lived campaign service.
+    """Lifecycle of the campaign master's locally spawned worker
+    subprocesses — launch, bounded respawn, terminate, reap.
 
     The respawn budget (:data:`WORKER_RESPAWN_LIMIT` relaunches per
     slot) is *per job*, not per pool lifetime: :meth:`new_job_epoch`
@@ -218,8 +208,7 @@ class WorkerPool:
     campaigns never permanently strands a slot, while a unit that
     crash-loops its worker within one job still cannot respawn forever.
     A clean shutdown (exit 0) and the injected fault exit
-    (:data:`WORKER_EXIT_FAULT_INJECTED`) are never respawned —
-    whichever loop is supervising the pool.
+    (:data:`WORKER_EXIT_FAULT_INJECTED`) are never respawned.
     """
 
     def __init__(
@@ -292,7 +281,8 @@ class WorkerPool:
 
 class SocketExecutor:
     """TCP master that streams units to worker processes, requeues units
-    from dead workers, and steals them back from straggling ones.
+    from dead workers, and steals them back from straggling ones — the
+    campaign service's master, hosting this campaign as its one job.
 
     ``spawn_workers`` launches that many local ``campaign worker``
     subprocesses against the bound port (an int, or a sequence of
@@ -310,20 +300,14 @@ class SocketExecutor:
     single unit takes — while a run with no worker talking (every worker
     died and none reconnects) raises instead of hanging forever.
 
-    ``lease`` sizes the unit batches handed to v2+ workers: an int pins
+    ``lease`` sizes the unit batches handed to workers: an int pins
     a fixed lease size, ``"auto"`` (the default) adapts to observed unit
     latency — targeting ~2x the heartbeat interval of work per lease —
     and a configured :class:`LeasePolicy` instance passes through.
 
-    ``steal`` (``"auto"``, the default, or ``"off"``) controls lease
-    revocation: an idle worker facing an empty queue steals the
-    unstarted remainder of the largest outstanding v3 lease.  An
-    un-started unit costs only a protocol round-trip to move, so this is
-    on by default.  ``speculate`` (``"off"`` by default, or ``"auto"``)
-    additionally duplicates the slowest in-flight unit onto an idle
-    worker near the campaign tail — the only rescue for a wedged worker
-    that heartbeats without progressing; see
-    :class:`~repro.experiments.executors.base.SpeculationPolicy`.
+    ``steal`` (``"auto"``, the default, or ``"off"``) and ``speculate``
+    (``"off"``, the default, or ``"auto"``) switch the straggler
+    mitigations described in the module docstring.
 
     After ``run`` returns, ``worker_exit_codes`` holds the exit code of
     every worker this master spawned, including replaced crashers
@@ -360,16 +344,12 @@ class SocketExecutor:
         )
         self.speculation = SpeculationPolicy.from_spec(speculate)
         self.steal = parse_steal(steal)
-        if isinstance(spawn_workers, int):
-            self._worker_specs: list[list[str]] = [[] for _ in range(spawn_workers)]
-        else:
-            self._worker_specs = [list(extra) for extra in spawn_workers]
+        self.spawn_workers = spawn_workers
         self.address: Optional[tuple[str, int]] = None
         self.worker_exit_codes: list[int] = []
         self.worker_respawns = 0
         self.stolen_units = 0
         self.speculative_attempts = 0
-        self._dead_after = max(heartbeat * DEAD_AFTER_BEATS, 5.0)
 
     # ------------------------------------------------------------- master
 
@@ -379,49 +359,41 @@ class SocketExecutor:
         store: RunStore,
         progress: Optional[ProgressFn] = None,
     ) -> None:
-        state = _MasterState(
-            units,
-            store,
-            progress,
-            lease_policy=self.lease_policy,
-            speculation=self.speculation,
+        # Imported lazily: service.py imports api.py, which imports this
+        # package (the cycle-dodge `_service_factory` uses too).
+        from repro.experiments.service import _Master
+
+        master = _Master(
+            host=self.host,
+            port=self.port,
+            spawn_workers=self.spawn_workers,
+            heartbeat=self.heartbeat,
+            speculate=self.speculation,
             steal=self.steal,
         )
-        server = socket.create_server((self.host, self.port))
-        self.address = server.getsockname()[:2]
-        if self.on_listen is not None:
-            self.on_listen(self.address)
-        stop = threading.Event()
-        acceptor = threading.Thread(
-            target=self._accept_loop,
-            args=(server, state, stop),
-            name="campaign-master-accept",
-            daemon=True,
-        )
-        acceptor.start()
-        # Workers spawn *inside* the try: an exception anywhere between
+        state = master.add_job(units, store, progress, self.lease_policy).state
+        # Workers spawn inside the try: an exception anywhere between
         # the first spawn and the finally (including a failed spawn
         # itself, handled inside spawn_all) must still terminate and
         # reap every child — an interrupted master cannot orphan them.
-        pool = WorkerPool(self._worker_specs, self._spawn_worker)
         clean = False
         try:
-            pool.spawn_all()
-            last_activity = -1
-            deadline: Optional[float] = None
+            self.address = master.listen()
+            if self.on_listen is not None:
+                self.on_listen(self.address)
+            master.start_workers()
+            last_activity, quiet_since = master.activity, time.monotonic()
             while not state.wait_done(0.2):
-                activity = state.activity_count()
-                if activity != last_activity:
+                if master.activity != last_activity:
                     # Any worker message (heartbeat, result, hello)
                     # resets the clock: `timeout` bounds how long the
                     # campaign may go with no worker talking, not its
                     # total length or a single unit's runtime.
-                    last_activity = activity
-                    deadline = (
-                        None if self.timeout is None
-                        else time.monotonic() + self.timeout
-                    )
-                if deadline is not None and time.monotonic() >= deadline:
+                    last_activity, quiet_since = master.activity, time.monotonic()
+                if (
+                    self.timeout is not None
+                    and time.monotonic() - quiet_since >= self.timeout
+                ):
                     missing = state.remaining()
                     raise TimeoutError(
                         f"socket campaign heard from no worker for "
@@ -430,20 +402,16 @@ class SocketExecutor:
                         f"(first: {missing[0].unit_id if missing else '-'}); "
                         "are any workers connected?"
                     )
-                # Relaunch spawned workers that genuinely crashed (never
-                # a clean shutdown or the injected --max-units fault),
-                # bounded per slot so a crash-looping unit cannot
-                # respawn its worker forever.
-                pool.poll_respawn()
-                # Every worker this master spawned has exited (respawn
-                # budget included) and no connection is serving units:
-                # the campaign can no longer make progress (e.g. a unit
-                # crashes each worker in turn) — fail now instead of
-                # sitting out the timeout.
-                if pool.all_exited() and state.active_connections() == 0:
+                # Relaunch spawned workers that genuinely crashed, then
+                # fail fast if every one has exited (respawn budget
+                # included) and no connection is serving units: the
+                # campaign can no longer make progress (e.g. a unit
+                # crashes each worker in turn).
+                master.supervise()
+                if master.workers_gone():
                     missing = state.remaining()
                     raise RuntimeError(
-                        f"all {len(pool.procs)} spawned worker(s) exited with "
+                        f"every spawned worker exited with "
                         f"{len(missing)} unit(s) incomplete "
                         f"(first: {missing[0].unit_id if missing else '-'}); "
                         "check the worker logs — a crashing work unit kills "
@@ -451,175 +419,14 @@ class SocketExecutor:
                     )
             clean = True
         finally:
-            stop.set()
-            state.finish()
-            try:
-                server.close()
-            except OSError:
-                pass
-            if not clean:
-                # An exceptional exit (KeyboardInterrupt, timeout, a
-                # raise mid-spawn) must not wait out the workers' own
-                # shutdown: terminate them now so no child survives a
-                # raised run.  On a clean exit the workers already got
-                # `shutdown` messages and exit 0 on their own.
-                pool.terminate_all()
-            self.worker_exit_codes = pool.reap_all()
-            self.worker_respawns += pool.respawns
+            # A clean exit lets the workers take their `shutdown` and
+            # exit 0; an exceptional one (KeyboardInterrupt, timeout, a
+            # raise mid-spawn) terminates them at once so no child
+            # survives a raised run.
+            self.worker_exit_codes = master.stop(clean=clean)
+            self.worker_respawns += master.respawns
             self.stolen_units = state.stolen_units
             self.speculative_attempts = state.speculative_attempts
-
-    def _accept_loop(
-        self, server: socket.socket, state: "_MasterState", stop: threading.Event
-    ) -> None:
-        server.settimeout(0.2)
-        while not stop.is_set():
-            try:
-                conn, _addr = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_worker,
-                args=(conn, state),
-                name="campaign-master-worker",
-                daemon=True,
-            ).start()
-
-    def _serve_worker(self, conn: socket.socket, state: "_MasterState") -> None:
-        lc = _LineConn(conn)
-        conn_id = state.new_conn_id()
-        serving = False
-        # Every unit id ever leased to this connection: a result for a
-        # unit outside the *current* lease is legitimate only if it was
-        # once leased here (a revoked unit's ack losing the race, or a
-        # replayed delivery) — anything else is a version-skewed or
-        # buggy worker and kills the connection.
-        ever_leased: set[str] = set()
-        try:
-            hello = lc.recv(timeout=self._dead_after)
-            if hello.get("type") != "hello":
-                return
-            state.note_activity()
-            state.connection_opened()
-            serving = True
-            # Version negotiation: speak the highest protocol both sides
-            # know.  A v1 worker (no proto field) is streamed one unit at
-            # a time; v2+ gets policy-sized leases; only v3 connections
-            # are ever steal victims (they understand `revoke`).
-            proto = min(PROTO_VERSION, int(hello.get("proto", 1)))
-            # Honor the worker's own heartbeat cadence (it may have been
-            # started with --heartbeat much larger than the master's):
-            # the deadness deadline is per-connection, from the hello.
-            worker_beat = float(hello.get("heartbeat", self.heartbeat))
-            dead_after = max(
-                self._dead_after, worker_beat * DEAD_AFTER_BEATS
-            )
-            while True:
-                lease = state.checkout_lease(
-                    conn_id,
-                    lc,
-                    proto,
-                    self.lease_policy if proto >= 2 else None,
-                )
-                if lease is None:
-                    lc.send({"type": "shutdown"})
-                    return
-                # The lease is tracked in master state BEFORE the send:
-                # if the worker died at the lease boundary (send
-                # raises), the claimed units must requeue, not strand
-                # in flight.
-                ever_leased.update(lease.remaining)
-                if proto >= 2:
-                    lc.send(
-                        {"type": "lease",
-                         "units": [u.to_dict() for u in lease.units()]}
-                    )
-                else:
-                    lc.send({"type": "unit", "unit": lease.units()[0].to_dict()})
-                # Serve acks until the lease drains — by this worker's
-                # results or by a thief stealing the remainder (the
-                # condition is rechecked after every message).
-                while lease.remaining:
-                    message = lc.recv(timeout=dead_after)
-                    state.note_activity()
-                    if state.is_finished():
-                        # The campaign completed without this lease
-                        # draining — a wedged worker heartbeating while
-                        # speculation rescued its units.  Closing the
-                        # connection (finally) is what unwedges it.
-                        return
-                    kind = message.get("type")
-                    if kind == "heartbeat":
-                        continue
-                    if kind != "result":
-                        raise ConnectionError(
-                            f"unexpected message type {kind!r}"
-                        )
-                    unit_id = message.get("unit_id")
-                    unit, attempt = state.ack(conn_id, unit_id)
-                    if unit is None:
-                        unit = (
-                            state.lookup(unit_id)
-                            if unit_id in ever_leased else None
-                        )
-                        if unit is None:
-                            # A version-skewed or buggy worker answering
-                            # for a unit it was never leased must not
-                            # corrupt the store: drop the worker,
-                            # requeue its lease.
-                            raise ConnectionError(
-                                f"result for {unit_id!r} outside this "
-                                "worker's lease"
-                            )
-                        # A stale ack: the unit was revoked from this
-                        # connection (or this is a replayed delivery).
-                        # First ack wins — the copy still routes through
-                        # the store so the losing attempt is counted.
-                        attempt = "stale"
-                    result = result_from_dict(
-                        message["result"], unit.granularity, unit.rep
-                    )
-                    state.complete(unit, result, attempt=attempt)
-                    seconds = message.get("seconds")
-                    if seconds is not None:
-                        self.lease_policy.observe(float(seconds))
-                state.retire_lease(conn_id)
-        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
-            # Worker died or went silent: put the *unfinished remainder*
-            # of its lease back on the queue for the next live worker
-            # (per-unit acks mean completed units never rerun).
-            pass
-        finally:
-            state.requeue_lease(conn_id)
-            if serving:
-                state.connection_closed()
-            lc.close()
-
-    # ------------------------------------------------------- local workers
-
-    def _spawn_worker(self, extra_args: Sequence[str]) -> subprocess.Popen:
-        host, port = self.address
-        env = os.environ.copy()
-        # Workers must resolve `repro` exactly like the master process.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "campaign",
-            "worker",
-            f"{host}:{port}",
-            "--heartbeat",
-            str(self.heartbeat),
-            *extra_args,
-        ]
-        return subprocess.Popen(
-            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
-
-    _reap_worker = staticmethod(_reap_worker)
 
 
 class _Lease:
@@ -634,21 +441,18 @@ class _Lease:
     """
 
     __slots__ = (
-        "conn_id", "lc", "proto", "order", "remaining", "attempt",
-        "last_progress",
+        "conn_id", "lc", "order", "remaining", "attempt", "last_progress",
     )
 
     def __init__(
         self,
         conn_id: int,
         lc: _LineConn,
-        proto: int,
         units: Sequence[WorkUnit],
         attempt: str,
     ) -> None:
         self.conn_id = conn_id
         self.lc = lc
-        self.proto = proto
         self.order = [u.unit_id for u in units]
         self.remaining = {u.unit_id: u for u in units}
         self.attempt = attempt
@@ -661,11 +465,12 @@ class _Lease:
 
 
 class _MasterState:
-    """Shared queue/accounting between the master's handler threads.
+    """One job's queue and lease accounting, shared between the master's
+    handler threads.
 
     Work distribution is a three-tier claim, all under one lock:
     pending queue first, then stealing the unstarted tail of the largest
-    outstanding v3 lease, then (opt-in) a speculative duplicate of the
+    outstanding lease, then (opt-in) a speculative duplicate of the
     most-stalled in-flight unit.  Every ack routes through
     :meth:`complete`, whose store append is idempotent — first ack wins,
     losing attempts are counted, never stored.
@@ -676,8 +481,8 @@ class _MasterState:
         units: Sequence[WorkUnit],
         store: RunStore,
         progress: Optional[ProgressFn],
-        lease_policy: Optional[LeasePolicy] = None,
-        speculation: Optional[SpeculationPolicy] = None,
+        lease_policy: LeasePolicy,
+        speculation: SpeculationPolicy,
         steal: bool = True,
     ) -> None:
         self._cond = threading.Condition()
@@ -689,12 +494,9 @@ class _MasterState:
         self._store = store
         self._progress = progress
         self._finished = False
-        self._active = 0
-        self._activity = 0
-        self._next_conn_id = 0
         self._leases: dict[int, _Lease] = {}
-        self._lease_policy = lease_policy or LeasePolicy()
-        self._speculation = speculation or SpeculationPolicy()
+        self.lease_policy = lease_policy
+        self._speculation = speculation
         self._steal = steal
         #: total attempts launched per unit id (absent = 1, the primary)
         self._attempts: dict[str, int] = {}
@@ -704,11 +506,6 @@ class _MasterState:
 
     # ------------------------------------------------------------ leases
 
-    def new_conn_id(self) -> int:
-        with self._cond:
-            self._next_conn_id += 1
-            return self._next_conn_id
-
     def lookup(self, unit_id: Optional[str]) -> Optional[WorkUnit]:
         return self._units_by_id.get(unit_id)
 
@@ -716,29 +513,30 @@ class _MasterState:
         self,
         conn_id: int,
         lc: _LineConn,
-        proto: int,
-        policy: Optional[LeasePolicy],
+        workers: int,
         pending_only: bool = False,
     ) -> tuple[Optional[_Lease], Optional[tuple[_LineConn, list[str]]]]:
-        """One non-blocking claim attempt.
+        """One non-blocking claim attempt for a connection.
 
         Returns ``(lease, revoke)``: the claimed lease (or ``None`` when
-        nothing is claimable right now, or the campaign is complete /
-        aborted — distinguish via :meth:`is_complete`), and the revoke
-        notification ``(victim_lc, unit_ids)`` to deliver *outside* any
-        lock when the claim stole a tail.  ``pending_only`` restricts
-        the claim to the pending queue — the campaign service's first
-        scheduling pass, so an idle worker drains other jobs' queues
-        before stealing within one.
+        nothing is claimable right now, or the job is complete /
+        aborted), and the revoke notification ``(victim_lc, unit_ids)``
+        to deliver *outside* any lock when the claim stole a tail.  The
+        claim order is pending queue, then a steal, then a speculative
+        duplicate — cheapest source of work first.  ``workers`` (the
+        live worker connections) caps a lease at this worker's fair
+        share of the queue; ``pending_only`` restricts the claim to the
+        pending queue — the master's first scheduling pass, so an idle
+        worker drains other jobs' queues before stealing within one.
         """
         with self._cond:
             if self._finished or len(self._done) >= self._total:
                 return None, None
-            units = self._claim_pending(policy)
+            units = self._claim_pending(workers)
             attempt = "primary"
             revoke: Optional[tuple[_LineConn, list[str]]] = None
             if units is None and self._steal and not pending_only:
-                claim = self._claim_steal(conn_id, proto)
+                claim = self._claim_steal(conn_id)
                 if claim is not None:
                     units, victim_lc, revoked_ids = claim
                     attempt = "stolen"
@@ -749,52 +547,13 @@ class _MasterState:
                     units, attempt = [unit], "speculative"
             if units is None:
                 return None, None
-            lease = _Lease(conn_id, lc, proto, units, attempt)
+            lease = _Lease(conn_id, lc, units, attempt)
             self._leases[conn_id] = lease
             for unit in units:
                 self._in_flight[unit.unit_id] = unit
             return lease, revoke
 
-    def checkout_lease(
-        self,
-        conn_id: int,
-        lc: _LineConn,
-        proto: int,
-        policy: Optional[LeasePolicy],
-    ) -> Optional[_Lease]:
-        """Claim the next lease for a connection; blocks while other
-        workers hold in-flight units (a requeue, steal, or speculation
-        may produce new work); ``None`` once the campaign is complete
-        (or aborted).
-
-        ``policy=None`` (a v1 worker) leases exactly one unit.  The
-        claim order is pending queue, then a steal from the largest
-        outstanding v3 lease, then a speculative duplicate — cheapest
-        source of work first.
-        """
-        while True:
-            lease, revoke = self.try_checkout(conn_id, lc, proto, policy)
-            if revoke is not None:
-                # Sent outside the lock: a victim with a full TCP buffer
-                # must not stall every other handler thread.  The revoke
-                # is advisory — the master already re-leased the stolen
-                # units; a victim that never reads it (wedged) just
-                # wastes its own cycles and its late acks lose the race.
-                victim_lc, revoked_ids = revoke
-                try:
-                    victim_lc.send({"type": "revoke", "unit_ids": revoked_ids})
-                except OSError:
-                    pass  # victim already dead; its lease requeues on reap
-            if lease is not None:
-                return lease
-            with self._cond:
-                if self._finished or len(self._done) >= self._total:
-                    return None
-                self._cond.wait(timeout=0.1)
-
-    def _claim_pending(
-        self, policy: Optional[LeasePolicy]
-    ) -> Optional[list[WorkUnit]]:
+    def _claim_pending(self, workers: int) -> Optional[list[WorkUnit]]:
         """Pop the next lease off the pending queue (None when empty).
 
         Assembly prefers locality: the lease is the queue head plus the
@@ -808,11 +567,9 @@ class _MasterState:
             self._pending.popleft()
         if not self._pending:
             return None
-        k = 1
-        if policy is not None:
-            k = policy.lease_size(
-                len(self._pending), workers=max(1, self._active)
-            )
+        k = self.lease_policy.lease_size(
+            len(self._pending), workers=max(1, workers)
+        )
         lease = [self._pending.popleft()]
         if k > 1:
             key = lease[0].locality_key
@@ -828,23 +585,19 @@ class _MasterState:
         return lease
 
     def _claim_steal(
-        self, conn_id: int, proto: int
+        self, conn_id: int
     ) -> Optional[tuple[list[WorkUnit], _LineConn, list[str]]]:
-        """Steal the unstarted tail of the largest outstanding v3 lease.
+        """Steal the unstarted tail of the largest outstanding lease.
 
         The head of a lease is what the victim is computing right now —
         revoking it would waste that work — so only the tail moves.
-        Victims must speak v3 (they have to understand the ``revoke``);
-        a v2 worker keeps working its lease un-revoked.  Returns the
-        stolen units for the thief, the victim's connection, and the
-        revoked ids (a v1 thief takes a single unit; the rest of the
-        tail returns to the pending queue for anyone).
+        Returns the stolen units for the thief, the victim's connection,
+        and the revoked ids.
         """
         victims = [
             lease
             for lease in self._leases.values()
             if lease.conn_id != conn_id
-            and lease.proto >= 3
             and lease.attempt != "speculative"
             and len(lease.remaining) >= 2
         ]
@@ -854,10 +607,6 @@ class _MasterState:
         live = [uid for uid in victim.order if uid in victim.remaining]
         revoked_ids = live[1:]
         stolen = [victim.remaining.pop(uid) for uid in revoked_ids]
-        if proto < 2 and len(stolen) > 1:
-            for unit in reversed(stolen[1:]):
-                self._pending.appendleft(unit)
-            stolen = stolen[:1]
         self.stolen_units += len(revoked_ids)
         return stolen, victim.lc, revoked_ids
 
@@ -865,13 +614,12 @@ class _MasterState:
         """Duplicate the first rescuable unit of the most-stalled lease.
 
         Eligibility is the policy's: the lease made no progress for
-        ``slow_factor`` x the EWMA unit time, the campaign-wide launch
-        budget is not spent, and the unit has attempts left.  Scanning
-        each lease in handout order means a wedged worker's *whole*
-        lease gets rescued one unit per idle claim — even a v2 worker's,
-        since speculation needs no protocol support at all.
+        ``slow_factor`` x the EWMA unit time, the job-wide launch budget
+        is not spent, and the unit has attempts left.  Scanning each
+        lease in handout order means a wedged worker's *whole* lease
+        gets rescued one unit per idle claim.
         """
-        avg = self._lease_policy.observed_unit_seconds
+        avg = self.lease_policy.observed_unit_seconds
         if self._spec_budget is None:
             self._spec_budget = self._speculation.budget(self._total)
         if self.speculative_attempts >= self._spec_budget:
@@ -935,14 +683,10 @@ class _MasterState:
             lease = self._leases.pop(conn_id, None)
             if lease is None:
                 return
-            requeued = False
             for unit in reversed(lease.units()):
                 self._in_flight.pop(unit.unit_id, None)
                 if unit.unit_id not in self._done:
                     self._pending.appendleft(unit)
-                    requeued = True
-            if requeued:
-                self._cond.notify_all()
 
     # -------------------------------------------------------- completion
 
@@ -966,48 +710,20 @@ class _MasterState:
 
     # -------------------------------------------------------- accounting
 
-    def note_activity(self) -> None:
-        """A worker message arrived (heartbeat/result/hello); the master
-        uses this to distinguish "slow but alive" from "all dead"."""
-        with self._cond:
-            self._activity += 1
-
-    def activity_count(self) -> int:
-        with self._cond:
-            return self._activity
-
-    def connection_opened(self) -> None:
-        with self._cond:
-            self._active += 1
-
-    def connection_closed(self) -> None:
-        with self._cond:
-            self._active -= 1
-            self._cond.notify_all()
-
-    def active_connections(self) -> int:
-        with self._cond:
-            return self._active
-
     def remaining(self) -> list[WorkUnit]:
         with self._cond:
             return list(self._pending) + list(self._in_flight.values())
 
-    def wait_done(self, timeout: Optional[float]) -> bool:
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def wait_done(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for the job to complete."""
+        deadline = time.monotonic() + timeout
         with self._cond:
             while len(self._done) < self._total:
-                wait_for = 0.2
-                if deadline is not None:
-                    wait_for = min(wait_for, deadline - time.monotonic())
-                    if wait_for <= 0:
-                        return False
+                wait_for = deadline - time.monotonic()
+                if wait_for <= 0:
+                    return False
                 self._cond.wait(timeout=wait_for)
             return True
-
-    def is_finished(self) -> bool:
-        with self._cond:
-            return self._finished
 
     def is_complete(self) -> bool:
         """Every unit's result is in the store (the job is done)."""
@@ -1024,21 +740,21 @@ class _MasterState:
             self._finished = True
             self._cond.notify_all()
 
-    def abort(self) -> list[tuple[_LineConn, int, list[str]]]:
+    def abort(self) -> list[tuple[_LineConn, list[str]]]:
         """Cancel: mark finished, strip every outstanding lease (so
         serving loops drain immediately instead of waiting on results
-        that no longer matter), and return ``(lc, proto, unit_ids)``
-        revoke notifications to deliver outside the lock.  Late acks
-        for stripped units land as stale and are swallowed by the
-        store's idempotent append."""
+        that no longer matter), and return ``(lc, unit_ids)`` revoke
+        notifications to deliver outside the lock.  Late acks for
+        stripped units land as stale and are swallowed by the store's
+        idempotent append."""
         with self._cond:
             self._finished = True
-            notices: list[tuple[_LineConn, int, list[str]]] = []
+            notices: list[tuple[_LineConn, list[str]]] = []
             for lease in self._leases.values():
                 ids = [uid for uid in lease.order if uid in lease.remaining]
                 if not ids:
                     continue
-                notices.append((lease.lc, lease.proto, ids))
+                notices.append((lease.lc, ids))
                 for uid in ids:
                     lease.remaining.pop(uid, None)
                     self._in_flight.pop(uid, None)
@@ -1100,7 +816,7 @@ def run_worker(
     worker may race the master's bind).  A daemon thread heartbeats for
     the life of the connection so the master can tell "still computing"
     from "dead"; a second daemon owns all socket reads and feeds an
-    inbox queue, so mid-lease control traffic — a v3 ``revoke`` — is
+    inbox queue, so mid-lease control traffic — a ``revoke`` — is
     seen between units, not after the whole lease.  A revoke drops the
     oldest pending copy of each named unit (the master already re-leased
     it); ids this worker already started or finished leave no trace, so
@@ -1213,24 +929,16 @@ def run_worker(
                     pending.extend(
                         WorkUnit.from_dict(d) for d in message["units"]
                     )
-                elif kind == "unit":
-                    pending.append(WorkUnit.from_dict(message["unit"]))
                 elif kind == "revoke":
                     ids = set(message.get("unit_ids", ()))
-                    if ignore_revoke:
-                        if verbose:
-                            print(
-                                f"worker {label}: ignoring revoke of "
-                                f"{len(ids)} unit(s) (fault injection)",
-                                file=sys.stderr,
-                            )
-                    else:
-                        if verbose:
-                            print(
-                                f"worker {label}: master revoked "
-                                f"{len(ids)} unit(s)",
-                                file=sys.stderr,
-                            )
+                    if verbose:
+                        print(
+                            f"worker {label}: master revoked {len(ids)} "
+                            "unit(s)"
+                            + (" (ignored: fault injection)" if ignore_revoke else ""),
+                            file=sys.stderr,
+                        )
+                    if not ignore_revoke:
                         # Drop the oldest pending copy of each id.  A
                         # unit already started is finished and acked
                         # anyway, and a lease sent after the steal may

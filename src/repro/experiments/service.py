@@ -1,22 +1,22 @@
-"""A persistent multi-tenant campaign service over the socket protocol.
+"""The campaign master, and the persistent multi-tenant service on it.
 
-The :class:`SocketExecutor` master runs exactly one campaign and dies
-with it.  :class:`CampaignService` inverts that ownership: one
-long-lived master process accepts many :class:`~repro.experiments.api.
-CampaignSpec` submissions over the wire, runs them as *jobs* on one
-shared worker pool, and outlives every one of them.  Each job keeps the
-full unit-level machinery of the socket executor — batch leases, crash
-requeue, work stealing, speculation, first-ack-wins dedup — by owning
-its own :class:`~repro.experiments.executors.socket._MasterState`, its
-own per-job :class:`~repro.experiments.executors.base.LeasePolicy`
-(one job's unit times never size another's leases), and its own durable
-store under the service root, so every bit-identical guarantee holds
-per job.
+:class:`_Master` is the one master in this package: a listening
+socket, a local worker pool, and a table of *jobs*, each with its own
+:class:`~repro.experiments.executors.socket._MasterState` (leases, crash
+requeue, stealing, speculation, first-ack-wins dedup) and its own
+:class:`~repro.experiments.executors.base.LeasePolicy`.  The
+:class:`~repro.experiments.executors.socket.SocketExecutor` runs one
+campaign as a master's only job.
 
-Wire protocol v4 extends v3 with *client* messages; the worker flow
-(``hello`` / ``lease`` / ``result`` / ``revoke`` / ``shutdown``) is
-unchanged, and a connection is classified by its first message — a
-``hello`` is a worker, anything else is a client:
+:class:`CampaignService` adds the durable root: one long-lived master
+process accepts many :class:`~repro.experiments.api.CampaignSpec`
+submissions over the wire, runs them as jobs on one shared worker pool,
+and outlives every one of them; each job's store lives under the
+service root, so every bit-identical guarantee holds per job.
+
+A connection is classified by its first message — a ``hello`` is a
+worker (the worker messages are listed in
+:mod:`repro.experiments.executors.socket`), anything else is a client:
 
 ================  ==============================================  =========
 message           fields                                          direction
@@ -111,9 +111,9 @@ from repro.utils.errors import CampaignConfigError
 JOB_FILE_NAME = "job.json"
 #: file in the service root recording the live service's bound address
 SERVICE_FILE_NAME = "service.json"
-#: every state a job moves through; ``queued`` only exists transiently
-#: inside submit (a job is leasable the moment it is registered)
-JOB_STATES = ("running", "done", "cancelled", "failed")
+#: how long a clean :meth:`_Master.stop` waits for workers to take their
+#: ``shutdown`` before terminating whatever is still running
+STOP_GRACE_S = 2.0
 
 
 def _atomic_write_json(path: Path, payload: Mapping) -> None:
@@ -184,21 +184,18 @@ class ServiceJob:
     directory: Optional[Path] = None
     store: Optional[RunStore] = None
     state: Optional[_MasterState] = None
-    lease_policy: Optional[LeasePolicy] = None
     error: Optional[str] = None
     #: terminal done/total recorded at persist time (recovered terminal
     #: jobs have no live state to count from)
     final_counts: Optional[tuple[int, int]] = None
+    #: results go to a caller-owned store (a ``submit_units`` client's
+    #: or a ``SocketExecutor`` run's): never persisted, closed or resumed
     relay: bool = False
 
     def counts(self) -> tuple[int, int]:
         if self.state is not None and self.status == "running":
             return self.state.progress_counts()
-        if self.final_counts is not None:
-            return self.final_counts
-        if self.state is not None:
-            return self.state.progress_counts()
-        return 0, 0
+        return self.final_counts or (0, 0)
 
     def snapshot(self) -> dict:
         done, total = self.counts()
@@ -218,20 +215,10 @@ class ServiceJob:
         their client connection and are never recovered)."""
         if self.directory is None or self.spec is None:
             return
-        done, total = self.counts()
-        _atomic_write_json(
-            self.directory / JOB_FILE_NAME,
-            {
-                "job_id": self.job_id,
-                "tenant": self.tenant,
-                "priority": self.priority,
-                "state": self.status,
-                "done": done,
-                "total": total,
-                "spec": self.spec.to_dict(),
-                "error": self.error,
-            },
-        )
+        record = self.snapshot()
+        del record["store"]  # the job directory is the record's home
+        record["spec"] = self.spec.to_dict()
+        _atomic_write_json(self.directory / JOB_FILE_NAME, record)
 
 
 class _RelayStore:
@@ -240,9 +227,8 @@ class _RelayStore:
     message.  Implements exactly the slice of the store contract
     :meth:`_MasterState.complete` uses (idempotent ``append``)."""
 
-    def __init__(self, lc: _LineConn, job_id: str) -> None:
+    def __init__(self, lc: _LineConn) -> None:
         self._lc = lc
-        self._job_id = job_id
         self._lock = threading.Lock()
         self._seen: set[str] = set()
 
@@ -255,7 +241,6 @@ class _RelayStore:
                 self._lc.send(
                     {
                         "type": "result",
-                        "job_id": self._job_id,
                         "unit_id": unit.unit_id,
                         "result": result_to_dict(result),
                     }
@@ -268,11 +253,443 @@ class _RelayStore:
                 pass
             return True
 
-    def close(self) -> None:
-        pass
+
+class _Master:
+    """The campaign master: one listening socket, one local worker pool,
+    and a table of jobs its worker connections lease from.
+
+    Root-less — jobs live in memory and results go to the store each job
+    was registered with.  :class:`CampaignService` adds the durable root
+    and the client verbs; :class:`~repro.experiments.executors.socket.
+    SocketExecutor` registers one job (:meth:`add_job`) and stops the
+    master when it completes.  ``spawn_workers`` is an int or a sequence
+    of extra-argv lists (one local ``campaign worker`` subprocess each);
+    external ``repro-ftsched campaign worker`` processes can connect at
+    any time.  ``lease`` / ``speculate`` / ``steal`` are the defaults
+    every job is leased with.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        spawn_workers: Union[int, Sequence[Sequence[str]]] = 0,
+        heartbeat: float = DEFAULT_HEARTBEAT,
+        lease: LeaseSpec = None,
+        speculate: SpeculationSpec = None,
+        steal: Union[str, bool, None] = None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.heartbeat = heartbeat
+        self._lease_spec = lease
+        self.speculation = SpeculationPolicy.from_spec(speculate)
+        self.steal = parse_steal(steal)
+        if isinstance(spawn_workers, int):
+            self._worker_specs: list[list[str]] = [[] for _ in range(spawn_workers)]
+        else:
+            self._worker_specs = [list(extra) for extra in spawn_workers]
+        self.address: Optional[tuple[str, int]] = None
+        self._server: Optional[socket.socket] = None
+        self._pool: Optional[WorkerPool] = None
+        self._stop = threading.Event()
+        self._lock = threading.Lock()
+        self._jobs: dict[str, ServiceJob] = {}
+        self._order: list[ServiceJob] = []
+        self._seq = 0
+        self._next_conn_id = 0
+        #: weighted-fair-queuing virtual time per tenant
+        self._vtime: dict[str, float] = {}
+        self._conns: set[_LineConn] = set()
+        #: connections past an accepted ``hello``
+        self._workers = 0
+        #: messages heard from workers — a run's no-activity clock (only
+        #: ever compared for change, so unlocked increments are enough)
+        self.activity = 0
+        self._dead_after = max(heartbeat * DEAD_AFTER_BEATS, 5.0)
+
+    # ------------------------------------------------------------ lifecycle
+
+    def listen(self) -> tuple[str, int]:
+        """Bind and start accepting; returns the actually-bound address."""
+        self._server = socket.create_server((self.host, self.port))
+        self.address = self._server.getsockname()[:2]
+        threading.Thread(
+            target=self._accept_loop, name="campaign-master-accept", daemon=True
+        ).start()
+        return self.address
+
+    def start_workers(self) -> None:
+        """Spawn the local worker pool against the bound address."""
+        self._pool = WorkerPool(self._worker_specs, self._spawn_worker)
+        self._pool.spawn_all()
+
+    def supervise(self) -> None:
+        """Relaunch spawned workers that genuinely crashed (never a clean
+        shutdown or the injected fault exit), bounded per slot so a
+        crash-looping unit cannot respawn its worker forever."""
+        if self._pool is not None:
+            self._pool.poll_respawn()
+
+    def workers_gone(self) -> bool:
+        """Every spawned worker has exited and no worker is connected."""
+        return not self._workers and self._pool is not None and self._pool.all_exited()
+
+    @property
+    def respawns(self) -> int:
+        return self._pool.respawns if self._pool is not None else 0
+
+    def stop(self, clean: bool = True) -> list[int]:
+        """Shut down; returns the exit code of every spawned worker.
+
+        A clean stop gives workers :data:`STOP_GRACE_S` to take the
+        ``shutdown`` their serving loops send, then terminates whatever
+        remains; an unclean one terminates at once.  Running jobs are
+        finished in memory only — a service's stay ``running`` on disk
+        so the next start resumes them."""
+        self._stop.set()
+        if self._server is not None:
+            try:
+                self._server.close()
+            except OSError:
+                pass
+        codes: list[int] = []
+        if self._pool is not None:
+            procs = self._pool.procs
+            deadline = time.monotonic() + (STOP_GRACE_S if clean else 0.0)
+            while time.monotonic() < deadline and (
+                self._workers or any(p.poll() is None for p in procs)
+            ):
+                time.sleep(0.05)
+            self._pool.terminate_all()
+            codes = self._pool.reap_all()
+        with self._lock:
+            conns = list(self._conns)
+            jobs = list(self._order)
+        for lc in conns:
+            lc.close()
+        for job in jobs:
+            if job.state is not None:
+                job.state.finish()
+            if job.store is not None and not job.relay:
+                job.store.close()
+        return codes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    # ----------------------------------------------------------------- jobs
+
+    def add_job(
+        self,
+        units: Sequence[WorkUnit],
+        store: RunStore,
+        progress: Optional[ProgressFn] = None,
+        lease_policy: Optional[LeasePolicy] = None,
+        tenant: str = "default",
+        priority: int = 0,
+    ) -> ServiceJob:
+        """Register a job whose results go to a caller-owned ``store``
+        (never closed or persisted by the master); leasable at once."""
+        seq = self._next_seq()
+        job = ServiceJob(
+            job_id=f"job-{seq:06d}",
+            tenant=tenant,
+            priority=priority,
+            seq=seq,
+            status="running",
+            store=store,
+            relay=True,
+        )
+        job.state = self._new_state(
+            units, store, lease_policy or self._job_lease_policy(None), progress
+        )
+        self._register(job)
+        return job
+
+    def _next_seq(self) -> int:
+        with self._lock:
+            self._seq += 1
+            return self._seq
+
+    def _register(self, job: ServiceJob) -> None:
+        with self._lock:
+            self._jobs[job.job_id] = job
+            self._order.append(job)
+            if job.status == "running" and job.tenant not in self._vtime:
+                # A tenant joining late starts at the current virtual
+                # floor, not zero — otherwise it would monopolize the
+                # pool until its clock caught up.
+                floor = min(self._vtime.values(), default=0.0)
+                self._vtime[job.tenant] = floor
+        if job.status == "running" and self._pool is not None:
+            # A fresh job gets a fresh respawn budget: its crashes are
+            # charged to it, not to whatever ran before.
+            self._pool.new_job_epoch()
+
+    def _job_lease_policy(self, spec_lease: LeaseSpec) -> LeasePolicy:
+        """A fresh per-job policy: the job spec's ``lease`` field wins,
+        else the master default — never a shared EWMA instance."""
+        spec = spec_lease if spec_lease is not None else self._lease_spec
+        policy = LeasePolicy.from_spec(spec, target_seconds=2.0 * self.heartbeat)
+        if policy is spec:
+            policy = policy.clone()
+        return policy
+
+    def _new_state(
+        self, units, store, lease_policy: LeasePolicy, progress=None
+    ) -> _MasterState:
+        # SpeculationPolicy is stateless configuration (the per-job
+        # launch budget counter lives in _MasterState), so sharing the
+        # master-wide instance across jobs is safe.
+        return _MasterState(
+            units,
+            store,
+            progress,
+            lease_policy=lease_policy,
+            speculation=self.speculation,
+            steal=self.steal,
+        )
+
+    def _maybe_finish(self, job: ServiceJob) -> None:
+        if job.state is None or not job.state.is_complete():
+            return
+        with self._lock:
+            if job.status != "running":
+                return
+            job.final_counts = job.state.progress_counts()
+            job.status = "done"
+        job.persist()
+        if job.store is not None and not job.relay:
+            job.store.close()
+
+    # ----------------------------------------------------------- scheduling
+
+    def _checkout(
+        self, conn_id: int, lc: _LineConn
+    ) -> Optional[tuple[ServiceJob, object]]:
+        """One scheduling pass over all runnable jobs in fair-share
+        order; ``None`` when no job has claimable work right now.
+
+        Pass 1 offers only pending queues (an idle worker drains other
+        jobs before stealing within one); pass 2 allows steal and
+        speculation.  A successful grant advances the winning tenant's
+        virtual time by ``1 / (1 + priority)`` — the weighted-fair-share
+        clock."""
+        with self._lock:
+            by_tenant: dict[str, list[ServiceJob]] = {}
+            for job in self._order:
+                if job.status == "running" and job.state is not None:
+                    by_tenant.setdefault(job.tenant, []).append(job)
+            tenants = sorted(by_tenant, key=lambda t: (self._vtime.get(t, 0.0), t))
+            workers = self._workers
+        for pending_only in (True, False):
+            for tenant in tenants:
+                jobs = sorted(by_tenant[tenant], key=lambda j: (-j.priority, j.seq))
+                weight = 1 + max(j.priority for j in jobs)
+                for job in jobs:
+                    lease, revoke = job.state.try_checkout(
+                        conn_id, lc, workers, pending_only=pending_only
+                    )
+                    if revoke is not None:
+                        # Sent outside every lock: a victim with a full
+                        # TCP buffer must not stall the other handlers.
+                        # Advisory — the units are already re-leased; a
+                        # victim that never reads it just loses the race.
+                        _send_revoke(*revoke)
+                    if lease is not None:
+                        with self._lock:
+                            self._vtime[tenant] = (
+                                self._vtime.get(tenant, 0.0) + 1.0 / weight
+                            )
+                        return job, lease
+        return None
+
+    # ------------------------------------------------------------- serving
+
+    def _accept_loop(self) -> None:
+        self._server.settimeout(0.2)
+        while not self._stop.is_set():
+            try:
+                conn, _addr = self._server.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            threading.Thread(
+                target=self._serve_connection,
+                args=(conn,),
+                name="campaign-master-conn",
+                daemon=True,
+            ).start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        lc = _LineConn(conn)
+        with self._lock:
+            self._conns.add(lc)
+        try:
+            first = lc.recv(timeout=self._dead_after)
+            self._dispatch(lc, first)
+        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
+            pass
+        finally:
+            with self._lock:
+                self._conns.discard(lc)
+            lc.close()
+
+    def _dispatch(self, lc: _LineConn, first: dict) -> None:
+        """Serve one connection by its first message; a root-less master
+        serves workers only."""
+        if first.get("type") == "hello":
+            self._serve_worker(lc, first)
+
+    def _serve_worker(self, lc: _LineConn, hello: dict) -> None:
+        if hello.get("proto") != PROTO_VERSION:
+            # Every peer ships from this repo and speaks one version; a
+            # stale or foreign worker is turned away before it can lease.
+            lc.send({
+                "type": "error",
+                "error": f"wire protocol {hello.get('proto')!r} is not "
+                         f"supported: this master speaks {PROTO_VERSION}",
+                "key": "proto",
+            })
+            return
+        with self._lock:
+            self._next_conn_id += 1
+            conn_id = self._next_conn_id
+            self._workers += 1
+            self.activity += 1
+        # Honor the worker's own heartbeat cadence (it may have been
+        # started with --heartbeat much larger than the master's): the
+        # deadness deadline is per-connection, from the hello.
+        worker_beat = float(hello.get("heartbeat", self.heartbeat))
+        dead_after = max(self._dead_after, worker_beat * DEAD_AFTER_BEATS)
+        # unit_id -> owning job for everything ever leased to this
+        # connection: a stale ack (revoked unit, replayed delivery) must
+        # route to the job that leased it.  Unit ids can collide across
+        # jobs running the same spec; last lease wins, which at worst
+        # lands an *identical* row in the twin job's store (idempotent
+        # append) — never a wrong row.
+        ever_leased: dict[str, ServiceJob] = {}
+        lease_job: Optional[ServiceJob] = None
+        try:
+            while not self._stop.is_set():
+                claim = self._checkout(conn_id, lc)
+                if claim is None:
+                    # Nothing leasable: consume heartbeats (and notice a
+                    # dead worker) while idling between jobs.
+                    try:
+                        message = lc.recv(timeout=0.2)
+                    except socket.timeout:
+                        continue
+                    self.activity += 1
+                    if message.get("type") == "result":
+                        self._stale_result(message, ever_leased)
+                    continue
+                job, lease = claim
+                lease_job = job
+                for uid in lease.remaining:
+                    ever_leased[uid] = job
+                # The lease is tracked in the job's state BEFORE the
+                # send: if the worker died at the lease boundary (send
+                # raises), the claimed units requeue, not strand.
+                lc.send(
+                    {"type": "lease", "units": [u.to_dict() for u in lease.units()]}
+                )
+                # Serve acks until the lease drains — by this worker's
+                # results or by a thief stealing the remainder.
+                while lease.remaining:
+                    message = lc.recv(timeout=dead_after)
+                    self.activity += 1
+                    if self._stop.is_set():
+                        # Closing the connection (in _serve_connection)
+                        # is what unwedges a worker stalled mid-lease.
+                        return
+                    kind = message.get("type")
+                    if kind == "heartbeat":
+                        continue
+                    if kind != "result":
+                        raise ConnectionError(
+                            f"unexpected message type {kind!r}"
+                        )
+                    unit_id = message.get("unit_id")
+                    unit, attempt = job.state.ack(conn_id, unit_id)
+                    if unit is None:
+                        self._stale_result(message, ever_leased)
+                        continue
+                    result = result_from_dict(
+                        message["result"], unit.granularity, unit.rep
+                    )
+                    job.state.complete(unit, result, attempt=attempt)
+                    seconds = message.get("seconds")
+                    if seconds is not None:
+                        job.state.lease_policy.observe(float(seconds))
+                    self._maybe_finish(job)
+                job.state.retire_lease(conn_id)
+                lease_job = None
+            lc.send({"type": "shutdown"})
+        finally:
+            # A worker that died or went silent has the *unfinished
+            # remainder* of its lease put back on the queue (per-unit
+            # acks mean completed units never rerun).
+            if lease_job is not None:
+                lease_job.state.requeue_lease(conn_id)
+            with self._lock:
+                self._workers -= 1
+
+    def _stale_result(
+        self, message: dict, ever_leased: Mapping[str, ServiceJob]
+    ) -> None:
+        """Route a result outside any current lease to the job that
+        once leased it here — first ack wins, the copy still routes
+        through the store so the losing attempt is counted.  Anything
+        else is a buggy worker and kills the connection, requeueing its
+        lease."""
+        unit_id = message.get("unit_id")
+        owner = ever_leased.get(unit_id)
+        unit = owner.state.lookup(unit_id) if owner is not None else None
+        if unit is None:
+            raise ConnectionError(
+                f"result for {unit_id!r} outside this worker's leases"
+            )
+        result = result_from_dict(message["result"], unit.granularity, unit.rep)
+        owner.state.complete(unit, result, attempt="stale")
+        self._maybe_finish(owner)
+
+    # ----------------------------------------------------------- processes
+
+    def _spawn_worker(self, extra_args: Sequence[str]) -> subprocess.Popen:
+        host, port = self.address
+        env = os.environ.copy()
+        # Workers must resolve `repro` exactly like the master process.
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        cmd = [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "campaign",
+            "worker",
+            f"{host}:{port}",
+            "--heartbeat",
+            str(self.heartbeat),
+            *extra_args,
+        ]
+        return subprocess.Popen(
+            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
 
 
-class CampaignService:
+def _send_revoke(lc: _LineConn, unit_ids: list[str]) -> None:
+    try:
+        lc.send({"type": "revoke", "unit_ids": unit_ids})
+    except OSError:
+        pass  # victim already dead; its lease requeues on reap
+
+
+class CampaignService(_Master):
     """A long-lived campaign master serving many jobs on one worker pool.
 
     ``root`` is the durable service directory (jobs live under
@@ -298,30 +715,8 @@ class CampaignService:
         steal: Union[str, bool, None] = None,
         job_ttl: Optional[float] = None,
     ) -> None:
+        super().__init__(host, port, spawn_workers, heartbeat, lease, speculate, steal)
         self.root = Path(root)
-        self.host = host
-        self.port = port
-        self.heartbeat = heartbeat
-        self._lease_spec = lease
-        self.speculation = SpeculationPolicy.from_spec(speculate)
-        self.steal = parse_steal(steal)
-        if isinstance(spawn_workers, int):
-            self._worker_specs: list[list[str]] = [[] for _ in range(spawn_workers)]
-        else:
-            self._worker_specs = [list(extra) for extra in spawn_workers]
-        self.address: Optional[tuple[str, int]] = None
-        self._server: Optional[socket.socket] = None
-        self._pool: Optional[WorkerPool] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._jobs: dict[str, ServiceJob] = {}
-        self._order: list[ServiceJob] = []
-        self._seq = 0
-        self._next_conn_id = 0
-        #: weighted-fair-queuing virtual time per tenant
-        self._vtime: dict[str, float] = {}
-        self._conns: set[_LineConn] = set()
-        self._dead_after = max(heartbeat * DEAD_AFTER_BEATS, 5.0)
         if job_ttl is not None and job_ttl < 0:
             raise ValueError(f"job ttl must be >= 0, got {job_ttl}")
         #: prune terminal job dirs older than this many seconds (None
@@ -339,25 +734,18 @@ class CampaignService:
         if self.job_ttl is not None:
             gc_job_dirs(self.root, self.job_ttl)
         self._recover_jobs()
-        self._server = socket.create_server((self.host, self.port))
-        self.address = self._server.getsockname()[:2]
+        address = self.listen()
         _atomic_write_json(
             self.root / SERVICE_FILE_NAME,
-            {"host": self.address[0], "port": self.address[1], "pid": os.getpid()},
+            {"host": address[0], "port": address[1], "pid": os.getpid()},
         )
-        threading.Thread(
-            target=self._accept_loop,
-            name="campaign-service-accept",
-            daemon=True,
-        ).start()
-        self._pool = WorkerPool(self._worker_specs, self._spawn_worker)
-        self._pool.spawn_all()
+        self.start_workers()
         threading.Thread(
             target=self._supervise_loop,
             name="campaign-service-supervise",
             daemon=True,
         ).start()
-        return self.address
+        return address
 
     def serve_forever(self) -> None:
         """Block until :meth:`stop` (the CLI's foreground loop)."""
@@ -391,46 +779,13 @@ class CampaignService:
         handler (only sets an event; the teardown runs in the caller)."""
         self._stop.set()
 
-    def stop(self) -> None:
-        """Shut down: idle workers get ``shutdown`` messages, stragglers
-        are terminated, running jobs stay ``running`` on disk so the
-        next start resumes them."""
-        self._stop.set()
-        if self._pool is not None:
-            # Give spawned workers a moment to take the shutdown their
-            # idle serve loops send, then terminate whatever remains.
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and not all(
-                p.poll() is not None for p in self._pool.procs
-            ):
-                time.sleep(0.05)
-            self._pool.terminate_all()
-            self._pool.reap_all()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns = list(self._conns)
-            jobs = list(self._order)
-        for lc in conns:
-            lc.close()
-        for job in jobs:
-            if job.state is not None:
-                job.state.finish()
-            if job.store is not None:
-                job.store.close()
-
     @property
     def jobs_dir(self) -> Path:
         return self.root / "jobs"
 
-    def __enter__(self) -> "CampaignService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def _supervise_loop(self) -> None:
+        while not self._stop.wait(timeout=0.2):
+            self.supervise()
 
     # ------------------------------------------------------------ recovery
 
@@ -474,7 +829,7 @@ class CampaignService:
                 job.error = f"unrecoverable spec: {exc}"
                 self._register(job)
                 continue
-            if job.status in ("done", "cancelled", "failed"):
+            if job.status in TERMINAL_JOB_STATES:
                 self._register(job)
                 continue
             try:
@@ -497,7 +852,6 @@ class CampaignService:
         completed = store.completed_ids()
         todo = [u for u in grid.units() if u.unit_id not in completed]
         job.store = store
-        job.lease_policy = self._job_lease_policy(job.spec.lease)
         if not todo:
             job.status = "done"
             job.final_counts = (grid.total_units, grid.total_units)
@@ -505,7 +859,9 @@ class CampaignService:
             store.close()
             job.store = None
             return
-        job.state = self._new_state(todo, store, job.lease_policy)
+        job.state = self._new_state(
+            todo, store, self._job_lease_policy(job.spec.lease)
+        )
         job.status = "running"
         job.persist()
 
@@ -525,9 +881,8 @@ class CampaignService:
         ``jsonl`` so every service job survives a restart — and its
         executor field is dropped (the service *is* the executor)."""
         tenant, priority = self._check_tenant(tenant, priority)
-        with self._lock:
-            self._seq += 1
-            job_id = f"job-{self._seq:06d}"
+        seq = self._next_seq()
+        job_id = f"job-{seq:06d}"
         job_dir = self.jobs_dir / job_id
         store_dir = job_dir / "store"
         payload = dict(data)
@@ -543,7 +898,7 @@ class CampaignService:
             job_id=job_id,
             tenant=tenant,
             priority=priority,
-            seq=self._seq,
+            seq=seq,
             status="running",
             spec=spec,
             directory=job_dir,
@@ -552,8 +907,9 @@ class CampaignService:
         store = make_store(spec.store.resolved_backend, store_dir)
         store.ensure_manifest(grid, extra=self._manifest_extra(job))
         job.store = store
-        job.lease_policy = self._job_lease_policy(spec.lease)
-        job.state = self._new_state(grid.units(), store, job.lease_policy)
+        job.state = self._new_state(
+            grid.units(), store, self._job_lease_policy(spec.lease)
+        )
         job.persist()
         self._register(job)
         return job.snapshot()
@@ -569,38 +925,9 @@ class CampaignService:
         tenant, priority = self._check_tenant(tenant, priority)
         if not units:
             raise CampaignConfigError("submit_units with no units")
-        with self._lock:
-            self._seq += 1
-            job_id = f"job-{self._seq:06d}"
-        job = ServiceJob(
-            job_id=job_id,
-            tenant=tenant,
-            priority=priority,
-            seq=self._seq,
-            status="running",
-            relay=True,
+        return self.add_job(
+            units, _RelayStore(lc), tenant=tenant, priority=priority
         )
-        store = _RelayStore(lc, job_id)
-        job.store = store  # type: ignore[assignment]
-        job.lease_policy = self._job_lease_policy(None)
-        job.state = self._new_state(units, store, job.lease_policy)
-        self._register(job)
-        return job
-
-    def _register(self, job: ServiceJob) -> None:
-        with self._lock:
-            self._jobs[job.job_id] = job
-            self._order.append(job)
-            if job.status == "running" and job.tenant not in self._vtime:
-                # A tenant joining late starts at the current virtual
-                # floor, not zero — otherwise it would monopolize the
-                # pool until its clock caught up.
-                floor = min(self._vtime.values(), default=0.0)
-                self._vtime[job.tenant] = floor
-        if job.status == "running" and self._pool is not None:
-            # A fresh job gets a fresh respawn budget: its crashes are
-            # charged to it, not to whatever ran before.
-            self._pool.new_job_epoch()
 
     def _check_tenant(self, tenant, priority) -> tuple[str, int]:
         if not isinstance(tenant, str) or not tenant:
@@ -623,28 +950,6 @@ class CampaignService:
                 "priority": job.priority,
             }
         }
-
-    def _job_lease_policy(self, spec_lease: LeaseSpec) -> LeasePolicy:
-        """A fresh per-job policy: the job spec's ``lease`` field wins,
-        else the service default — never a shared EWMA instance."""
-        spec = spec_lease if spec_lease is not None else self._lease_spec
-        policy = LeasePolicy.from_spec(spec, target_seconds=2.0 * self.heartbeat)
-        if policy is spec:
-            policy = policy.clone()
-        return policy
-
-    def _new_state(self, units, store, lease_policy: LeasePolicy) -> _MasterState:
-        # SpeculationPolicy is stateless configuration (the per-job
-        # launch budget counter lives in _MasterState), so sharing the
-        # service-wide instance across jobs is safe.
-        return _MasterState(
-            units,
-            store,
-            None,
-            lease_policy=lease_policy,
-            speculation=self.speculation,
-            steal=self.steal,
-        )
 
     # -------------------------------------------------------------- queries
 
@@ -678,211 +983,23 @@ class CampaignService:
                 return job.snapshot()
             job.final_counts = job.counts()
             job.status = "cancelled"
-        notices = job.state.abort() if job.state is not None else []
-        for lc, proto, unit_ids in notices:
-            if proto >= 3:
-                try:
-                    lc.send({"type": "revoke", "unit_ids": unit_ids})
-                except OSError:
-                    pass
+        for lc, unit_ids in job.state.abort() if job.state is not None else ():
+            _send_revoke(lc, unit_ids)
         job.persist()
         if job.store is not None and not job.relay:
             job.store.close()
         return job.snapshot()
 
-    # ----------------------------------------------------------- scheduling
-
-    def _runnable_by_tenant(self) -> dict[str, list[ServiceJob]]:
-        by_tenant: dict[str, list[ServiceJob]] = {}
-        for job in self._order:
-            if job.status == "running" and job.state is not None:
-                by_tenant.setdefault(job.tenant, []).append(job)
-        return by_tenant
-
-    def _checkout(
-        self, conn_id: int, lc: _LineConn, proto: int
-    ) -> Optional[tuple[ServiceJob, object]]:
-        """One scheduling pass over all runnable jobs in fair-share
-        order; ``None`` when no job has claimable work right now.
-
-        Pass 1 offers only pending queues (an idle worker drains other
-        jobs before stealing within one); pass 2 allows steal and
-        speculation.  A successful grant advances the winning tenant's
-        virtual time by ``1 / (1 + priority)`` — the weighted-fair-share
-        clock."""
-        with self._lock:
-            by_tenant = self._runnable_by_tenant()
-            tenants = sorted(by_tenant, key=lambda t: (self._vtime.get(t, 0.0), t))
-        for pending_only in (True, False):
-            for tenant in tenants:
-                jobs = sorted(by_tenant[tenant], key=lambda j: (-j.priority, j.seq))
-                weight = 1 + max(j.priority for j in jobs)
-                for job in jobs:
-                    policy = job.lease_policy if proto >= 2 else None
-                    lease, revoke = job.state.try_checkout(
-                        conn_id, lc, proto, policy, pending_only=pending_only
-                    )
-                    if revoke is not None:
-                        victim_lc, revoked_ids = revoke
-                        try:
-                            victim_lc.send(
-                                {"type": "revoke", "unit_ids": revoked_ids}
-                            )
-                        except OSError:
-                            pass
-                    if lease is not None:
-                        with self._lock:
-                            self._vtime[tenant] = (
-                                self._vtime.get(tenant, 0.0) + 1.0 / weight
-                            )
-                        return job, lease
-        return None
-
-    def _maybe_finish(self, job: ServiceJob) -> None:
-        if job.state is None or not job.state.is_complete():
-            return
-        with self._lock:
-            if job.status != "running":
-                return
-            job.final_counts = job.state.progress_counts()
-            job.status = "done"
-        job.persist()
-        if job.store is not None and not job.relay:
-            job.store.close()
-
     # ------------------------------------------------------------- serving
 
-    def _accept_loop(self) -> None:
-        self._server.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="campaign-service-conn",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        lc = _LineConn(conn)
-        with self._lock:
-            self._conns.add(lc)
-        try:
-            first = lc.recv(timeout=self._dead_after)
-        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
-            with self._lock:
-                self._conns.discard(lc)
-            lc.close()
-            return
-        try:
-            if first.get("type") == "hello":
-                self._serve_worker(lc, first)
-            elif first.get("type") == "submit_units":
-                self._serve_relay_client(lc, first)
-            else:
-                self._serve_client(lc, first)
-        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
-            pass
-        finally:
-            with self._lock:
-                self._conns.discard(lc)
-            lc.close()
-
-    # -- workers
-
-    def _serve_worker(self, lc: _LineConn, hello: dict) -> None:
-        with self._lock:
-            self._next_conn_id += 1
-            conn_id = self._next_conn_id
-        proto = min(PROTO_VERSION, int(hello.get("proto", 1)))
-        worker_beat = float(hello.get("heartbeat", self.heartbeat))
-        dead_after = max(self._dead_after, worker_beat * DEAD_AFTER_BEATS)
-        # unit_id -> owning job for everything ever leased to this
-        # connection: a stale ack (revoked unit, replayed delivery) must
-        # route to the job that leased it.  Unit ids can collide across
-        # jobs running the same spec; last lease wins, which at worst
-        # lands an *identical* row in the twin job's store (idempotent
-        # append) — never a wrong row.
-        ever_leased: dict[str, ServiceJob] = {}
-        lease_job: Optional[ServiceJob] = None
-        try:
-            while not self._stop.is_set():
-                claim = self._checkout(conn_id, lc, proto)
-                if claim is None:
-                    # Nothing leasable: consume heartbeats (and notice a
-                    # dead worker) while idling between jobs.
-                    try:
-                        message = lc.recv(timeout=0.2)
-                    except socket.timeout:
-                        continue
-                    if message.get("type") == "result":
-                        self._stale_result(message, ever_leased)
-                    continue
-                job, lease = claim
-                lease_job = job
-                for uid in lease.remaining:
-                    ever_leased[uid] = job
-                if proto >= 2:
-                    lc.send(
-                        {"type": "lease",
-                         "units": [u.to_dict() for u in lease.units()]}
-                    )
-                else:
-                    lc.send({"type": "unit", "unit": lease.units()[0].to_dict()})
-                while lease.remaining:
-                    message = lc.recv(timeout=dead_after)
-                    if self._stop.is_set():
-                        return
-                    kind = message.get("type")
-                    if kind == "heartbeat":
-                        continue
-                    if kind != "result":
-                        raise ConnectionError(
-                            f"unexpected message type {kind!r}"
-                        )
-                    unit_id = message.get("unit_id")
-                    unit, attempt = job.state.ack(conn_id, unit_id)
-                    if unit is None:
-                        self._stale_result(message, ever_leased)
-                        continue
-                    result = result_from_dict(
-                        message["result"], unit.granularity, unit.rep
-                    )
-                    job.state.complete(unit, result, attempt=attempt)
-                    seconds = message.get("seconds")
-                    if seconds is not None:
-                        job.lease_policy.observe(float(seconds))
-                    self._maybe_finish(job)
-                job.state.retire_lease(conn_id)
-                lease_job = None
-            lc.send({"type": "shutdown"})
-        finally:
-            if lease_job is not None:
-                lease_job.state.requeue_lease(conn_id)
-
-    def _stale_result(
-        self, message: dict, ever_leased: Mapping[str, ServiceJob]
-    ) -> None:
-        """Route a result outside any current lease to the job that
-        once leased it here; anything else is a version-skewed or buggy
-        worker and kills the connection."""
-        unit_id = message.get("unit_id")
-        owner = ever_leased.get(unit_id)
-        unit = owner.state.lookup(unit_id) if owner is not None else None
-        if unit is None:
-            raise ConnectionError(
-                f"result for {unit_id!r} outside this worker's leases"
-            )
-        result = result_from_dict(message["result"], unit.granularity, unit.rep)
-        owner.state.complete(unit, result, attempt="stale")
-        self._maybe_finish(owner)
-
-    # -- clients
+    def _dispatch(self, lc: _LineConn, first: dict) -> None:
+        kind = first.get("type")
+        if kind == "hello":
+            self._serve_worker(lc, first)
+        elif kind == "submit_units":
+            self._serve_relay_client(lc, first)
+        else:
+            self._serve_client(lc, first)
 
     def _serve_client(self, lc: _LineConn, first: dict) -> None:
         """Request/response client connection (``submit`` / ``status`` /
@@ -948,36 +1065,6 @@ class CampaignService:
             if job.status == "running":
                 self.cancel(job.job_id)
 
-    # ----------------------------------------------------------- processes
-
-    def _supervise_loop(self) -> None:
-        while not self._stop.wait(timeout=0.2):
-            self._pool.poll_respawn()
-            with self._lock:
-                jobs = list(self._order)
-            for job in jobs:
-                if job.status == "running":
-                    self._maybe_finish(job)
-
-    def _spawn_worker(self, extra_args: Sequence[str]) -> subprocess.Popen:
-        host, port = self.address
-        env = os.environ.copy()
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "campaign",
-            "worker",
-            f"{host}:{port}",
-            "--heartbeat",
-            str(self.heartbeat),
-            *extra_args,
-        ]
-        return subprocess.Popen(
-            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
-
 
 # ------------------------------------------------------------------ clients
 
@@ -1032,7 +1119,6 @@ class ServiceClient:
                 "spec": payload,
                 "tenant": tenant,
                 "priority": priority,
-                "proto": PROTO_VERSION,
             }
         )
 
@@ -1153,7 +1239,6 @@ class ServiceExecutor:
                     "units": [u.to_dict() for u in units],
                     "tenant": self.tenant,
                     "priority": self.priority,
-                    "proto": PROTO_VERSION,
                 }
             )
             reply = lc.recv(timeout=self.timeout)

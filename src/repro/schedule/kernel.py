@@ -1449,14 +1449,18 @@ class TrialKernel:
         indptr, ids = self._frontiers.hop_csr()
         if not ids.size:
             return np.zeros((m, m), dtype=np.asarray(per_link).dtype)
-        vals = np.asarray(per_link)[ids]
+        per_link = np.asarray(per_link)
+        # A trailing zero gives the last route — the empty diagonal
+        # (m-1, m-1) — a start inside the array.  Clamping that start
+        # instead would cut the route before it, (m-1, m-2), short by
+        # its last hop.  Values are frontiers and epochs, never
+        # negative, so the zero cannot win a max.
+        vals = np.append(per_link[ids], np.zeros(1, dtype=per_link.dtype))
         seg = indptr[:-1]
         empty = seg == indptr[1:]
-        # reduceat cannot take an empty segment at the end of the id
-        # array (and yields vals[seg] for interior ones): clamp, then
-        # zero the empty rows — those are the diagonal src == dst
-        # routes, which no message ever reads.
-        out = np.maximum.reduceat(vals, np.minimum(seg, vals.size - 1))
+        out = np.maximum.reduceat(vals, seg)
+        # reduceat yields vals[seg] for an empty segment: zero the empty
+        # rows — the diagonal src == dst routes, which no message reads
         out[empty] = 0
         return out.reshape(m, m)
 

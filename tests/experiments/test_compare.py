@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.caft import caft
@@ -127,6 +128,20 @@ class TestCompare:
         assert [r.algorithm for r in rows] == sorted(reference)
         for row in rows:
             assert_same_row(row, reference[row.algorithm])
+
+    def test_generator_rows_do_not_depend_on_run_order(self):
+        # A Generator is drawn from once, so caft's row is the same
+        # whether it runs alone or after ftsa consumed random draws.
+        inst = make_instance(num_tasks=15, num_procs=5, seed=4)
+        [alone] = compare_algorithms(
+            inst, epsilon=1, algorithms=["caft"], samples=10,
+            rng=np.random.default_rng(0),
+        )
+        _ftsa, after = compare_algorithms(
+            inst, epsilon=1, algorithms=["ftsa", "caft"], samples=10,
+            rng=np.random.default_rng(0),
+        )
+        assert_same_row(after, alone)
 
     def test_explicit_heft_is_fault_free_at_positive_epsilon(self):
         inst = make_instance(num_tasks=12, num_procs=5)

@@ -39,7 +39,7 @@ class TestMakeExecutor:
         assert make_executor("process:3").workers == effective_workers(3)
         sock = make_executor("socket:2")
         assert isinstance(sock, SocketExecutor)
-        assert len(sock._worker_specs) == 2
+        assert sock.spawn_workers == 2
 
     def test_instance_passthrough(self):
         ex = SerialExecutor()

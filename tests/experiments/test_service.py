@@ -2,7 +2,7 @@
 
 Marked ``service`` (run alone with ``pytest -m service``): one
 long-lived :class:`CampaignService` master accepting many campaign
-submissions over the v4 wire protocol on a shared worker pool.  The
+submissions over the wire protocol on a shared worker pool.  The
 contract under test is the executor stack's, lifted to jobs: every
 submitted job's stored rows must be bit-identical to a serial run of
 the same config — across concurrent tenants, fair-share scheduling,
@@ -22,7 +22,7 @@ from repro.experiments.executors import (
     WORKER_EXIT_FAULT_INJECTED,
     sockets_available,
 )
-from repro.experiments.executors.socket import _LineConn
+from repro.experiments.executors.socket import PROTO_VERSION, _LineConn
 from repro.experiments.grid import ScenarioGrid, WorkUnit
 from repro.experiments.service import CampaignService, ServiceClient
 from repro.experiments.store import open_store, result_to_dict
@@ -49,6 +49,14 @@ def serial_rep_rows(pinned_config, tmp_path_factory):
     run_grid(ScenarioGrid.from_config(pinned_config), store=directory)
     with open_store(directory) as store:
         return store.rep_rows()
+
+
+def _one_unit_lease(lc):
+    """The next grant of a ``lease=1`` service: one unit per lease."""
+    message = lc.recv(timeout=30.0)
+    assert message["type"] == "lease", message["type"]
+    [unit] = [WorkUnit.from_dict(d) for d in message["units"]]
+    return unit
 
 
 class TestMultiTenantService:
@@ -85,8 +93,8 @@ class TestMultiTenantService:
         # alice (priority 0) submits first; bob (priority 1) second.
         # Weighted fair queuing must give bob ~2/3 of the grants while
         # alice keeps ~1/3 — neither tenant starves the other.  A
-        # hand-rolled v1 worker (one unit per round-trip) observes the
-        # exact grant sequence; jobs are distinguished by granularity.
+        # hand-rolled worker against one-unit leases observes the exact
+        # grant sequence; jobs are distinguished by granularity.
         base = replace(
             FIGURES[1].with_graphs(4).with_network(topology="ring"),
             num_procs=6,
@@ -94,7 +102,9 @@ class TestMultiTenantService:
         )
         cfg_a = replace(base, granularities=(0.4,))
         cfg_b = replace(base, granularities=(1.2,))
-        with CampaignService(tmp_path / "svc", spawn_workers=0) as service:
+        with CampaignService(
+            tmp_path / "svc", spawn_workers=0, lease=1
+        ) as service:
             address = service.start()
             client = ServiceClient(address)
             job_a = client.submit({"config": cfg_a.to_dict()},
@@ -104,14 +114,10 @@ class TestMultiTenantService:
             order = []
             lc = _LineConn(socket.create_connection(address, timeout=10.0))
             try:
-                # no `proto` field -> the service speaks v1: single
-                # `unit` messages, so every grant is observable
                 lc.send({"type": "hello", "worker": "probe",
-                         "heartbeat": 0.3})
+                         "heartbeat": 0.3, "proto": PROTO_VERSION})
                 for _ in range(8):
-                    message = lc.recv(timeout=30.0)
-                    assert message["type"] == "unit"
-                    unit = WorkUnit.from_dict(message["unit"])
+                    unit = _one_unit_lease(lc)
                     order.append("A" if unit.granularity == 0.4 else "B")
                     lc.send({
                         "type": "result",
@@ -124,8 +130,10 @@ class TestMultiTenantService:
             # The deterministic WFQ sequence is A B B A B B, then only
             # alice's units remain.
             assert order == ["A", "B", "B", "A", "B", "B", "A", "A"]
-            assert client.status(job_a["job_id"])["state"] == "done"
-            assert client.status(job_b["job_id"])["state"] == "done"
+            # the last ack may still be in flight when the probe hangs up
+            for job in (job_a, job_b):
+                final = client.wait(job["job_id"], timeout=DEADLINE_S)
+                assert final["state"] == "done"
 
     def test_priority_zero_tenant_cannot_starve_priority_one(
         self, tmp_path, pinned_config
@@ -142,7 +150,9 @@ class TestMultiTenantService:
         )
         cfg_a = replace(base, granularities=(0.4,))
         cfg_b = replace(base, granularities=(1.2,))
-        with CampaignService(tmp_path / "svc", spawn_workers=0) as service:
+        with CampaignService(
+            tmp_path / "svc", spawn_workers=0, lease=1
+        ) as service:
             address = service.start()
             client = ServiceClient(address)
             for _ in range(2):
@@ -154,10 +164,9 @@ class TestMultiTenantService:
             lc = _LineConn(socket.create_connection(address, timeout=10.0))
             try:
                 lc.send({"type": "hello", "worker": "probe",
-                         "heartbeat": 0.3})
+                         "heartbeat": 0.3, "proto": PROTO_VERSION})
                 for _ in range(12):
-                    message = lc.recv(timeout=30.0)
-                    unit = WorkUnit.from_dict(message["unit"])
+                    unit = _one_unit_lease(lc)
                     if unit.granularity == 1.2:
                         break
                     grants_until_high += 1

@@ -7,14 +7,23 @@ hearing from every worker fails loudly instead of wedging the suite —
 and the whole module is skipped where localhost sockets are unavailable.
 """
 
+import contextlib
 import socket
+import threading
+import time
 
 import pytest
 
 from repro.experiments.campaign import run_grid
 from repro.experiments.executors import SocketExecutor
 from repro.experiments.grid import ScenarioGrid
-from repro.experiments.executors.socket import _LineConn, sockets_available
+from repro.experiments.executors.socket import (
+    PROTO_VERSION,
+    WORKER_EXIT_OK,
+    _LineConn,
+    run_worker,
+    sockets_available,
+)
 
 pytestmark = [
     pytest.mark.distributed,
@@ -102,10 +111,11 @@ class TestSocketExecutor:
             time.sleep(0.01)
         lc = _LineConn(socket.create_connection(executor.address, timeout=10.0))
         try:
-            lc.send({"type": "hello", "worker": "slow", "heartbeat": 0.3})
+            lc.send({"type": "hello", "worker": "slow", "heartbeat": 0.3,
+                     "proto": PROTO_VERSION})
             message = lc.recv(timeout=10.0)
-            assert message["type"] == "unit"
-            unit = WorkUnit.from_dict(message["unit"])
+            assert message["type"] == "lease"
+            [unit] = [WorkUnit.from_dict(d) for d in message["units"]]
             result = unit.run()
             for _ in range(10):  # pretend the compute takes 3 s
                 time.sleep(0.3)
@@ -228,29 +238,6 @@ class TestBatchLeases:
         assert len(store) == len(units)
         return store
 
-    def test_v1_worker_negotiation(self, pinned_config, pinned_serial_rows):
-        # A hello without a proto field is a v1 worker: the master must
-        # stream single `unit` messages, never a `lease`.
-        from repro.experiments.grid import WorkUnit
-        from repro.experiments.store import result_to_dict
-
-        def v1_worker(lc):
-            lc.send({"type": "hello", "worker": "legacy", "heartbeat": 0.3})
-            while True:
-                message = lc.recv(timeout=10.0)
-                if message["type"] == "shutdown":
-                    return
-                assert message["type"] == "unit", message["type"]
-                unit = WorkUnit.from_dict(message["unit"])
-                lc.send({
-                    "type": "result",
-                    "unit_id": unit.unit_id,
-                    "result": result_to_dict(unit.run()),
-                })
-
-        store = self._drive_master(pinned_config, v1_worker)
-        assert store.rep_rows() == _serial_rep_rows(pinned_config)
-
     def test_adaptive_lease_grows_with_fast_units(self, pinned_config):
         # First lease is 1 unit (no latency sample); after a fast result
         # the policy sizes the next lease to its fair share of the queue.
@@ -261,9 +248,9 @@ class TestBatchLeases:
 
         lease_sizes = []
 
-        def v2_worker(lc):
-            lc.send({"type": "hello", "worker": "v2", "heartbeat": 0.3,
-                     "proto": 2})
+        def scripted_worker(lc):
+            lc.send({"type": "hello", "worker": "scripted", "heartbeat": 0.3,
+                     "proto": PROTO_VERSION})
             while True:
                 message = lc.recv(timeout=10.0)
                 if message["type"] == "shutdown":
@@ -280,7 +267,7 @@ class TestBatchLeases:
                     })
 
         cfg = replace(pinned_config, num_graphs=3)  # 6 units
-        self._drive_master(cfg, v2_worker)
+        self._drive_master(cfg, scripted_worker)
         assert lease_sizes[0] == 1
         assert max(lease_sizes) > 1  # the master batched once calibrated
         assert sum(lease_sizes) == 6
@@ -295,7 +282,7 @@ class TestBatchLeases:
 
         def duplicating_worker(lc):
             lc.send({"type": "hello", "worker": "dup", "heartbeat": 0.3,
-                     "proto": 2})
+                     "proto": PROTO_VERSION})
             while True:
                 message = lc.recv(timeout=10.0)
                 if message["type"] == "shutdown":
@@ -325,8 +312,8 @@ class TestWireProtocol:
         try:
             a.send({"type": "hello", "worker": "w1"})
             assert b.recv(timeout=5.0) == {"type": "hello", "worker": "w1"}
-            b.send({"type": "unit", "unit": {"granularity": 0.5}})
-            assert a.recv(timeout=5.0)["unit"] == {"granularity": 0.5}
+            b.send({"type": "lease", "units": [{"granularity": 0.5}]})
+            assert a.recv(timeout=5.0)["units"] == [{"granularity": 0.5}]
             # Closing via the _LineConn releases the makefile reference too,
             # so the peer observes EOF (a bare sock.close() would not).
             a.close()
@@ -336,3 +323,89 @@ class TestWireProtocol:
             a.close()
             b.close()
             server.close()
+
+
+@contextlib.contextmanager
+def _one_job_master(kind, config, root):
+    """A master running ``config`` as its one job with no worker yet.
+
+    Yields ``(address, done, finish)``: ``done()`` counts stored units,
+    ``finish()`` waits for the job and returns its per-rep rows."""
+    from repro.experiments.service import CampaignService, ServiceClient
+    from repro.experiments.store import RunStore, open_store
+
+    if kind == "socket":
+        executor = SocketExecutor(spawn_workers=0, timeout=DEADLINE_S)
+        store = RunStore()
+        errors = []
+
+        def master():
+            try:
+                executor.run(ScenarioGrid.from_config(config).units(), store)
+            except Exception as exc:  # surfaced by finish()
+                errors.append(exc)
+
+        thread = threading.Thread(target=master)
+        thread.start()
+        while executor.address is None:
+            time.sleep(0.01)
+
+        def finish():
+            thread.join(timeout=DEADLINE_S)
+            assert not thread.is_alive() and not errors, errors
+            return store.rep_rows()
+
+        try:
+            yield executor.address, lambda: len(store), finish
+        finally:
+            thread.join(timeout=DEADLINE_S)
+    else:
+        with CampaignService(root, spawn_workers=0) as service:
+            address = service.start()
+            client = ServiceClient(address)
+            job = client.submit({"config": config.to_dict()})
+
+            def finish():
+                final = client.wait(job["job_id"], timeout=DEADLINE_S)
+                assert final["state"] == "done", final
+                with open_store(job["store"]) as stored:
+                    return stored.rep_rows()
+
+            yield address, lambda: client.status(job["job_id"])["done"], finish
+
+
+class TestStaleHello:
+    @pytest.mark.parametrize(
+        "hello", [{}, {"proto": PROTO_VERSION - 1}], ids=["no-proto", "old-proto"]
+    )
+    @pytest.mark.parametrize("kind", ["socket", "service"])
+    def test_stale_hello_is_refused(self, kind, hello, pinned_config, tmp_path):
+        # Both masters serve workers through the same _serve_worker: a
+        # hello without the one protocol version gets `error` and a
+        # closed connection before anything is leased, and the job still
+        # completes on a current worker.
+        with _one_job_master(kind, pinned_config, tmp_path / "svc") as (
+            address, done, finish
+        ):
+            stale = _LineConn(socket.create_connection(address, timeout=10.0))
+            try:
+                stale.send({"type": "hello", "worker": "stale",
+                            "heartbeat": 0.3, **hello})
+                reply = stale.recv(timeout=10.0)
+                assert reply["type"] == "error", reply
+                assert reply["key"] == "proto"
+                with pytest.raises(ConnectionError):
+                    stale.recv(timeout=10.0)  # closed, no lease followed
+            finally:
+                stale.close()
+            assert done() == 0
+            exit_codes = []
+            worker = threading.Thread(
+                target=lambda: exit_codes.append(
+                    run_worker(*address, heartbeat=0.3, idle_timeout=30.0)
+                )
+            )
+            worker.start()
+            assert finish() == _serial_rep_rows(pinned_config)
+        worker.join(timeout=DEADLINE_S)
+        assert exit_codes == [WORKER_EXIT_OK]

@@ -129,19 +129,24 @@ class TestWorkerPool:
     not sockets_available(), reason="localhost sockets unavailable"
 )
 class TestMasterLifecycle:
-    def _tracking_executor(self, **kwargs):
-        """An executor whose spawned Popen objects are recorded."""
-        executor = SocketExecutor(timeout=60.0, **kwargs)
-        procs = []
-        inner = executor._spawn_worker
+    @staticmethod
+    def _track_spawns(monkeypatch, fail_after=None):
+        """Record every worker the master spawns; the spawn after
+        ``fail_after`` successful ones raises instead."""
+        from repro.experiments.service import _Master
 
-        def tracking_spawn(extra_args):
-            proc = inner(extra_args)
+        procs = []
+        inner = _Master._spawn_worker
+
+        def tracking_spawn(master, extra_args):
+            if fail_after is not None and len(procs) >= fail_after:
+                raise OSError("second spawn exploded")
+            proc = inner(master, extra_args)
             procs.append(proc)
             return proc
 
-        executor._spawn_worker = tracking_spawn
-        return executor, procs
+        monkeypatch.setattr(_Master, "_spawn_worker", tracking_spawn)
+        return procs
 
     def test_interrupted_run_reaps_all_spawned_workers(
         self, monkeypatch, pinned_config
@@ -157,7 +162,8 @@ class TestMasterLifecycle:
         monkeypatch.setattr(
             socket_mod._MasterState, "wait_done", interrupted
         )
-        executor, procs = self._tracking_executor(spawn_workers=2)
+        procs = self._track_spawns(monkeypatch)
+        executor = SocketExecutor(timeout=60.0, spawn_workers=2)
         with pytest.raises(KeyboardInterrupt):
             run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert len(procs) == 2
@@ -166,16 +172,11 @@ class TestMasterLifecycle:
         )
         assert len(executor.worker_exit_codes) == 2
 
-    def test_mid_spawn_failure_reaps_earlier_workers(self, pinned_config):
-        executor, procs = self._tracking_executor(spawn_workers=2)
-        inner = executor._spawn_worker
-
-        def failing_spawn(extra_args):
-            if procs:
-                raise OSError("second spawn exploded")
-            return inner(extra_args)
-
-        executor._spawn_worker = failing_spawn
+    def test_mid_spawn_failure_reaps_earlier_workers(
+        self, monkeypatch, pinned_config
+    ):
+        procs = self._track_spawns(monkeypatch, fail_after=1)
+        executor = SocketExecutor(timeout=60.0, spawn_workers=2)
         with pytest.raises(OSError, match="second spawn exploded"):
             run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert len(procs) == 1
@@ -189,8 +190,8 @@ class TestMasterLifecycle:
         # on_listen fires with the *bound* address: port 0 in, a real
         # ephemeral port out — what the CLI announce line prints.
         seen = []
-        executor, _procs = self._tracking_executor(
-            spawn_workers=2, port=0, on_listen=seen.append
+        executor = SocketExecutor(
+            timeout=60.0, spawn_workers=2, port=0, on_listen=seen.append
         )
         [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows

@@ -484,3 +484,27 @@ def first_rows_of(finishes, keep):
         (i for i, f in enumerate(finishes) if f is not None),
         key=lambda i: (finishes[i], i),
     )[:keep]
+
+
+@pytest.mark.parametrize("shape", ["star", "ring", "torus", "fat-tree"])
+def test_route_max_covers_every_hop_of_every_route(shape):
+    # The route-hop maximum the routed evaluator and its bounds read must
+    # cover the last hop of the last non-empty route too: on a star,
+    # route (m-1, m-2) has two hops and sits just before the empty
+    # diagonal (m-1, m-1) that ends the hop table.
+    from repro.schedulers.base import make_builder
+
+    inst, network = build(f"routed-{shape}", 3, 8, 8)
+    builder = make_builder(inst, 1, network(), "probe", fast=True)
+    view = builder.network.frontier_view()
+    m = inst.num_procs
+    # one busy link at a time: every route through it must see it
+    for busy in range(view.num_links):
+        per_link = np.zeros(view.num_links)
+        per_link[busy] = 1.0
+        got = builder._kernel._route_max(per_link)
+        for src in range(m):
+            for dst in range(m):
+                hops = view.route_hops[src][dst]
+                want = 1.0 if busy in hops else 0.0
+                assert got[src, dst] == want, (shape, busy, src, dst, hops)
