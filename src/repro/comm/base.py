@@ -5,7 +5,11 @@ schedule against: which communication ports/links are busy until when.
 Schedulers repeatedly *try* placements ("simulate the mapping of ti on
 every processor", paper §5) before committing the best one, so the
 interface is built around cheap **checkpoint / rollback** via an undo log
-rather than deep copies.
+rather than deep copies.  A placement splits into a pure slot query
+(``transfer_slot``) and the reservation of that slot
+(``reserve_transfer``): trials reserve undo-logged and roll back,
+commits reserve without a log, and crash replay asks for the slot
+first and reserves, unlogged, only the transfers it delivers.
 
 Concrete models:
 
@@ -75,7 +79,7 @@ def common_gap(ss, se, rs, re_, ready: float, duration: float) -> float:
     disjoint busy intervals; a start ``t`` fits one when every interval
     ends by ``t`` or starts at or after ``t + duration``.  The single
     implementation of the gap scan: the insertion policy's
-    ``place_transfer`` runs it over the sender's send timeline and the
+    ``transfer_slot`` runs it over the sender's send timeline and the
     receiver's receive timeline, and the fast kernel runs it over the
     same committed send timeline and a trial-local copy of the receive
     timeline — bit-identity between the two paths depends on them
@@ -322,17 +326,47 @@ class NetworkModel(ABC):
     # Placement
     # ------------------------------------------------------------------
     @abstractmethod
-    def place_transfer(
+    def transfer_slot(
         self, src: int, dst: int, ready: float, volume: float
     ) -> tuple[float, float]:
-        """Reserve resources for one transfer and return ``(start, finish)``.
+        """Where one transfer would run now: ``(start, finish)``.
 
         ``ready`` is the earliest moment the data exists on ``src`` (the
         finish time of the producing replica).  The returned ``start``
         satisfies every model constraint (ports, links) and ``finish =
-        start + W``.  Local transfers (``src == dst``) cost nothing and
-        reserve nothing.  The reservation is recorded in the undo log.
+        start + W``.  Local transfers (``src == dst``) and zero-duration
+        ones come back as ``(ready, ready)``.  Pure query — nothing is
+        reserved, so crash replay can decide a message's delivery from
+        its slot before holding anything.
         """
+
+    @abstractmethod
+    def reserve_transfer(
+        self,
+        src: int,
+        dst: int,
+        volume: float,
+        start: float,
+        finish: float,
+        logged: bool = False,
+    ) -> None:
+        """Hold the resources of one transfer over the slot
+        :meth:`transfer_slot` just gave it (no reservation in between).
+
+        Local and zero-duration transfers hold nothing — which is why
+        ``volume`` is passed.  ``logged=False`` reserves for good, with
+        no undo-log entry; ``logged=True`` records the reservation so
+        :meth:`rollback` can undo it.
+        """
+
+    def place_transfer(
+        self, src: int, dst: int, ready: float, volume: float
+    ) -> tuple[float, float]:
+        """Reserve one transfer at its :meth:`transfer_slot`, undo-logged,
+        and return ``(start, finish)``."""
+        start, finish = self.transfer_slot(src, dst, ready, volume)
+        self.reserve_transfer(src, dst, volume, start, finish, logged=True)
+        return start, finish
 
     @abstractmethod
     def sender_bound(self, src: int, dst: int, ready: float, volume: float) -> float:

@@ -30,10 +30,21 @@ class MacroDataflowNetwork(NetworkModel):
             self._view = FrontierView(self.platform.delay_matrix)
         return self._view
 
-    def place_transfer(
+    def transfer_slot(
         self, src: int, dst: int, ready: float, volume: float
     ) -> tuple[float, float]:
         return ready, ready + self.transfer_time(src, dst, volume)
+
+    def reserve_transfer(
+        self,
+        src: int,
+        dst: int,
+        volume: float,
+        start: float,
+        finish: float,
+        logged: bool = False,
+    ) -> None:
+        pass
 
     def sender_bound(self, src: int, dst: int, ready: float, volume: float) -> float:
         return ready + self.transfer_time(src, dst, volume)

@@ -150,7 +150,7 @@ class OnePortNetwork(NetworkModel):
         sf = self._send_free[src]
         return (sf if sf > ready else ready) + w
 
-    def place_transfer(
+    def transfer_slot(
         self, src: int, dst: int, ready: float, volume: float
     ) -> tuple[float, float]:
         if src == dst:
@@ -162,25 +162,43 @@ class OnePortNetwork(NetworkModel):
             stl = self._send_tl[src]
             rtl = self._recv_tl[dst]
             start = common_gap(stl.starts, stl.ends, rtl.starts, rtl.ends, ready, w)
-            finish = start + w
-            for tl in (stl, rtl):
+        else:
+            start = max(ready, self._send_free[src], self._recv_free[dst])
+        return start, start + w
+
+    def reserve_transfer(
+        self,
+        src: int,
+        dst: int,
+        volume: float,
+        start: float,
+        finish: float,
+        logged: bool = False,
+    ) -> None:
+        if src == dst or volume * self._delay[src][dst] == 0.0:
+            return
+        log = self._log
+        if self.policy == "insertion":
+            for tl in (self._send_tl[src], self._recv_tl[dst]):
                 tl.reserve(start, finish)
-                self._log.append(("interval", tl, start, finish))
+                if logged:
+                    log.append(("interval", tl, start, finish))
             # Keep scalar frontiers coherent for sender_bound()/inspection.
             for which, idx, arr in (("send", src, self._send_free),
                                     ("recv", dst, self._recv_free)):
                 if finish > arr[idx]:
-                    self._log.append(("scalar", which, idx, arr[idx]))
+                    if logged:
+                        log.append(("scalar", which, idx, arr[idx]))
                     arr[idx] = finish
-            return start, finish
-
-        start = max(ready, self._send_free[src], self._recv_free[dst])
-        finish = start + w
-        self._log.append(("scalar", "send", src, self._send_free[src]))
-        self._send_free[src] = finish
-        self._log.append(("scalar", "recv", dst, self._recv_free[dst]))
-        self._recv_free[dst] = finish
-        return start, finish
+            return
+        send_free = self._send_free
+        recv_free = self._recv_free
+        if logged:
+            log.append(("scalar", "send", src, send_free[src]))
+        send_free[src] = finish
+        if logged:
+            log.append(("scalar", "recv", dst, recv_free[dst]))
+        recv_free[dst] = finish
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:

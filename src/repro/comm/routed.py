@@ -86,7 +86,7 @@ class RoutedOnePortNetwork(NetworkModel):
         )
         return start + w
 
-    def place_transfer(
+    def transfer_slot(
         self, src: int, dst: int, ready: float, volume: float
     ) -> tuple[float, float]:
         if src == dst:
@@ -94,23 +94,37 @@ class RoutedOnePortNetwork(NetworkModel):
         w = self.transfer_time(src, dst, volume)
         if w == 0.0:
             return ready, ready
-        hops = self._route_hops[src][dst]
         link_free = self._link_free
         start = max(
             ready,
             self._send_free[src],
             self._recv_free[dst],
-            max(link_free[h] for h in hops),
+            max(link_free[h] for h in self._route_hops[src][dst]),
         )
-        finish = start + w
-        self._log.append(("send", src, self._send_free[src]))
+        return start, start + w
+
+    def reserve_transfer(
+        self,
+        src: int,
+        dst: int,
+        volume: float,
+        start: float,
+        finish: float,
+        logged: bool = False,
+    ) -> None:
+        if src == dst or self.transfer_time(src, dst, volume) == 0.0:
+            return
+        hops = self._route_hops[src][dst]
+        link_free = self._link_free
+        if logged:
+            log = self._log
+            log.append(("send", src, self._send_free[src]))
+            log.append(("recv", dst, self._recv_free[dst]))
+            log.extend([("link", h, link_free[h]) for h in hops])
         self._send_free[src] = finish
-        self._log.append(("recv", dst, self._recv_free[dst]))
         self._recv_free[dst] = finish
         for h in hops:
-            self._log.append(("link", h, link_free[h]))
             link_free[h] = finish
-        return start, finish
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:

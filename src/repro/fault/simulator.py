@@ -8,7 +8,10 @@ committed (tasks per processor, messages per port/link) but recomputes
 * a message is attempted only if its source replica completed, and is
   delivered only if both endpoints stay alive through the (recomputed)
   transfer window; dropped messages free their resources, which is why
-  crash latency can be *smaller* than the 0-crash latency (§6 example);
+  crash latency can be *smaller* than the 0-crash latency (§6 example).
+  The network's pure ``transfer_slot`` gives the window, and only a
+  delivered message's slot is then reserved, so nothing is ever rolled
+  back;
 * a replica runs once, for every predecessor, at least one supply (local
   copy or delivered message) is in; fail-stop failures are detectable, so
   a replica whose inputs can provably never arrive is *skipped* and does
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.fault.model import FailureScenario
 from repro.schedule.schedule import CommEvent, Replica, Schedule
@@ -40,16 +43,14 @@ class ReplicaStatus(Enum):
     STARVED = "starved"  # some predecessor's data can never arrive
 
 
-@dataclass(frozen=True)
-class ReplicaOutcome:
+class ReplicaOutcome(NamedTuple):
     replica: Replica
     status: ReplicaStatus
     start: Optional[float]  # None when the replica never ran
     finish: Optional[float]
 
 
-@dataclass(frozen=True)
-class EventOutcome:
+class EventOutcome(NamedTuple):
     event: CommEvent
     delivered: bool
     start: Optional[float]
@@ -117,9 +118,16 @@ class ExecutionResult:
 def replay(schedule: Schedule, scenario: FailureScenario) -> ExecutionResult:
     """Execute ``schedule`` under ``scenario`` (see module docstring)."""
     inst = schedule.instance
-    graph = inst.graph
+    preds = inst.graph.preds
     net = schedule.make_network()
+    transfer_slot = net.transfer_slot
+    reserve_transfer = net.reserve_transfer
     proc_ready = [0.0] * inst.num_procs
+    # work on p over [start, finish] completes iff start < fail[p] and
+    # finish <= fail[p] (FailureScenario.survives)
+    fail = [scenario.fail_time(p) for p in range(inst.num_procs)]
+    completed = ReplicaStatus.COMPLETED
+    inf = float("inf")
 
     result = ExecutionResult(schedule=schedule, scenario=scenario)
     rep_out = result.replica_outcomes
@@ -128,40 +136,35 @@ def replay(schedule: Schedule, scenario: FailureScenario) -> ExecutionResult:
     for entry in schedule.commit_log:
         if isinstance(entry, CommEvent):
             src = rep_out[entry.src_replica.seq]
-            if src.status is not ReplicaStatus.COMPLETED:
-                ev_out[entry.seq] = EventOutcome(entry, False, None, None)
-                continue
-            token = net.checkpoint()
-            start, finish = net.place_transfer(
-                entry.src_proc, entry.dst_proc, src.finish, entry.volume
-            )
-            delivered = scenario.survives(
-                entry.src_proc, start, finish
-            ) and scenario.survives(entry.dst_proc, start, finish)
-            if delivered:
-                net.commit()
-                ev_out[entry.seq] = EventOutcome(entry, True, start, finish)
-            else:
-                # Failed transfers do not hold resources (fail-stop is
-                # detectable; see DESIGN.md on this simplification).
-                net.rollback(token)
-                ev_out[entry.seq] = EventOutcome(entry, False, None, None)
+            if src.status is completed:
+                sp = entry.src_proc
+                dp = entry.dst_proc
+                start, finish = transfer_slot(sp, dp, src.finish, entry.volume)
+                fs = fail[sp]
+                fd = fail[dp]
+                if start < fs and finish <= fs and start < fd and finish <= fd:
+                    reserve_transfer(sp, dp, entry.volume, start, finish)
+                    ev_out[entry.seq] = EventOutcome(entry, True, start, finish)
+                    continue
+            # Failed transfers do not hold resources (fail-stop is
+            # detectable; see DESIGN.md on this simplification).
+            ev_out[entry.seq] = EventOutcome(entry, False, None, None)
         else:
             r: Replica = entry
             data = 0.0
             starved = False
-            for pred in graph.preds(r.task):
-                best = float("inf")
+            for pred in preds(r.task):
+                best = inf
                 local = r.local_inputs.get(pred)
                 if local is not None:
                     lout = rep_out[local.seq]
-                    if lout.status is ReplicaStatus.COMPLETED:
+                    if lout.status is completed:
                         best = lout.finish
                 for e in r.inputs.get(pred, ()):
                     eo = ev_out[e.seq]
                     if eo.delivered and eo.finish < best:
                         best = eo.finish
-                if best == float("inf"):
+                if best == inf:
                     starved = True
                     break
                 if best > data:
@@ -169,25 +172,24 @@ def replay(schedule: Schedule, scenario: FailureScenario) -> ExecutionResult:
             if starved:
                 rep_out[r.seq] = ReplicaOutcome(r, ReplicaStatus.STARVED, None, None)
                 continue
-            start = max(proc_ready[r.proc], net.compute_floor(r.proc), data)
+            proc = r.proc
+            start = max(proc_ready[proc], net.compute_floor(proc), data)
             finish = start + r.duration
-            if scenario.survives(r.proc, start, finish):
-                rep_out[r.seq] = ReplicaOutcome(
-                    r, ReplicaStatus.COMPLETED, start, finish
-                )
-                proc_ready[r.proc] = finish
-                net.note_compute(r.proc, start, finish)
+            if start < fail[proc] and finish <= fail[proc]:
+                rep_out[r.seq] = ReplicaOutcome(r, completed, start, finish)
+                proc_ready[proc] = finish
+                net.note_compute(proc, start, finish)
             else:
                 rep_out[r.seq] = ReplicaOutcome(r, ReplicaStatus.CRASHED, start, None)
+    # models whose computations hold the ports undo-log note_compute;
+    # nothing here is rolled back
+    net.commit()
 
-    dead = []
-    for t in range(graph.num_tasks):
-        if not any(
-            rep_out[r.seq].status is ReplicaStatus.COMPLETED
-            for r in schedule.replicas[t]
-        ):
-            dead.append(t)
-    result.dead_tasks = tuple(dead)
+    result.dead_tasks = tuple(
+        t
+        for t, reps in enumerate(schedule.replicas)
+        if not any(rep_out[r.seq].status is completed for r in reps)
+    )
     return result
 
 

@@ -39,31 +39,41 @@ def latency_upper_bound(schedule: Schedule) -> float:
 
     for entry in schedule.commit_log:
         if isinstance(entry, CommEvent):
-            start = max(
-                entry.start,
-                replica_ub[entry.src_replica.seq],
-                send_ub[entry.src_proc],
-                recv_ub[entry.dst_proc],
-            )
-            finish = start + entry.duration
+            start = entry.start
+            ub = replica_ub[entry.src_replica.seq]
+            if ub > start:
+                start = ub
+            src = entry.src_proc
+            dst = entry.dst_proc
+            if send_ub[src] > start:
+                start = send_ub[src]
+            if recv_ub[dst] > start:
+                start = recv_ub[dst]
+            finish = start + (entry.finish - entry.start)
             event_ub[entry.seq] = finish
-            send_ub[entry.src_proc] = finish
-            recv_ub[entry.dst_proc] = finish
+            send_ub[src] = finish
+            recv_ub[dst] = finish
         else:
             r: Replica = entry
             data = 0.0
             for pred_events in r.inputs.values():
-                worst = max(event_ub[e.seq] for e in pred_events)
-                if worst > data:
-                    data = worst
+                for e in pred_events:
+                    ub = event_ub[e.seq]
+                    if ub > data:
+                        data = ub
             for local in r.local_inputs.values():
-                lb = replica_ub[local.seq]
-                if lb > data:
-                    data = lb
-            start = max(r.start, proc_ub[r.proc], data)
-            finish = start + r.duration
+                ub = replica_ub[local.seq]
+                if ub > data:
+                    data = ub
+            proc = r.proc
+            start = r.start
+            if proc_ub[proc] > start:
+                start = proc_ub[proc]
+            if data > start:
+                start = data
+            finish = start + (r.finish - r.start)
             replica_ub[r.seq] = finish
-            proc_ub[r.proc] = finish
+            proc_ub[proc] = finish
 
     return max(
         max(replica_ub[r.seq] for r in reps) for reps in schedule.replicas

@@ -68,7 +68,9 @@ def schedule_to_dict(schedule: Schedule) -> dict:
             "src_task": e.src_task,
             "dst_task": e.dst_task,
             "src_replica_seq": e.src_replica.seq,
-            "dst_replica_seq": e.dst_replica.seq if e.dst_replica else None,
+            "dst_replica_seq": (
+                None if e.dst_index is None else schedule.receiver(e).seq
+            ),
             "src_proc": e.src_proc,
             "dst_proc": e.dst_proc,
             "volume": e.volume,
@@ -181,7 +183,7 @@ def schedule_from_dict(data: dict, instance: ProblemInstance) -> Schedule:
         )
         if ed["dst_replica_seq"] is not None:
             dst = by_seq[int(ed["dst_replica_seq"])]
-            e.dst_replica = dst
+            e.dst_index = dst.index
             dst.inputs.setdefault(e.src_task, ())
             dst.inputs[e.src_task] = dst.inputs[e.src_task] + (e,)
         events_by_seq[e.seq] = e

@@ -86,7 +86,7 @@ The evaluator families (:meth:`TrialKernel._eval` dispatches):
   message could read is dominated by the receiver frontier (see the
   evaluator docstring);
 * **gap-timeline** models replay each message's first-common-gap scan
-  (:func:`repro.comm.base.common_gap`, the one ``place_transfer`` runs)
+  (:func:`repro.comm.base.common_gap`, the one ``transfer_slot`` runs)
   over the sender's committed send timeline and a trial-local copy of
   the receiver's timeline (``_eval_insertion``).
 
@@ -524,7 +524,8 @@ class TrialKernel:
     """Exact, side-effect-free trial evaluation over frontier views."""
 
     __slots__ = (
-        "builder",
+        "schedule",
+        "epsilon",
         "network",
         "graph",
         "caps",
@@ -532,6 +533,8 @@ class TrialKernel:
         "_frontiers",
         "_cost",
         "_m",
+        "_proc_ready",
+        "_strict",
         "_version",
         "_send_changed",
         "_recv_changed",
@@ -549,7 +552,14 @@ class TrialKernel:
     )
 
     def __init__(self, builder, caps: KernelCaps) -> None:
-        self.builder = builder
+        # Everything read from the builder is fixed after its __init__
+        # (``proc_ready`` is updated in place), so the kernel keeps its
+        # own references and never points back at the builder: builder
+        # and kernel stay acyclic and are freed by reference counting.
+        self.schedule = builder.schedule
+        self.epsilon = builder.epsilon
+        self._proc_ready = builder.proc_ready
+        self._strict = builder.strict_local_suppression
         self.network = builder.network
         self.graph = builder.instance.graph
         self.caps = caps
@@ -691,7 +701,7 @@ class TrialKernel:
         """
         graph = self.graph
         preds = graph.preds(task)
-        replicas = self.builder.schedule.replicas
+        replicas = self.schedule.replicas
         try:
             lists = list(map(sources.__getitem__, preds))
         except KeyError as exc:
@@ -936,9 +946,9 @@ class TrialKernel:
             graph = self.graph
             slots = max((len(graph.preds(t)) for t in range(graph.num_tasks)), default=0)
             st = self._sweep = _SweepState(
-                graph.num_tasks, self._m, max(1, slots), self.builder.epsilon + 1
+                graph.num_tasks, self._m, max(1, slots), self.epsilon + 1
             )
-        replicas = self.builder.schedule.replicas
+        replicas = self.schedule.replicas
         ents = []
         for t in tasks:
             entries = st.entries[t]
@@ -947,12 +957,12 @@ class TrialKernel:
                 entries, _ = self._entries_for(t, replicas)
                 st.load(
                     t, entries, self._frontiers.delay_np,
-                    self.builder.strict_local_suppression,
+                    self._strict,
                 )
             ents.append(entries)
 
         version = self._version
-        keep = self.builder.epsilon + 1
+        keep = self.epsilon + 1
         tix = np.asarray(tasks, dtype=np.int64)
         lower = st.start[tix]
         cached = st.version[tix] >= self._epochs_read(tix)
@@ -1139,7 +1149,7 @@ class TrialKernel:
         lb[s, k, j] = start + w
         supply = np.minimum(st.local[task][:, cols], lb.min(axis=1))
         start = np.maximum(supply.max(axis=0), 0.0)
-        proc_ready = np.asarray(self.builder.proc_ready)[cols]
+        proc_ready = np.asarray(self._proc_ready)[cols]
         return dict(zip(procs, np.maximum(proc_ready, start).tolist()))
 
     def _finish_bounds(self, task, procs, entries, heads) -> list[float]:
@@ -1167,13 +1177,13 @@ class TrialKernel:
         """
         kind = self.kind
         view = self._frontiers
-        strict = self.builder.strict_local_suppression
+        strict = self._strict
         preds = entries.preds
         vols = entries.vols
         pools = entries.pools
         locals_ = entries.local
         selfsuff = entries.selfsuff
-        proc_ready = self.builder.proc_ready
+        proc_ready = self._proc_ready
         cost = self._cost[task]
         dcols = self._delay_cols
         send0 = view.send_free
@@ -1342,7 +1352,7 @@ class TrialKernel:
         W = st.w[tix]
         VALID = st.valid[tix]
         LOCAL = st.local[tix]
-        proc_ready = np.asarray(self.builder.proc_ready, dtype=np.float64)
+        proc_ready = np.asarray(self._proc_ready, dtype=np.float64)
 
         def merge(arrival):
             supply = np.minimum(LOCAL, arrival)
@@ -1501,7 +1511,7 @@ class TrialKernel:
             if supply > data_ready:
                 data_ready = supply
 
-        start = self.builder.proc_ready[proc]
+        start = self._proc_ready[proc]
         if floor > start:
             start = floor
         if data_ready > start:
@@ -1579,7 +1589,7 @@ class TrialKernel:
         """
         dcol = self._delay_cols[proc]
         send0 = self._frontiers.send_free
-        strict = self.builder.strict_local_suppression
+        strict = self._strict
         preds = entries.preds
         vols = entries.vols
         pools = entries.pools
@@ -1677,7 +1687,7 @@ class TrialKernel:
         """Gap-aware serialization for the insertion policy: eq. (6)
         ordering still comes from the scalar sender-side frontiers (that
         is what ``sender_bound`` reads), but each message is then placed
-        by the same first-common-gap scan ``place_transfer`` runs
+        by the same first-common-gap scan ``transfer_slot`` runs
         (:func:`repro.comm.base.common_gap`), so nothing is reserved.
 
         Only the receiver's timeline gets a trial-local copy: every

@@ -92,14 +92,21 @@ class Replica:
 
 
 class CommEvent:
-    """One committed inter-processor message."""
+    """One committed inter-processor message.
+
+    The message points at its sending replica but not back at its
+    receiver, which owns it through ``Replica.inputs``: ``dst_index`` is
+    the receiver's index among its task's replicas, resolved by
+    :meth:`Schedule.receiver`.  No reference cycle forms, so a schedule
+    is freed by reference counting as soon as its last user drops it.
+    """
 
     __slots__ = (
         "seq",
         "src_task",
         "dst_task",
         "src_replica",
-        "dst_replica",
+        "dst_index",
         "src_proc",
         "dst_proc",
         "volume",
@@ -116,12 +123,13 @@ class CommEvent:
         volume: float,
         start: float,
         finish: float,
+        dst_index: Optional[int] = None,
     ) -> None:
         self.seq = seq
         self.src_task = src_replica.task
         self.dst_task = dst_task
         self.src_replica = src_replica
-        self.dst_replica: Optional[Replica] = None  # set when dst commits
+        self.dst_index = dst_index
         self.src_proc = src_replica.proc
         self.dst_proc = dst_proc
         self.volume = volume
@@ -172,6 +180,10 @@ class Schedule:
     # ------------------------------------------------------------------
     def task_replicas(self, task: int) -> list[Replica]:
         return self.replicas[task]
+
+    def receiver(self, event: CommEvent) -> Replica:
+        """The replica ``event`` feeds."""
+        return self.replicas[event.dst_task][event.dst_index]
 
     def all_replicas(self):
         for reps in self.replicas:
@@ -278,10 +290,6 @@ class ScheduleBuilder:
         return self._kernel is not None
 
     # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _sorted_remote_messages(
         self, task: int, proc: int, sources: Mapping[int, Sequence[Replica]]
     ) -> tuple[dict[int, Replica], list[tuple[int, Replica, float]]]:
@@ -343,17 +351,25 @@ class ScheduleBuilder:
         sources: Mapping[int, Sequence[Replica]],
         record: bool,
     ):
-        """Shared trial/commit machinery; ``record`` keeps the reservations."""
+        """Shared trial/commit machinery; ``record`` keeps the reservations.
+
+        A trial's reservations are undo-logged and rolled back; a commit's
+        are kept, so they are made without log entries.
+        """
         graph = self.instance.graph
         local, ordered = self._sorted_remote_messages(task, proc, sources)
 
         network = self.network
-        token = network.checkpoint()
+        token = None if record else network.checkpoint()
+        transfer_slot = network.transfer_slot
+        reserve_transfer = network.reserve_transfer
+        logged = not record
         first_arrival: dict[int, float] = {}
         # (pred, supplier, start, finish, volume) per placed message
         placed: list[tuple[int, Replica, float, float, float]] = []
         for pred, r, vol in ordered:
-            start, finish = network.place_transfer(r.proc, proc, r.finish, vol)
+            start, finish = transfer_slot(r.proc, proc, r.finish, vol)
+            reserve_transfer(r.proc, proc, vol, start, finish, logged)
             placed.append((pred, r, start, finish, vol))
             if pred not in first_arrival or finish < first_arrival[pred]:
                 first_arrival[pred] = finish
@@ -506,13 +522,14 @@ class ScheduleBuilder:
         inputs: dict[int, list[CommEvent]] = {}
         events = self.schedule.events
         commit_log = self.schedule.commit_log
+        seq = self._seq
         for pred, r, ev_start, ev_finish, vol in placed:
-            event = CommEvent(self._next_seq(), r, task, proc, vol, ev_start, ev_finish)
-            event.dst_replica = replica
+            seq += 1
+            event = CommEvent(seq, r, task, proc, vol, ev_start, ev_finish, index)
             inputs.setdefault(pred, []).append(event)
             events.append(event)
             commit_log.append(event)
-        replica.seq = self._next_seq()
+        replica.seq = self._seq = seq + 1
         replica.inputs = {p: tuple(evs) for p, evs in inputs.items()}
         replica.local_inputs = dict(local)
 

@@ -15,7 +15,6 @@ exact reserve-and-rollback path.
 
 from __future__ import annotations
 
-from repro.comm.base import common_gap
 from repro.comm.oneport import (
     NoOverlapOnePortNetwork,
     OnePortNetwork,
@@ -45,37 +44,29 @@ class _LinkFrontiers:
             return ready
         return max(ready, self._send_free[src], self._link_free[src * self._m + dst]) + w
 
-    def place_transfer(self, src, dst, ready, volume):
+    def transfer_slot(self, src, dst, ready, volume):
+        if self.policy == "insertion":
+            # the gap scan reads only the port timelines
+            return super().transfer_slot(src, dst, ready, volume)
         if src == dst:
             return ready, ready
         w = volume * self._delay[src][dst]
         if w == 0.0:
             return ready, ready
         li = src * self._m + dst
-        if self.policy == "insertion":
-            stl = self._send_tl[src]
-            rtl = self._recv_tl[dst]
-            start = common_gap(stl.starts, stl.ends, rtl.starts, rtl.ends, ready, w)
-            finish = start + w
-            for tl in (stl, rtl):
-                tl.reserve(start, finish)
-                self._log.append(("interval", tl, start, finish))
-            for which, idx, arr in (("send", src, self._send_free),
-                                    ("recv", dst, self._recv_free),
-                                    ("link", li, self._link_free)):
-                if finish > arr[idx]:
-                    self._log.append(("scalar", which, idx, arr[idx]))
-                    arr[idx] = finish
-            return start, finish
         start = max(ready, self._send_free[src], self._recv_free[dst], self._link_free[li])
-        finish = start + w
-        self._log.append(("scalar", "send", src, self._send_free[src]))
-        self._send_free[src] = finish
-        self._log.append(("scalar", "recv", dst, self._recv_free[dst]))
-        self._recv_free[dst] = finish
-        self._log.append(("scalar", "link", li, self._link_free[li]))
+        return start, start + w
+
+    def reserve_transfer(self, src, dst, volume, start, finish, logged=False):
+        super().reserve_transfer(src, dst, volume, start, finish, logged)
+        if src == dst or volume * self._delay[src][dst] == 0.0:
+            return
+        li = src * self._m + dst
+        if self.policy == "insertion" and finish <= self._link_free[li]:
+            return
+        if logged:
+            self._log.append(("scalar", "link", li, self._link_free[li]))
         self._link_free[li] = finish
-        return start, finish
 
     def reset(self) -> None:
         super().reset()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.dag.generators import chain, fork_join, random_dag
 from repro.dag.graph import TaskGraph
@@ -14,6 +15,12 @@ from repro.platform.heterogeneity import (
 )
 from repro.platform.instance import ProblemInstance
 from repro.platform.platform import Platform
+
+# Property tests draw the same examples on every run, with no example
+# database carried between runs: a red run is a regression, never a
+# newly drawn example.  Per-test ``max_examples``/``deadline`` still apply.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def make_instance(

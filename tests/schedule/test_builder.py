@@ -41,7 +41,7 @@ class TestBasicCommit:
         assert len(r1.inputs[0]) == 1
         ev = r1.inputs[0][0]
         assert (ev.start, ev.finish) == (5.0, 15.0)
-        assert ev.src_replica is r0 and ev.dst_replica is r1
+        assert ev.src_replica is r0 and b.schedule.receiver(ev) is r1
 
     def test_processor_ready_serializes_tasks(self):
         g = fork_join(2, volume=0.0)

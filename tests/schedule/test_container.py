@@ -67,9 +67,9 @@ class TestCommitLogStructure:
     def test_event_endpoints_consistent(self, sched):
         for e in sched.events:
             assert e.src_proc == e.src_replica.proc
-            assert e.dst_replica is not None
-            assert e.dst_proc == e.dst_replica.proc
-            assert e.dst_task == e.dst_replica.task
+            assert sched.receiver(e) is not None
+            assert e.dst_proc == sched.receiver(e).proc
+            assert e.dst_task == sched.receiver(e).task
 
 
 class TestReplicaObject:

@@ -41,7 +41,7 @@ from repro.platform.instance import ProblemInstance
 from repro.platform.topology import make_topology, randomize_link_delays
 from repro.core.caft import caft
 from repro.schedule.kernel import TrialKernel, select_candidates, urgency_ties
-from repro.schedule.schedule import TIE_EPS
+from repro.schedule.schedule import TIE_EPS, ScheduleBuilder
 from repro.schedulers.ftbar import ftbar
 from repro.schedulers.ftsa import _near_tie, ftsa
 from tests.schedulers.test_fastpath_equiv import commit_signature
@@ -128,14 +128,14 @@ def exact_starts(builder, tasks):
 )
 def test_bound_is_sound_and_cut_is_exact(scenario, epsilon, seed, num_tasks, num_procs):
     inst, network = build(scenario, seed, num_tasks, num_procs)
-    original = TrialKernel.pressure_sweep
+    original = ScheduleBuilder.pressure_sweep
     steps = []
 
-    def checked(kernel, tasks, bl, current_length):
-        ties = original(kernel, tasks, bl, current_length)
+    def checked(builder, tasks, bl, current_length):
+        ties = original(builder, tasks, bl, current_length)
         # no commit since the sweep: the bound pass and _place see the
         # frontiers the sweep saw
-        builder = kernel.builder
+        kernel = builder._kernel
         lower, upper, certified = kernel._pressure_bounds(np.asarray(tasks))
         exact = exact_starts(builder, tasks)
         assert (lower <= exact).all(), (scenario, tasks, lower - exact)
@@ -154,10 +154,10 @@ def test_bound_is_sound_and_cut_is_exact(scenario, epsilon, seed, num_tasks, num
         return ties
 
     try:
-        TrialKernel.pressure_sweep = checked
+        ScheduleBuilder.pressure_sweep = checked
         fast = ftbar(inst, epsilon, model=network(), rng=seed, fast=True)
     finally:
-        TrialKernel.pressure_sweep = original
+        ScheduleBuilder.pressure_sweep = original
     assert len(steps) == num_tasks, "every FTBAR step must go through the sweep"
     slow = ftbar(inst, epsilon, model=network(), rng=seed, fast=False)
     assert commit_signature(fast) == commit_signature(slow)
@@ -390,14 +390,14 @@ def test_candidate_bound_is_sound_and_cut_is_exact(
     sweep yields the same minimum, tie set, first ``keep`` rows and FTSA
     near-tie verdict as evaluating every row."""
     inst, network = build(scenario, seed, num_tasks, num_procs)
-    original = TrialKernel.candidate_sweep
+    original = ScheduleBuilder.candidate_sweep
     sweeps = []
 
-    def checked(kernel, task, procs, sources, heads=None, keep=1):
-        trials = original(kernel, task, procs, sources, heads, keep)
+    def checked(builder, task, procs, sources, heads=None, keep=1):
+        trials = original(builder, task, procs, sources, heads, keep)
         # no commit since the sweep: the bounds and _place see the
         # frontiers the sweep saw
-        builder = kernel.builder
+        kernel = builder._kernel
         entries, _ = kernel._entries_for(task, sources)
         bounds = kernel._finish_bounds(task, procs, entries, heads)
         full = [
@@ -421,10 +421,10 @@ def test_candidate_bound_is_sound_and_cut_is_exact(
         return trials
 
     try:
-        TrialKernel.candidate_sweep = checked
+        ScheduleBuilder.candidate_sweep = checked
         fast = CANDIDATE_ALGORITHMS[algo](inst, epsilon, network(), seed, True)
     finally:
-        TrialKernel.candidate_sweep = original
+        ScheduleBuilder.candidate_sweep = original
     assert len(sweeps) >= num_tasks, "every placement must go through the sweep"
     slow = CANDIDATE_ALGORITHMS[algo](inst, epsilon, network(), seed, False)
     assert commit_signature(fast) == commit_signature(slow)

@@ -368,8 +368,8 @@ def test_subclass_with_overridden_semantics_falls_back():
                 return ready
             return max(ready, self._send_free[src]) + w
 
-        def place_transfer(self, src, dst, ready, volume):
-            return super().place_transfer(src, dst, ready, 2.0 * volume)
+        def transfer_slot(self, src, dst, ready, volume):
+            return super().transfer_slot(src, dst, ready, 2.0 * volume)
 
     inst = make_instance(0)
     assert DoubledOnePort(inst.platform).kernel_caps() is None
