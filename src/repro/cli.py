@@ -335,10 +335,8 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
         max_units=args.max_units,
         heartbeat=args.heartbeat,
         verbose=args.verbose,
-        wedge_after=args.wedge_after,
         slow_factor=args.slow_factor,
         die_after=args.die_after,
-        ignore_revoke=args.ignore_revoke,
     )
 
 
@@ -712,12 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "injection for requeue tests; the worker exits "
                               "with code 3 (distinct from a crash's 1) so "
                               "harnesses can assert why it died")
-    p_cwork.add_argument("--wedge-after", type=int, default=None,
-                         metavar="N",
-                         help="fault injection: stall mid-unit after N "
-                              "results without dying — heartbeats continue, "
-                              "so only speculation/stealing can rescue the "
-                              "campaign; exits 3 once the master is gone")
     p_cwork.add_argument("--slow-factor", type=float, default=None,
                          metavar="F",
                          help="fault injection: throttle every unit to F x "
@@ -728,9 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault injection: exit with the genuine-crash "
                               "code 1 after N results (exercises the "
                               "master's bounded worker respawn)")
-    p_cwork.add_argument("--ignore-revoke", action="store_true",
-                         help="fault injection: keep computing revoked "
-                              "units, forcing the revoke-vs-ack race")
     p_cwork.add_argument("--verbose", action="store_true")
     p_cwork.set_defaults(func=_cmd_campaign_worker)
 

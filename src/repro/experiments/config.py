@@ -47,7 +47,7 @@ def default_num_graphs(paper_count: int = 60) -> int:
     """Graphs per data point: the paper's 60, unless ``REPRO_GRAPHS`` says less.
 
     Benchmarks default to a faster count; export ``REPRO_GRAPHS=60`` to run
-    campaigns at the paper's scale (EXPERIMENTS.md records such runs).
+    campaigns at the paper's scale, where every point averages 60 graphs.
     """
     env = os.environ.get("REPRO_GRAPHS")
     if env:

@@ -24,12 +24,14 @@ from repro.experiments.executors.base import (
     unit_progress_line,
 )
 from repro.experiments.executors.process import ProcessExecutor, effective_workers
-from repro.experiments.executors.socket import (
+from repro.experiments.executors.master_core import (
     PROTO_VERSION,
     WORKER_EXIT_ERROR,
     WORKER_EXIT_FAULT_INJECTED,
     WORKER_EXIT_OK,
     WORKER_RESPAWN_LIMIT,
+)
+from repro.experiments.executors.socket import (
     SocketExecutor,
     WorkerPool,
     run_worker,

@@ -35,8 +35,8 @@ def check_shape(result: CampaignResult, reference: str = "caft-paper") -> ShapeR
     """Verify the paper's qualitative findings on a campaign result.
 
     ``reference`` names the CAFT variant expected to reproduce the paper's
-    curves (the literal ``caft-paper`` by default; see EXPERIMENTS.md for
-    the robust variant's behaviour).  Checks are on sweep-averaged values
+    curves (the literal ``caft-paper`` by default; it loses most crash
+    replays, so the crash check (6) compares the robust ``caft``).  Checks are on sweep-averaged values
     so single noisy points don't flip them.
     """
 
@@ -53,7 +53,8 @@ def check_shape(result: CampaignResult, reference: str = "caft-paper") -> ShapeR
         # reimplementation (schedule pressure without the Ahmad–Kwok
         # duplication pass) turns out *stronger* than the paper's at coarse
         # grain, so the reproduction only requires CAFT within 25% of it on
-        # the sweep average (EXPERIMENTS.md, finding 3).
+        # the sweep average (DESIGN.md, "FTBAR without the duplication
+        # pass", says what the reimplementation leaves out).
         "caft_within_1p25x_ftbar": avg(f"{reference}_latency0")
         < 1.25 * avg("ftbar_latency0"),
         # (3) CAFT sends fewer messages than FTSA and FTBAR.
@@ -73,8 +74,10 @@ def check_shape(result: CampaignResult, reference: str = "caft-paper") -> ShapeR
     # crash replays, the reproduction's headline finding).  The strict
     # "CAFT beats FTSA under crashes" holds while the platform has slack;
     # in the saturated regime (ε+1 within a factor ~3 of m) the provably
-    # robust variant pays a disjointness tax and we only require it to
-    # stay within 1.6x of FTSA (EXPERIMENTS.md discusses the trade-off).
+    # robust variant pays a disjointness tax — the ε+1 replicas of a
+    # task need pairwise disjoint supports (their processors and their
+    # suppliers'), which few processors leave little room for — and we
+    # only require it to stay within 1.6x of FTSA.
     pressure = result.config.num_procs / (result.config.epsilon + 1)
     if pressure >= 4.0:
         checks["caft_beats_ftsa_crash"] = avg("caft_crash") < avg("ftsa_crash")

@@ -1,10 +1,11 @@
 """The campaign master, and the persistent multi-tenant service on it.
 
 :class:`_Master` is the one master in this package: a listening
-socket, a local worker pool, and a table of *jobs*, each with its own
-:class:`~repro.experiments.executors.socket._MasterState` (leases, crash
-requeue, stealing, speculation, first-ack-wins dedup) and its own
-:class:`~repro.experiments.executors.base.LeasePolicy`.  The
+socket, a local worker pool and one reader per connection around a
+:class:`~repro.experiments.executors.master_core.MasterCore`, which
+makes every decision (leases, crash requeue, stealing, speculation,
+first-ack-wins dedup, fair share, respawns) from events and an
+injected clock.  The
 :class:`~repro.experiments.executors.socket.SocketExecutor` runs one
 campaign as a master's only job.
 
@@ -35,29 +36,24 @@ message           fields                                          direction
 ``error``         ``error``, optional ``key``                     s -> c
 ================  ==============================================  =========
 
-**Scheduling** is two-level.  Across tenants: weighted fair queuing —
-each tenant has a virtual time advanced by ``1 / (1 + priority)`` per
-granted lease, and the idle worker is offered work from the runnable
-tenant with the smallest virtual time first (ties break by tenant
-name), so a priority-1 tenant receives twice the grants of a priority-0
-tenant while the priority-0 tenant still makes continuous progress —
-neither can starve the other.  Within a tenant: highest priority, then
+**Scheduling** is two-level (``MasterCore._grant``).  Across tenants:
+weighted fair queuing — a tenant's virtual time advances by
+``1 / (1 + priority)`` per grant and the smallest goes first (ties by
+name), so a priority-1 tenant gets twice a priority-0 tenant's grants
+and neither starves.  Within a tenant: highest priority, then
 submission order.  An idle worker drains *pending* queues across all
 jobs before stealing or speculating within one.
 
 **Durability**: every submitted spec's store is rewritten under
-``root/jobs/<job_id>/store`` (an in-memory store becomes JSONL — a
-service job always survives a restart); ``job.json`` beside it records
-the job's identity and terminal state, and the store manifest carries
-the same identity as ``extra`` metadata.  On start the service rescans
+``root/jobs/<job_id>/store`` (an in-memory store becomes JSONL);
+``job.json`` beside it, and the store manifest's ``extra`` metadata,
+record the job's identity and state.  On start the service rescans
 ``root/jobs``, re-opens every incomplete job's store via
-:func:`~repro.experiments.store.open_store` sniffing, and resumes
-exactly the units missing from it — ``run_grid(..., resume=True)``, so
-a SIGKILLed service restarted on the same root finishes both halves of
-every interrupted job bit-identically.  Results are queryable while
-jobs run: ``status`` reports live done/total counts, and the job's
-store directory can be opened read-only with ``open_store`` /
-``StoreCampaignView`` at any time.
+:func:`~repro.experiments.store.open_store` and leases exactly the
+units missing from it, so a SIGKILLed service restarted on the same
+root finishes every interrupted job bit-identically.  While jobs run,
+``status`` reports live done/total counts and the store directory can
+be opened read-only with ``open_store`` / ``StoreCampaignView``.
 
 ``submit_units`` jobs are the executor client path
 (``ExecutorSpec(kind="service", address=...)``): the units stream in
@@ -67,8 +63,10 @@ store — these jobs are not recoverable and die with their connection.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import queue
 import shutil
 import socket
 import subprocess
@@ -88,14 +86,17 @@ from repro.experiments.executors.base import (
     SpeculationSpec,
     parse_steal,
 )
+from repro.experiments.executors.master_core import (
+    Job,
+    MasterCore,
+    Send,
+    Spawn,
+)
 from repro.experiments.executors.socket import (
-    DEAD_AFTER_BEATS,
     DEFAULT_HEARTBEAT,
-    PROTO_VERSION,
     WorkerPool,
     _connect_with_backoff,
     _LineConn,
-    _MasterState,
 )
 from repro.experiments.grid import WorkUnit
 from repro.experiments.store import (
@@ -103,7 +104,6 @@ from repro.experiments.store import (
     make_store,
     open_store,
     result_from_dict,
-    result_to_dict,
 )
 from repro.utils.errors import CampaignConfigError
 
@@ -114,6 +114,9 @@ SERVICE_FILE_NAME = "service.json"
 #: how long a clean :meth:`_Master.stop` waits for workers to take their
 #: ``shutdown`` before terminating whatever is still running
 STOP_GRACE_S = 2.0
+#: how often the master's ticker feeds the core the clock (dead-man
+#: deadlines, speculation stalls) and local worker exits (respawns)
+TICK_S = 0.1
 
 
 def _atomic_write_json(path: Path, payload: Mapping) -> None:
@@ -170,32 +173,45 @@ def gc_job_dirs(
     return removed
 
 
-@dataclass
-class ServiceJob:
-    """One submitted campaign: identity, its own master state + store,
-    and the mutable lifecycle state the service persists."""
+class ServiceJob(Job):
+    """One service job: the master core's :class:`~repro.experiments.
+    executors.master_core.Job` plus what the service persists — its
+    spec, directory, error and terminal counts."""
 
-    job_id: str
-    tenant: str
-    priority: int
-    seq: int
-    status: str
-    spec: Optional[CampaignSpec] = None
-    directory: Optional[Path] = None
-    store: Optional[RunStore] = None
-    state: Optional[_MasterState] = None
-    error: Optional[str] = None
-    #: terminal done/total recorded at persist time (recovered terminal
-    #: jobs have no live state to count from)
-    final_counts: Optional[tuple[int, int]] = None
-    #: results go to a caller-owned store (a ``submit_units`` client's
-    #: or a ``SocketExecutor`` run's): never persisted, closed or resumed
-    relay: bool = False
+    def __init__(
+        self,
+        job_id: str,
+        seq: int,
+        tenant: str = "default",
+        priority: int = 0,
+        status: str = "running",
+        spec: Optional[CampaignSpec] = None,
+        directory: Optional[Path] = None,
+        error: Optional[str] = None,
+        final_counts: Optional[tuple[int, int]] = None,
+        **live,
+    ) -> None:
+        super().__init__(
+            job_id, tenant=tenant, priority=priority, seq=seq, status=status, **live
+        )
+        self.spec = spec
+        self.directory = directory
+        self.error = error
+        #: done/total fixed when the job ended (recovered terminal jobs
+        #: have no live state to count from)
+        self.final_counts = final_counts
 
     def counts(self) -> tuple[int, int]:
-        if self.state is not None and self.status == "running":
-            return self.state.progress_counts()
-        return self.final_counts or (0, 0)
+        return self.final_counts or super().counts()
+
+    def ended(self) -> None:
+        """Record the terminal state; close and let go of the store if
+        the service owns it (a relay job's results belong to its
+        client).  Its rows stay readable from the job directory."""
+        self.persist()
+        if self.directory is not None:
+            self.store.close()
+            self.store = None
 
     def snapshot(self) -> dict:
         done, total = self.counts()
@@ -221,51 +237,70 @@ class ServiceJob:
         _atomic_write_json(self.directory / JOB_FILE_NAME, record)
 
 
-class _RelayStore:
-    """The store a ``submit_units`` job appends into: each first-win
-    result is streamed back to the submitting client as a ``result``
-    message.  Implements exactly the slice of the store contract
-    :meth:`_MasterState.complete` uses (idempotent ``append``)."""
+def _decode_result(payload: dict, unit: WorkUnit):
+    # Through this module's name, so a wrapper on `result_from_dict`
+    # here (perfbench's `wire.decode` span) sees every master decode.
+    return result_from_dict(payload, unit.granularity, unit.rep)
 
-    def __init__(self, lc: _LineConn) -> None:
-        self._lc = lc
-        self._lock = threading.Lock()
-        self._seen: set[str] = set()
 
-    def append(self, unit: WorkUnit, result, attempt: str = "primary") -> bool:
-        with self._lock:
-            if unit.unit_id in self._seen:
-                return False
-            self._seen.add(unit.unit_id)
-            try:
-                self._lc.send(
-                    {
-                        "type": "result",
-                        "unit_id": unit.unit_id,
-                        "result": result_to_dict(result),
-                    }
-                )
-            except OSError:
-                # Client vanished mid-stream; the relay handler notices
-                # the dead connection and cancels the job — the unit
-                # still counts as done so the job drains instead of
-                # re-leasing units nobody will receive.
-                pass
-            return True
+class _Conn:
+    """One accepted connection: its reader is the master's handler
+    thread, its writer a thread of its own.
+
+    Messages are written in order, off the caller's thread and with no
+    timeout, so a peer that stops reading stalls only this connection —
+    never the core's lock or another peer.  The writer closes the socket
+    once everything queued before :meth:`close` is written."""
+
+    def __init__(self, conn_id: int, lc: _LineConn) -> None:
+        self.id = conn_id
+        self.lc = lc
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._writer = threading.Thread(
+            target=self._write, name="campaign-master-write", daemon=True
+        )
+        self._writer.start()
+
+    def send(self, message: dict) -> None:
+        self._outbox.put(message)
+
+    def close(self) -> None:
+        self._outbox.put(None)
+
+    def flush(self, deadline: float) -> None:
+        """Wait (until ``deadline``) for the writer to drain and close."""
+        self._writer.join(max(0.0, deadline - time.monotonic()))
+
+    def _write(self) -> None:
+        try:
+            while (message := self._outbox.get()) is not None:
+                self.lc.send(message)
+        except OSError:
+            pass  # the peer is gone; its reader reports the disconnect
+        finally:
+            self.lc.shutdown()
+            self.lc.close()
 
 
 class _Master:
-    """The campaign master: one listening socket, one local worker pool,
-    and a table of jobs its worker connections lease from.
+    """The sockets and processes around a
+    :class:`~repro.experiments.executors.master_core.MasterCore`: the
+    listening socket, the local :class:`WorkerPool`, one reader thread
+    per connection turning lines into core events, and :meth:`tick`,
+    which feeds the core the clock and local worker exits.  One lock
+    guards the core; under it, actions only queue messages for the
+    connections' writers (and launch respawned workers), so no socket
+    read or write happens while it is held (DESIGN.md, "The master
+    core").
 
     Root-less — jobs live in memory and results go to the store each job
     was registered with.  :class:`CampaignService` adds the durable root
     and the client verbs; :class:`~repro.experiments.executors.socket.
-    SocketExecutor` registers one job (:meth:`add_job`) and stops the
-    master when it completes.  ``spawn_workers`` is an int or a sequence
-    of extra-argv lists (one local ``campaign worker`` subprocess each);
-    external ``repro-ftsched campaign worker`` processes can connect at
-    any time.  ``lease`` / ``speculate`` / ``steal`` are the defaults
+    SocketExecutor` registers one job (:meth:`add_job`) on its own store
+    and stops the master when it completes.  ``spawn_workers`` is an int
+    or a sequence of extra-argv lists (one local ``campaign worker``
+    subprocess each); external ``repro-ftsched campaign worker``
+    processes can connect at any time.  ``lease`` / ``speculate`` / ``steal`` are the defaults
     every job is leased with.
     """
 
@@ -283,8 +318,6 @@ class _Master:
         self.port = port
         self.heartbeat = heartbeat
         self._lease_spec = lease
-        self.speculation = SpeculationPolicy.from_spec(speculate)
-        self.steal = parse_steal(steal)
         if isinstance(spawn_workers, int):
             self._worker_specs: list[list[str]] = [[] for _ in range(spawn_workers)]
         else:
@@ -293,20 +326,19 @@ class _Master:
         self._server: Optional[socket.socket] = None
         self._pool: Optional[WorkerPool] = None
         self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._jobs: dict[str, ServiceJob] = {}
-        self._order: list[ServiceJob] = []
+        #: guards the core; notified after every event
+        self._lock = threading.Condition()
+        self._core = MasterCore(
+            heartbeat,
+            SpeculationPolicy.from_spec(speculate),
+            parse_steal(steal),
+            slots=len(self._worker_specs),
+            decode=_decode_result,
+            now=time.monotonic(),
+        )
+        self._conns: dict[int, _Conn] = {}
+        self._conn_ids = itertools.count(1)
         self._seq = 0
-        self._next_conn_id = 0
-        #: weighted-fair-queuing virtual time per tenant
-        self._vtime: dict[str, float] = {}
-        self._conns: set[_LineConn] = set()
-        #: connections past an accepted ``hello``
-        self._workers = 0
-        #: messages heard from workers — a run's no-activity clock (only
-        #: ever compared for change, so unlocked increments are enough)
-        self.activity = 0
-        self._dead_after = max(heartbeat * DEAD_AFTER_BEATS, 5.0)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -324,55 +356,60 @@ class _Master:
         self._pool = WorkerPool(self._worker_specs, self._spawn_worker)
         self._pool.spawn_all()
 
-    def supervise(self) -> None:
-        """Relaunch spawned workers that genuinely crashed (never a clean
-        shutdown or the injected fault exit), bounded per slot so a
-        crash-looping unit cannot respawn its worker forever."""
-        if self._pool is not None:
-            self._pool.poll_respawn()
+    def tick(self) -> tuple[float, bool]:
+        """Feed the core the clock and the local workers' exits.
+        Returns how long no worker has said anything, and whether every
+        worker is gone for good."""
+        exits = self._pool.exited() if self._pool is not None else []
+        with self._lock:
+            now = time.monotonic()
+            actions = self._core.tick(now)
+            for slot, code in exits:
+                actions += self._core.worker_exited(slot, code, now)
+            self._apply(actions)
+            return now - self._core.last_activity, self._core.workers_gone()
 
-    def workers_gone(self) -> bool:
-        """Every spawned worker has exited and no worker is connected."""
-        return not self._workers and self._pool is not None and self._pool.all_exited()
+    def wait_ended(self, job: Job, timeout: float = TICK_S) -> bool:
+        """Wait up to ``timeout`` for ``job`` to leave ``running``."""
+        with self._lock:
+            if job.status == "running":
+                self._lock.wait(timeout)
+            return job.status != "running"
 
     @property
     def respawns(self) -> int:
-        return self._pool.respawns if self._pool is not None else 0
+        return self._core.respawns
 
     def stop(self, clean: bool = True) -> list[int]:
         """Shut down; returns the exit code of every spawned worker.
 
-        A clean stop gives workers :data:`STOP_GRACE_S` to take the
-        ``shutdown`` their serving loops send, then terminates whatever
-        remains; an unclean one terminates at once.  Running jobs are
-        finished in memory only — a service's stay ``running`` on disk
-        so the next start resumes them."""
+        A clean stop gives workers :data:`STOP_GRACE_S` to take their
+        ``shutdown`` and exit, then terminates whatever remains; an
+        unclean one terminates at once.  Running jobs keep their state —
+        a service's stay ``running`` on disk so the next start resumes
+        them."""
         self._stop.set()
         if self._server is not None:
             try:
                 self._server.close()
             except OSError:
                 pass
+        with self._lock:
+            self._apply(self._core.stop(time.monotonic()))
+            conns = list(self._conns.values())
+        deadline = time.monotonic() + (STOP_GRACE_S if clean else 0.0)
+        for conn in conns:
+            conn.close()  # after the shutdown or reply already queued
+            conn.flush(deadline)
         codes: list[int] = []
         if self._pool is not None:
             procs = self._pool.procs
-            deadline = time.monotonic() + (STOP_GRACE_S if clean else 0.0)
-            while time.monotonic() < deadline and (
-                self._workers or any(p.poll() is None for p in procs)
-            ):
+            while time.monotonic() < deadline and any(p.poll() is None for p in procs):
                 time.sleep(0.05)
             self._pool.terminate_all()
             codes = self._pool.reap_all()
-        with self._lock:
-            conns = list(self._conns)
-            jobs = list(self._order)
-        for lc in conns:
-            lc.close()
-        for job in jobs:
-            if job.state is not None:
-                job.state.finish()
-            if job.store is not None and not job.relay:
-                job.store.close()
+        for conn in conns:
+            conn.lc.shutdown()
         return codes
 
     def __enter__(self):
@@ -383,52 +420,14 @@ class _Master:
 
     # ----------------------------------------------------------------- jobs
 
-    def add_job(
-        self,
-        units: Sequence[WorkUnit],
-        store: RunStore,
-        progress: Optional[ProgressFn] = None,
-        lease_policy: Optional[LeasePolicy] = None,
-        tenant: str = "default",
-        priority: int = 0,
-    ) -> ServiceJob:
-        """Register a job whose results go to a caller-owned ``store``
-        (never closed or persisted by the master); leasable at once."""
-        seq = self._next_seq()
-        job = ServiceJob(
-            job_id=f"job-{seq:06d}",
-            tenant=tenant,
-            priority=priority,
-            seq=seq,
-            status="running",
-            store=store,
-            relay=True,
-        )
-        job.state = self._new_state(
-            units, store, lease_policy or self._job_lease_policy(None), progress
-        )
-        self._register(job)
-        return job
+    def add_job(self, job: Job) -> None:
+        """Register a job; its units are leasable at once."""
+        self._step(self._core.add_job, job)
 
     def _next_seq(self) -> int:
         with self._lock:
             self._seq += 1
             return self._seq
-
-    def _register(self, job: ServiceJob) -> None:
-        with self._lock:
-            self._jobs[job.job_id] = job
-            self._order.append(job)
-            if job.status == "running" and job.tenant not in self._vtime:
-                # A tenant joining late starts at the current virtual
-                # floor, not zero — otherwise it would monopolize the
-                # pool until its clock caught up.
-                floor = min(self._vtime.values(), default=0.0)
-                self._vtime[job.tenant] = floor
-        if job.status == "running" and self._pool is not None:
-            # A fresh job gets a fresh respawn budget: its crashes are
-            # charged to it, not to whatever ran before.
-            self._pool.new_job_epoch()
 
     def _job_lease_policy(self, spec_lease: LeaseSpec) -> LeasePolicy:
         """A fresh per-job policy: the job spec's ``lease`` field wins,
@@ -439,74 +438,29 @@ class _Master:
             policy = policy.clone()
         return policy
 
-    def _new_state(
-        self, units, store, lease_policy: LeasePolicy, progress=None
-    ) -> _MasterState:
-        # SpeculationPolicy is stateless configuration (the per-job
-        # launch budget counter lives in _MasterState), so sharing the
-        # master-wide instance across jobs is safe.
-        return _MasterState(
-            units,
-            store,
-            progress,
-            lease_policy=lease_policy,
-            speculation=self.speculation,
-            steal=self.steal,
-        )
+    # ---------------------------------------------------------------- core
 
-    def _maybe_finish(self, job: ServiceJob) -> None:
-        if job.state is None or not job.state.is_complete():
-            return
+    def _step(self, event, *args) -> None:
+        """Run one core event (stamped with the clock) under the lock and
+        carry out its actions."""
         with self._lock:
-            if job.status != "running":
-                return
-            job.final_counts = job.state.progress_counts()
-            job.status = "done"
-        job.persist()
-        if job.store is not None and not job.relay:
-            job.store.close()
+            self._apply(event(*args, time.monotonic()))
 
-    # ----------------------------------------------------------- scheduling
-
-    def _checkout(
-        self, conn_id: int, lc: _LineConn
-    ) -> Optional[tuple[ServiceJob, object]]:
-        """One scheduling pass over all runnable jobs in fair-share
-        order; ``None`` when no job has claimable work right now.
-
-        Pass 1 offers only pending queues (an idle worker drains other
-        jobs before stealing within one); pass 2 allows steal and
-        speculation.  A successful grant advances the winning tenant's
-        virtual time by ``1 / (1 + priority)`` — the weighted-fair-share
-        clock."""
-        with self._lock:
-            by_tenant: dict[str, list[ServiceJob]] = {}
-            for job in self._order:
-                if job.status == "running" and job.state is not None:
-                    by_tenant.setdefault(job.tenant, []).append(job)
-            tenants = sorted(by_tenant, key=lambda t: (self._vtime.get(t, 0.0), t))
-            workers = self._workers
-        for pending_only in (True, False):
-            for tenant in tenants:
-                jobs = sorted(by_tenant[tenant], key=lambda j: (-j.priority, j.seq))
-                weight = 1 + max(j.priority for j in jobs)
-                for job in jobs:
-                    lease, revoke = job.state.try_checkout(
-                        conn_id, lc, workers, pending_only=pending_only
-                    )
-                    if revoke is not None:
-                        # Sent outside every lock: a victim with a full
-                        # TCP buffer must not stall the other handlers.
-                        # Advisory — the units are already re-leased; a
-                        # victim that never reads it just loses the race.
-                        _send_revoke(*revoke)
-                    if lease is not None:
-                        with self._lock:
-                            self._vtime[tenant] = (
-                                self._vtime.get(tenant, 0.0) + 1.0 / weight
-                            )
-                        return job, lease
-        return None
+    def _apply(self, actions) -> None:
+        """Carry out core actions; called with the lock held.  Sends and
+        closes only queue work for the connections' writers."""
+        for action in actions:
+            if isinstance(action, Spawn):
+                self._pool.respawn(action.slot)
+                continue
+            conn = self._conns.get(action.conn)
+            if conn is None:
+                continue
+            if isinstance(action, Send):
+                conn.send(action.message)
+            else:
+                conn.close()
+        self._lock.notify_all()
 
     # ------------------------------------------------------------- serving
 
@@ -526,138 +480,40 @@ class _Master:
                 daemon=True,
             ).start()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        lc = _LineConn(conn)
-        with self._lock:
-            self._conns.add(lc)
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """The connection's reader: classify it by its first message."""
+        lc = _LineConn(sock)
         try:
-            first = lc.recv(timeout=self._dead_after)
-            self._dispatch(lc, first)
-        except (ConnectionError, OSError, socket.timeout, json.JSONDecodeError):
+            first = lc.recv(timeout=self._core.dead_after)
+        except (ConnectionError, OSError, json.JSONDecodeError):
+            lc.close()
+            return
+        sock.settimeout(None)  # no read timeout may leak into the writer's sends
+        conn = _Conn(next(self._conn_ids), lc)
+        with self._lock:
+            self._conns[conn.id] = conn
+        try:
+            self._dispatch(conn, first)
+        except (ConnectionError, OSError, json.JSONDecodeError):
             pass
         finally:
             with self._lock:
-                self._conns.discard(lc)
-            lc.close()
+                self._conns.pop(conn.id, None)
+                conn.close()
 
-    def _dispatch(self, lc: _LineConn, first: dict) -> None:
+    def _dispatch(self, conn: _Conn, first: dict) -> None:
         """Serve one connection by its first message; a root-less master
         serves workers only."""
         if first.get("type") == "hello":
-            self._serve_worker(lc, first)
+            self._serve_worker(conn, first)
 
-    def _serve_worker(self, lc: _LineConn, hello: dict) -> None:
-        if hello.get("proto") != PROTO_VERSION:
-            # Every peer ships from this repo and speaks one version; a
-            # stale or foreign worker is turned away before it can lease.
-            lc.send({
-                "type": "error",
-                "error": f"wire protocol {hello.get('proto')!r} is not "
-                         f"supported: this master speaks {PROTO_VERSION}",
-                "key": "proto",
-            })
-            return
-        with self._lock:
-            self._next_conn_id += 1
-            conn_id = self._next_conn_id
-            self._workers += 1
-            self.activity += 1
-        # Honor the worker's own heartbeat cadence (it may have been
-        # started with --heartbeat much larger than the master's): the
-        # deadness deadline is per-connection, from the hello.
-        worker_beat = float(hello.get("heartbeat", self.heartbeat))
-        dead_after = max(self._dead_after, worker_beat * DEAD_AFTER_BEATS)
-        # unit_id -> owning job for everything ever leased to this
-        # connection: a stale ack (revoked unit, replayed delivery) must
-        # route to the job that leased it.  Unit ids can collide across
-        # jobs running the same spec; last lease wins, which at worst
-        # lands an *identical* row in the twin job's store (idempotent
-        # append) — never a wrong row.
-        ever_leased: dict[str, ServiceJob] = {}
-        lease_job: Optional[ServiceJob] = None
+    def _serve_worker(self, conn: _Conn, hello: dict) -> None:
         try:
-            while not self._stop.is_set():
-                claim = self._checkout(conn_id, lc)
-                if claim is None:
-                    # Nothing leasable: consume heartbeats (and notice a
-                    # dead worker) while idling between jobs.
-                    try:
-                        message = lc.recv(timeout=0.2)
-                    except socket.timeout:
-                        continue
-                    self.activity += 1
-                    if message.get("type") == "result":
-                        self._stale_result(message, ever_leased)
-                    continue
-                job, lease = claim
-                lease_job = job
-                for uid in lease.remaining:
-                    ever_leased[uid] = job
-                # The lease is tracked in the job's state BEFORE the
-                # send: if the worker died at the lease boundary (send
-                # raises), the claimed units requeue, not strand.
-                lc.send(
-                    {"type": "lease", "units": [u.to_dict() for u in lease.units()]}
-                )
-                # Serve acks until the lease drains — by this worker's
-                # results or by a thief stealing the remainder.
-                while lease.remaining:
-                    message = lc.recv(timeout=dead_after)
-                    self.activity += 1
-                    if self._stop.is_set():
-                        # Closing the connection (in _serve_connection)
-                        # is what unwedges a worker stalled mid-lease.
-                        return
-                    kind = message.get("type")
-                    if kind == "heartbeat":
-                        continue
-                    if kind != "result":
-                        raise ConnectionError(
-                            f"unexpected message type {kind!r}"
-                        )
-                    unit_id = message.get("unit_id")
-                    unit, attempt = job.state.ack(conn_id, unit_id)
-                    if unit is None:
-                        self._stale_result(message, ever_leased)
-                        continue
-                    result = result_from_dict(
-                        message["result"], unit.granularity, unit.rep
-                    )
-                    job.state.complete(unit, result, attempt=attempt)
-                    seconds = message.get("seconds")
-                    if seconds is not None:
-                        job.state.lease_policy.observe(float(seconds))
-                    self._maybe_finish(job)
-                job.state.retire_lease(conn_id)
-                lease_job = None
-            lc.send({"type": "shutdown"})
+            self._step(self._core.hello, conn.id, hello)
+            while True:
+                self._step(self._core.message, conn.id, conn.lc.recv())
         finally:
-            # A worker that died or went silent has the *unfinished
-            # remainder* of its lease put back on the queue (per-unit
-            # acks mean completed units never rerun).
-            if lease_job is not None:
-                lease_job.state.requeue_lease(conn_id)
-            with self._lock:
-                self._workers -= 1
-
-    def _stale_result(
-        self, message: dict, ever_leased: Mapping[str, ServiceJob]
-    ) -> None:
-        """Route a result outside any current lease to the job that
-        once leased it here — first ack wins, the copy still routes
-        through the store so the losing attempt is counted.  Anything
-        else is a buggy worker and kills the connection, requeueing its
-        lease."""
-        unit_id = message.get("unit_id")
-        owner = ever_leased.get(unit_id)
-        unit = owner.state.lookup(unit_id) if owner is not None else None
-        if unit is None:
-            raise ConnectionError(
-                f"result for {unit_id!r} outside this worker's leases"
-            )
-        result = result_from_dict(message["result"], unit.granularity, unit.rep)
-        owner.state.complete(unit, result, attempt="stale")
-        self._maybe_finish(owner)
+            self._step(self._core.disconnect, conn.id)
 
     # ----------------------------------------------------------- processes
 
@@ -682,11 +538,9 @@ class _Master:
         )
 
 
-def _send_revoke(lc: _LineConn, unit_ids: list[str]) -> None:
-    try:
-        lc.send({"type": "revoke", "unit_ids": unit_ids})
-    except OSError:
-        pass  # victim already dead; its lease requeues on reap
+def _service_extra(job_id: str, tenant: str, priority: int) -> dict:
+    """The service identity a job's store manifest carries."""
+    return {"service": {"job_id": job_id, "tenant": tenant, "priority": priority}}
 
 
 class CampaignService(_Master):
@@ -755,6 +609,14 @@ class CampaignService(_Master):
                 if time.monotonic() - self._last_gc >= interval:
                     self.gc_now()
 
+    def stop(self, clean: bool = True) -> list[int]:
+        codes = super().stop(clean)
+        with self._lock:
+            for job in self._core.jobs.values():
+                if job.status == "running" and job.directory is not None:
+                    job.store.close()
+        return codes
+
     def gc_now(self) -> list[str]:
         """Run one TTL sweep immediately; returns the removed job ids.
 
@@ -766,12 +628,9 @@ class CampaignService(_Master):
         if self.job_ttl is None:
             return []
         removed = gc_job_dirs(self.root, self.job_ttl)
-        if removed:
-            with self._lock:
-                for job_id in removed:
-                    job = self._jobs.pop(job_id, None)
-                    if job is not None:
-                        self._order.remove(job)
+        with self._lock:
+            for job_id in removed:
+                self._core.jobs.pop(job_id, None)
         return removed
 
     def request_stop(self) -> None:
@@ -784,8 +643,8 @@ class CampaignService(_Master):
         return self.root / "jobs"
 
     def _supervise_loop(self) -> None:
-        while not self._stop.wait(timeout=0.2):
-            self.supervise()
+        while not self._stop.wait(timeout=TICK_S):
+            self.tick()
 
     # ------------------------------------------------------------ recovery
 
@@ -810,60 +669,60 @@ class CampaignService(_Master):
                 meta = json.loads(job_file.read_text())
             except (OSError, json.JSONDecodeError):
                 continue  # torn writes are impossible (atomic rename)
-            job = ServiceJob(
+            identity = dict(
                 job_id=meta["job_id"],
+                seq=seq,
                 tenant=meta.get("tenant", "default"),
                 priority=int(meta.get("priority", 0)),
-                seq=seq,
-                status=meta.get("state", "running"),
                 directory=job_dir,
-                final_counts=(
-                    int(meta.get("done", 0)),
-                    int(meta.get("total", 0)),
-                ),
             )
+            counts = (int(meta.get("done", 0)), int(meta.get("total", 0)))
+            status = meta.get("state", "running")
             try:
-                job.spec = CampaignSpec.from_dict(meta["spec"])
+                spec = CampaignSpec.from_dict(meta["spec"])
             except (KeyError, CampaignConfigError) as exc:
-                job.status = "failed"
-                job.error = f"unrecoverable spec: {exc}"
-                self._register(job)
-                continue
-            if job.status in TERMINAL_JOB_STATES:
-                self._register(job)
-                continue
-            try:
-                self._resume_job(job)
-            except Exception as exc:  # a corrupt store must not kill start
-                job.status = "failed"
-                job.error = f"resume failed: {exc}"
-                job.persist()
-            self._register(job)
+                job = ServiceJob(
+                    **identity, status="failed", final_counts=counts,
+                    error=f"unrecoverable spec: {exc}",
+                )
+            else:
+                if status in TERMINAL_JOB_STATES:
+                    job = ServiceJob(
+                        **identity, status=status, spec=spec, final_counts=counts
+                    )
+                else:
+                    try:
+                        job = self._resume_job(identity, spec)
+                    except Exception as exc:  # a corrupt store must not kill start
+                        job = ServiceJob(
+                            **identity, status="failed", spec=spec,
+                            final_counts=counts, error=f"resume failed: {exc}",
+                        )
+                    job.persist()
+            self.add_job(job)
 
-    def _resume_job(self, job: ServiceJob) -> None:
-        store_dir = job.directory / "store"
-        grid = job.spec.grid()
-        extra = self._manifest_extra(job)
+    def _resume_job(self, identity: dict, spec: CampaignSpec) -> ServiceJob:
+        store_dir = identity["directory"] / "store"
+        grid = spec.grid()
         if store_dir.exists():
             store = open_store(store_dir)
         else:  # killed between job.json and the first manifest write
-            store = make_store(job.spec.store.resolved_backend, store_dir)
-        store.ensure_manifest(grid, extra=extra)
+            store = make_store(spec.store.resolved_backend, store_dir)
+        store.ensure_manifest(grid, extra=_service_extra(
+            identity["job_id"], identity["tenant"], identity["priority"]
+        ))
         completed = store.completed_ids()
         todo = [u for u in grid.units() if u.unit_id not in completed]
-        job.store = store
         if not todo:
-            job.status = "done"
-            job.final_counts = (grid.total_units, grid.total_units)
-            job.persist()
             store.close()
-            job.store = None
-            return
-        job.state = self._new_state(
-            todo, store, self._job_lease_policy(job.spec.lease)
+            return ServiceJob(
+                **identity, status="done", spec=spec,
+                final_counts=(grid.total_units, grid.total_units),
+            )
+        return ServiceJob(
+            **identity, spec=spec, units=todo, store=store,
+            lease_policy=self._job_lease_policy(spec.lease),
         )
-        job.status = "running"
-        job.persist()
 
     # ------------------------------------------------------------- submit
 
@@ -894,40 +753,17 @@ class CampaignService(_Master):
         spec = CampaignSpec.from_dict(payload)
         spec = replace(spec, executor=ExecutorSpec())
         grid = spec.grid()
-        job = ServiceJob(
-            job_id=job_id,
-            tenant=tenant,
-            priority=priority,
-            seq=seq,
-            status="running",
-            spec=spec,
-            directory=job_dir,
-        )
         job_dir.mkdir(parents=True, exist_ok=True)
         store = make_store(spec.store.resolved_backend, store_dir)
-        store.ensure_manifest(grid, extra=self._manifest_extra(job))
-        job.store = store
-        job.state = self._new_state(
-            grid.units(), store, self._job_lease_policy(spec.lease)
+        store.ensure_manifest(grid, extra=_service_extra(job_id, tenant, priority))
+        job = ServiceJob(
+            job_id, seq, tenant, priority, spec=spec, directory=job_dir,
+            units=grid.units(), store=store,
+            lease_policy=self._job_lease_policy(spec.lease),
         )
         job.persist()
-        self._register(job)
+        self.add_job(job)
         return job.snapshot()
-
-    def submit_units(
-        self,
-        units: Sequence[WorkUnit],
-        lc: _LineConn,
-        tenant: str = "default",
-        priority: int = 0,
-    ) -> ServiceJob:
-        """Register a relay job: results stream back over ``lc``."""
-        tenant, priority = self._check_tenant(tenant, priority)
-        if not units:
-            raise CampaignConfigError("submit_units with no units")
-        return self.add_job(
-            units, _RelayStore(lc), tenant=tenant, priority=priority
-        )
 
     def _check_tenant(self, tenant, priority) -> tuple[str, int]:
         if not isinstance(tenant, str) or not tenant:
@@ -942,72 +778,50 @@ class CampaignService(_Master):
             )
         return tenant, priority
 
-    def _manifest_extra(self, job: ServiceJob) -> dict:
-        return {
-            "service": {
-                "job_id": job.job_id,
-                "tenant": job.tenant,
-                "priority": job.priority,
-            }
-        }
-
     # -------------------------------------------------------------- queries
 
-    def status(self, job_id: str) -> dict:
+    def _job(self, job_id: str) -> ServiceJob:
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._core.jobs.get(job_id)
         if job is None:
-            raise CampaignConfigError(
-                f"unknown job {job_id!r}", key="job_id"
-            )
-        return job.snapshot()
+            raise CampaignConfigError(f"unknown job {job_id!r}", key="job_id")
+        return job
+
+    def status(self, job_id: str) -> dict:
+        return self._job(job_id).snapshot()
 
     def jobs(self) -> list[dict]:
         with self._lock:
-            order = list(self._order)
-        return [job.snapshot() for job in order]
+            return [job.snapshot() for job in self._core.jobs.values()]
 
     def cancel(self, job_id: str) -> dict:
         """Stop leasing a job's units and revoke what is outstanding.
 
         Workers already computing a cancelled unit finish it; their acks
-        land as stale and are swallowed.  Terminal jobs cancel as a
-        no-op (the snapshot reports the state they already reached)."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise CampaignConfigError(
-                    f"unknown job {job_id!r}", key="job_id"
-                )
-            if job.status != "running":
-                return job.snapshot()
-            job.final_counts = job.counts()
-            job.status = "cancelled"
-        for lc, unit_ids in job.state.abort() if job.state is not None else ():
-            _send_revoke(lc, unit_ids)
-        job.persist()
-        if job.store is not None and not job.relay:
-            job.store.close()
+        are swallowed.  Terminal jobs cancel as a no-op (the snapshot
+        reports the state they already reached)."""
+        job = self._job(job_id)
+        self._step(self._core.cancel_job, job_id)
         return job.snapshot()
 
     # ------------------------------------------------------------- serving
 
-    def _dispatch(self, lc: _LineConn, first: dict) -> None:
+    def _dispatch(self, conn: _Conn, first: dict) -> None:
         kind = first.get("type")
         if kind == "hello":
-            self._serve_worker(lc, first)
+            self._serve_worker(conn, first)
         elif kind == "submit_units":
-            self._serve_relay_client(lc, first)
+            self._serve_relay_client(conn, first)
         else:
-            self._serve_client(lc, first)
+            self._serve_client(conn, first)
 
-    def _serve_client(self, lc: _LineConn, first: dict) -> None:
+    def _serve_client(self, conn: _Conn, first: dict) -> None:
         """Request/response client connection (``submit`` / ``status`` /
         ``jobs`` / ``cancel``); serves until the client hangs up."""
         message = first
         while True:
-            lc.send(self._client_reply(message))
-            message = lc.recv(timeout=self._dead_after)
+            conn.send(self._client_reply(message))
+            message = conn.lc.recv()
 
     def _client_reply(self, message: dict) -> dict:
         kind = message.get("type")
@@ -1029,41 +843,35 @@ class CampaignService(_Master):
         except CampaignConfigError as exc:
             return {"type": "error", "error": str(exc), "key": exc.key}
 
-    def _serve_relay_client(self, lc: _LineConn, first: dict) -> None:
-        """A ``submit_units`` connection: register the relay job, then
-        watch the connection until the job drains (sending
-        ``job_done``) or the client vanishes (cancelling the job)."""
+    def _serve_relay_client(self, conn: _Conn, first: dict) -> None:
+        """A ``submit_units`` connection: register a relay job whose
+        results, then ``job_done``, the core sends back here.  Whatever
+        ends this connection cancels the job: its results would have
+        nowhere to go."""
         try:
             units = [WorkUnit.from_dict(d) for d in first.get("units") or []]
-            job = self.submit_units(
-                units,
-                lc,
-                tenant=first.get("tenant", "default"),
-                priority=first.get("priority", 0),
+            tenant, priority = self._check_tenant(
+                first.get("tenant", "default"), first.get("priority", 0)
             )
+            if not units:
+                raise CampaignConfigError("submit_units with no units")
         except (CampaignConfigError, KeyError, TypeError, ValueError) as exc:
-            lc.send({"type": "error", "error": str(exc), "key": None})
+            conn.send({"type": "error", "error": str(exc), "key": None})
             return
-        lc.send({"type": "submitted", **job.snapshot()})
+        seq = self._next_seq()
+        job = ServiceJob(
+            f"job-{seq:06d}", seq, tenant, priority, units=units,
+            client=conn.id, lease_policy=self._job_lease_policy(None),
+        )
+        conn.send({"type": "submitted", **job.snapshot()})
         try:
-            while not self._stop.is_set():
-                if job.state.is_complete():
-                    self._maybe_finish(job)
-                    lc.send({"type": "job_done", "job_id": job.job_id})
-                    return
-                try:
-                    message = lc.recv(timeout=0.2)
-                except socket.timeout:
-                    continue
-                if message.get("type") == "cancel":
-                    self.cancel(job.job_id)
-                    lc.send({"type": "cancelled", **job.snapshot()})
+            self.add_job(job)
+            while True:
+                if conn.lc.recv().get("type") == "cancel":
+                    conn.send({"type": "cancelled", **self.cancel(job.job_id)})
                     return
         finally:
-            # Whatever ends this connection ends the job: results have
-            # nowhere to go without it.
-            if job.status == "running":
-                self.cancel(job.job_id)
+            self._step(self._core.disconnect, conn.id)
 
 
 # ------------------------------------------------------------------ clients
@@ -1114,12 +922,7 @@ class ServiceClient:
         """Submit a campaign spec; returns the job's status snapshot."""
         payload = spec.to_dict() if isinstance(spec, CampaignSpec) else dict(spec)
         return self._request(
-            {
-                "type": "submit",
-                "spec": payload,
-                "tenant": tenant,
-                "priority": priority,
-            }
+            {"type": "submit", "spec": payload, "tenant": tenant, "priority": priority}
         )
 
     def submit_handle(
@@ -1129,11 +932,7 @@ class ServiceClient:
         priority: int = 0,
     ) -> "ServiceJobHandle":
         snap = self.submit(spec, tenant=tenant, priority=priority)
-        return ServiceJobHandle(
-            client=self,
-            job_id=snap["job_id"],
-            store_directory=snap.get("store"),
-        )
+        return ServiceJobHandle(self, snap["job_id"], snap.get("store"))
 
     def status(self, job_id: str) -> dict:
         return self._request({"type": "status", "job_id": job_id})
@@ -1233,19 +1032,13 @@ class ServiceExecutor:
         sock = _connect_with_backoff(self.host, self.port)
         lc = _LineConn(sock)
         try:
-            lc.send(
-                {
-                    "type": "submit_units",
-                    "units": [u.to_dict() for u in units],
-                    "tenant": self.tenant,
-                    "priority": self.priority,
-                }
-            )
+            lc.send({
+                "type": "submit_units", "units": [u.to_dict() for u in units],
+                "tenant": self.tenant, "priority": self.priority,
+            })
             reply = lc.recv(timeout=self.timeout)
             if reply.get("type") == "error":
-                raise CampaignConfigError(
-                    reply["error"], key=reply.get("key")
-                )
+                raise CampaignConfigError(reply["error"], key=reply.get("key"))
             self.job_id = reply.get("job_id")
             done: set[str] = set()
             while len(done) < len(by_id):
@@ -1267,11 +1060,6 @@ class ServiceExecutor:
                         )
                 elif kind == "job_done":
                     break
-                elif kind == "error":
-                    raise RuntimeError(
-                        f"service failed job {self.job_id}: "
-                        f"{message.get('error')}"
-                    )
             missing = [uid for uid in by_id if uid not in done]
             if missing:
                 raise RuntimeError(

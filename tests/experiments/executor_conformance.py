@@ -11,8 +11,8 @@ fault cell                what is injected
 ========================  ==================================================
 ``none``                  nothing — the plain equivalence run
 ``worker-crash``          the computing side dies mid-campaign: a socket
-                          worker vanishes mid-lease (``--max-units``, so the
-                          partial-lease remainder requeues to the survivor),
+                          worker vanishes mid-lease (so the partial-lease
+                          remainder requeues to the survivor),
                           serial/process abort after two units and a fresh
                           executor finishes via ``resume=True``
 ``master-kill-resume``    the whole campaign process takes ``SIGKILL``
@@ -26,7 +26,7 @@ fault cell                what is injected
                           append as a losing ``"speculative"`` attempt and
                           the per-attempt dedup counts must be exact
 ``lease-revocation``      an idle worker steals the unstarted remainder of
-                          a straggler's lease (v3 ``revoke``);
+                          a straggler's lease (``revoke``);
                           serial/process abort mid-campaign, a fresh
                           executor finishes the re-leased remainder, and a
                           revoked unit's late ``"stale"`` ack is swallowed
@@ -41,7 +41,12 @@ fault cell                what is injected
 
 ``run_cell`` executes one (executor, fault, backend) cell against a
 store directory and returns the store's canonical per-rep rows for
-comparison against the serial baseline.  The same matrix runs against
+comparison against the serial baseline.  The socket executor's
+``worker-crash``, ``speculative-duplicate``, ``lease-revocation``,
+``wedged-worker`` and ``revoke-ack-race`` cells drive its master core
+(:class:`~repro.experiments.executors.master_core.MasterCore`) with
+scripted workers on a virtual clock, so they assert exact counts; its
+other cells run real master and worker processes.  The same matrix runs against
 both result-store backends — the JSONL rows file and the columnar
 chunk store (with ``chunk_rows`` shrunk so every cell exercises chunk
 sealing mid-campaign) — pinning the two to identical semantics under
@@ -59,7 +64,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.experiments.campaign import run_grid
 from repro.experiments.columnar import ColumnarStore
@@ -76,6 +81,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.grid import ScenarioGrid, WorkUnit
 from repro.experiments.harness import RepResult
+from scripted_master import ScriptedRun
 
 EXECUTORS: tuple[str, ...] = ("serial", "process", "socket")
 BACKENDS: tuple[str, ...] = ("jsonl", "columnar")
@@ -93,8 +99,15 @@ FAULTS: tuple[str, ...] = (
     "revoke-ack-race",
 )
 
-#: hard no-activity deadline for every socket cell — a wedged master
-#: fails loudly instead of hanging the suite
+#: the socket cells that run real master and worker processes; the
+#: other socket cells drive the master core with scripted workers
+#: (``scripted_master.py``) and need no sockets
+REAL_SOCKET_FAULTS: tuple[str, ...] = (
+    "none", "master-kill-resume", "duplicate-delivery",
+)
+
+#: hard no-activity deadline for every real socket cell — a wedged
+#: master fails loudly instead of hanging the suite
 DEADLINE_S = 60.0
 
 
@@ -176,26 +189,14 @@ def _new_store(
     return cls(store_dir)
 
 
-def make_cell_executor(
-    name: str,
-    lease: Union[str, int, None] = "auto",
-    spawn: Union[int, Sequence[Sequence[str]]] = 2,
-    speculate=None,
-    steal=None,
-):
+def make_cell_executor(name: str):
     """A fresh executor for one conformance cell."""
     if name == "serial":
         return SerialExecutor()
     if name == "process":
-        return ProcessExecutor(2, clamp=False, lease=lease)
+        return ProcessExecutor(2, clamp=False, lease="auto")
     if name == "socket":
-        return SocketExecutor(
-            spawn_workers=spawn,
-            timeout=DEADLINE_S,
-            lease=lease,
-            speculate=speculate,
-            steal=steal,
-        )
+        return SocketExecutor(spawn_workers=2, timeout=DEADLINE_S, lease="auto")
     raise ValueError(f"unknown conformance executor {name!r}")
 
 
@@ -243,25 +244,17 @@ def run_cell(
 
     elif fault == "worker-crash":
         if executor_name == "socket":
-            # One worker vanishes after a single unit of its multi-unit
-            # lease (--max-units 1, lease pinned > 1): the master must
-            # requeue the lease's unfinished remainder to the survivor.
-            # The survivor is throttled so it cannot finish the whole
-            # campaign before the faulty worker connects and takes a lease.
-            executor = make_cell_executor(
-                "socket",
-                lease=2,
-                spawn=[["--max-units", "1"], ["--slow-factor", "4"]],
-            )
-            with _new_store(backend, store_dir) as store:
-                run_grid(grid, executor=executor, store=store)
-            codes = executor.worker_exit_codes
-            assert codes.count(WORKER_EXIT_FAULT_INJECTED) == 1, (
-                f"fault worker's exit code not distinct: {codes}"
-            )
-            assert codes.count(WORKER_EXIT_OK) == 1, (
-                f"surviving worker did not shut down cleanly: {codes}"
-            )
+            # Worker 0 vanishes after the first unit of its 2-unit lease
+            # (max_units 1): the master requeues the lease's unfinished
+            # remainder, and the survivor computes it after its own lease.
+            run = _scripted(grid, backend, store_dir,
+                            [{"max_units": 1}, {}], lease=2)
+            assert run.exit_codes == [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
+            ids = [u.unit_id for u in grid.units()]
+            assert run.computed == [
+                (0, ids[0]), (1, ids[2]), (1, ids[3]), (1, ids[1]),
+            ]
+            assert run.core.respawns == 0
         else:
             # Serial/process have no independently-killable worker with a
             # survivor, so the computing side aborts mid-campaign and a
@@ -276,31 +269,23 @@ def run_cell(
 
     elif fault == "speculative-duplicate":
         if executor_name == "socket":
-            # One worker wedges on its very first unit (heartbeating the
+            # Worker 0 wedges on its very first unit (heartbeating the
             # whole time, so the dead-man deadline never fires) while
-            # stealing is disabled: speculation alone must duplicate the
-            # wedged lease's units onto the healthy worker.  A generous
-            # budget lets it rescue the whole stranded lease.  The
-            # healthy worker is throttled so it cannot finish the whole
-            # campaign before the wedged one connects and takes a lease.
-            executor = make_cell_executor(
-                "socket",
-                lease=2,
-                spawn=[["--wedge-after", "0"], ["--slow-factor", "4"]],
-                speculate=SpeculationPolicy(
+            # stealing is off: once its 2-unit lease has stalled past
+            # 3x the unit time, speculation duplicates both units onto
+            # the healthy worker, one per idle claim.
+            run = _scripted(
+                grid, backend, store_dir, [{"wedge": True}, {}], lease=2,
+                steal=False,
+                speculation=SpeculationPolicy(
                     enabled=True, budget_fraction=1.0, min_seconds=0.3
                 ),
-                steal="off",
             )
-            with _new_store(backend, store_dir) as store:
-                run_grid(grid, executor=executor, store=store)
-            assert executor.speculative_attempts >= 1, (
-                "campaign finished without any speculative attempt"
-            )
-            codes = executor.worker_exit_codes
-            assert codes.count(WORKER_EXIT_FAULT_INJECTED) == 1, (
-                f"wedged worker's exit code not distinct: {codes}"
-            )
+            assert run.job.speculative_attempts == 2
+            assert run.job.stolen_units == 0
+            assert run.exit_codes == [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
+            # The wedged worker never delivered its copies.
+            assert run.dedup == {"duplicate_appends": 0, "replayed_rows": 0}
         else:
             store = _new_store(backend, store_dir, AttemptReplayAppends)
             try:
@@ -317,23 +302,18 @@ def run_cell(
 
     elif fault == "lease-revocation":
         if executor_name == "socket":
-            # One 4-unit lease pins the whole campaign on the first
-            # worker to connect; the other goes idle against an empty
-            # queue and must steal the unstarted remainder via a v3
-            # revoke.  Both workers are throttled so the lease is still
-            # outstanding when the thief arrives.
-            executor = make_cell_executor(
-                "socket",
-                lease=total,
-                spawn=[["--slow-factor", "4"], ["--slow-factor", "4"]],
-                steal="auto",
-                speculate="off",
+            # One 4-unit lease pins the campaign on worker 0; worker 1
+            # connects idle and steals its unstarted tail (3 units).
+            # Whoever drains first steals the other's tail back — 2, then
+            # 1 more — and every revoke is obeyed, so each unit is
+            # computed exactly once.
+            run = _scripted(grid, backend, store_dir, [{}, {}],
+                            lease=total, steal=True)
+            assert run.job.stolen_units == 6
+            assert sorted(uid for _, uid in run.computed) == sorted(
+                u.unit_id for u in grid.units()
             )
-            with _new_store(backend, store_dir) as store:
-                run_grid(grid, executor=executor, store=store)
-            assert executor.stolen_units >= 1, (
-                "idle worker never stole from the outstanding lease"
-            )
+            assert run.dedup == {"duplicate_appends": 0, "replayed_rows": 0}
         else:
             # Serial/process analog: the computing side is revoked
             # mid-campaign (abort after two units), a fresh executor is
@@ -350,29 +330,18 @@ def run_cell(
 
     elif fault == "wedged-worker":
         if executor_name == "socket":
-            # The full rescue path: a worker takes the whole campaign as
+            # The full rescue path: worker 0 takes the whole campaign as
             # one lease and wedges on the head unit.  Stealing reclaims
-            # the unstarted tail, speculation duplicates the wedged head
-            # — between them every unit the wedged worker holds must
-            # complete, and the worker's injected-fault exit code stays
-            # distinct.  The healthy worker is throttled so the wedged
-            # one connects while units are still outstanding.
-            executor = make_cell_executor(
-                "socket",
-                lease=total,
-                spawn=[["--wedge-after", "0"], ["--slow-factor", "4"]],
-                speculate="auto",
-                steal="auto",
-            )
-            with _new_store(backend, store_dir) as store:
-                run_grid(grid, executor=executor, store=store)
-            assert executor.speculative_attempts >= 1, (
-                "wedged head unit was never speculated"
-            )
-            codes = executor.worker_exit_codes
-            assert codes.count(WORKER_EXIT_FAULT_INJECTED) == 1, (
-                f"wedged worker's exit code not distinct: {codes}"
-            )
+            # the 3-unit tail, speculation duplicates the wedged head —
+            # between them every unit it holds completes, and its
+            # injected-fault exit code stays distinct.
+            run = _scripted(grid, backend, store_dir, [{"wedge": True}, {}],
+                            lease=total, steal=True,
+                            speculation=SpeculationPolicy.from_spec("auto"))
+            assert run.job.stolen_units == 3
+            assert run.job.speculative_attempts == 1
+            assert run.exit_codes == [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
+            assert run.dedup == {"duplicate_appends": 0, "replayed_rows": 0}
         else:
             # Serial/process analog: the run stalls mid-unit (the wedge)
             # and is abandoned after a single completed unit; a fresh
@@ -382,33 +351,24 @@ def run_cell(
 
     elif fault == "revoke-ack-race":
         if executor_name == "socket":
-            # Both workers ignore revokes (fault injection), so every
-            # stolen unit is computed twice and the victim's late acks
-            # race the thief's: first ack wins, rows stay identical.
-            executor = make_cell_executor(
-                "socket",
-                lease=total,
-                spawn=[
-                    ["--ignore-revoke", "--slow-factor", "4"],
-                    ["--ignore-revoke", "--slow-factor", "4"],
-                ],
-                steal="auto",
-                speculate="off",
+            # Both workers ignore revokes, so stolen units are computed
+            # twice and the race goes both ways.  Unit 1: the thief's
+            # "stolen" ack lands first, the ignoring victim's "stale" copy
+            # loses.  Unit 2 (stolen back from the thief): the thief, now
+            # the victim, acks first as "stale" and the new thief's
+            # "stolen" copy loses.  The job completes on unit 3 before
+            # worker 0's last duplicate arrives, so nothing else counts.
+            run = _scripted(
+                grid, backend, store_dir,
+                [{"ignore_revoke": True}, {"ignore_revoke": True}],
+                lease=total, steal=True,
             )
-            store = _new_store(backend, store_dir)
-            try:
-                run_grid(grid, executor=executor, store=store)
-            finally:
-                store.close()
-            assert executor.stolen_units >= 1, (
-                "no lease was ever revoked, the race was not exercised"
-            )
-            # The exact duplicate count is timing-dependent (the master
-            # may finish before the ignoring victim's last stale acks
-            # arrive), but any loser must be attributed to the race.
-            stats = store.dedup_stats()
-            for tag in stats.get("by_attempt", {}):
-                assert tag in ("stale", "stolen"), stats
+            assert run.job.stolen_units == 6
+            assert run.dedup == {
+                "duplicate_appends": 2,
+                "replayed_rows": 0,
+                "by_attempt": {"stale": 1, "stolen": 1},
+            }
         else:
             # Serial/process exercise both orders of the race directly
             # at the store layer: half the units are won by the thief's
@@ -440,6 +400,19 @@ def run_cell(
         missing = {u.unit_id for u in grid.units()} - set(store.completed_ids())
     assert not missing, f"cell left {len(missing)} unit(s) incomplete"
     return rows
+
+
+def _scripted(grid, backend, store_dir, workers, **master):
+    """Run the grid on the master core with scripted workers into a
+    fresh store of ``backend``; the run carries the store's final
+    ``dedup`` stats."""
+    store = _new_store(backend, store_dir)
+    try:
+        run = ScriptedRun(grid.units(), store, workers, **master).run()
+    finally:
+        store.close()
+    run.dedup = store.dedup_stats()
+    return run
 
 
 def _abort_then_resume(

@@ -11,8 +11,8 @@ columnar results) land without re-validating the science.  Columnar
 cells run with a tiny ``chunk_rows`` so every fault interleaves with
 chunk sealing.
 
-Part of tier-1; socket cells auto-skip when localhost sockets are
-unavailable (mirroring the ``distributed`` marker).  Run just this
+Part of tier-1; the real-process socket cells auto-skip when localhost
+sockets are unavailable (mirroring the ``distributed`` marker).  Run just this
 matrix with ``pytest -m conformance``.
 """
 
@@ -46,7 +46,11 @@ def baseline_rows(pinned_config, tmp_path_factory):
 def test_conformance_cell(
     executor_name, fault, backend, pinned_config, baseline_rows, tmp_path
 ):
-    if executor_name == "socket" and not ec.sockets_available():
+    if (
+        executor_name == "socket"
+        and fault in ec.REAL_SOCKET_FAULTS
+        and not ec.sockets_available()
+    ):
         pytest.skip("localhost sockets unavailable")
     rows = ec.run_cell(
         pinned_config, executor_name, fault, tmp_path / "cell", backend=backend

@@ -10,6 +10,8 @@ worker faults, cancellation, and a restart of the service itself.
 """
 
 import socket
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -19,16 +21,21 @@ from repro.experiments import Campaign, CampaignSpec, ExecutorSpec
 from repro.experiments.campaign import run_grid
 from repro.experiments.config import FIGURES
 from repro.experiments.executors import (
+    WORKER_EXIT_ERROR,
     WORKER_EXIT_FAULT_INJECTED,
+    WORKER_EXIT_OK,
+    WORKER_RESPAWN_LIMIT,
     sockets_available,
 )
+from repro.experiments.executors.master_core import Spawn
 from repro.experiments.executors.socket import PROTO_VERSION, _LineConn
 from repro.experiments.grid import ScenarioGrid, WorkUnit
 from repro.experiments.service import CampaignService, ServiceClient
-from repro.experiments.store import open_store, result_to_dict
+from repro.experiments.store import RunStore, open_store, result_to_dict
 from repro.utils.errors import CampaignConfigError
 
 import executor_conformance as ec
+from scripted_master import ScriptedRun
 
 pytestmark = [
     pytest.mark.service,
@@ -243,51 +250,163 @@ class TestServiceLifecycle:
     def test_fault_exit_worker_never_respawned(
         self, tmp_path, pinned_config, serial_rep_rows
     ):
-        # A worker exiting with the injected-fault code 3 (--max-units)
-        # must not be respawned by the service loop; the survivor
-        # finishes the job.  The survivor is throttled so it cannot
-        # finish the job before the fault worker takes a unit.
-        with CampaignService(
-            tmp_path / "svc",
-            spawn_workers=[["--max-units", "1"], ["--slow-factor", "4"]],
-        ) as service:
-            service.start()
-            client = ServiceClient(service.address)
-            snap = client.submit({"config": pinned_config.to_dict()})
-            final = client.wait(snap["job_id"], timeout=DEADLINE_S)
-            assert final["state"] == "done"
-            deadline = time.monotonic() + 10.0
-            while (
-                time.monotonic() < deadline
-                and service._pool.procs[0].poll() is None
-            ):
-                time.sleep(0.05)
-            assert (
-                service._pool.procs[0].poll() == WORKER_EXIT_FAULT_INJECTED
-            )
-            assert service._pool.respawns == 0
-        with open_store(snap["store"]) as store:
+        # A worker exiting with the injected-fault code 3 (max_units)
+        # must not be respawned; the survivor finishes the job.  Driven
+        # on the master core with scripted workers.
+        with RunStore(tmp_path / "store") as store:
+            run = ScriptedRun(
+                ScenarioGrid.from_config(pinned_config).units(), store,
+                [{"max_units": 1}, {}],
+            ).run()
+        assert run.exit_codes == [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
+        assert run.core.respawns == 0
+        assert not any(isinstance(a, Spawn) for a in run.actions)
+        with open_store(tmp_path / "store") as store:
             assert store.rep_rows() == serial_rep_rows
 
     def test_crashed_worker_respawned(
         self, tmp_path, pinned_config, serial_rep_rows
     ):
-        # A genuine crash (--die-after exits 1) is respawned — bounded
-        # per slot per job — and the job still completes bit-identical.
-        # The healthy worker is throttled so the job outlasts the crash
-        # long enough for the supervisor's poll to respawn it.
-        with CampaignService(
-            tmp_path / "svc",
-            spawn_workers=[["--die-after", "1"], ["--slow-factor", "4"]],
-        ) as service:
-            service.start()
-            client = ServiceClient(service.address)
-            snap = client.submit({"config": pinned_config.to_dict()})
-            final = client.wait(snap["job_id"], timeout=DEADLINE_S)
-            assert final["state"] == "done"
-            assert service._pool.respawns >= 1
-        with open_store(snap["store"]) as store:
+        # A genuine crash (die_after exits 1) is respawned, bounded per
+        # slot per job: slot 0 dies after each unit it computes, is
+        # relaunched twice (the budget), and its third incarnation is
+        # still alive when the job completes bit-identical.
+        with RunStore(tmp_path / "store") as store:
+            run = ScriptedRun(
+                ScenarioGrid.from_config(pinned_config).units(), store,
+                [{"die_after": 1}, {}],
+            ).run()
+        assert run.core.respawns == WORKER_RESPAWN_LIMIT
+        assert [a for a in run.actions if isinstance(a, Spawn)] == [
+            Spawn(0)
+        ] * WORKER_RESPAWN_LIMIT
+        assert run.exit_codes == [
+            WORKER_EXIT_ERROR, WORKER_EXIT_ERROR, WORKER_EXIT_OK, WORKER_EXIT_OK,
+        ]
+        with open_store(tmp_path / "store") as store:
             assert store.rep_rows() == serial_rep_rows
+
+
+class TestRelayBackpressure:
+    def test_slow_relay_client_gets_every_result(self, tmp_path, pinned_config):
+        # A `submit_units` client with a 4 KiB receive buffer reads
+        # nothing for over a second — far past any poll interval — while
+        # 10 MB of results pile up for it.  It must then receive every
+        # result, in order and intact, and another tenant's job must
+        # finish in the meantime: each peer is written by its own
+        # writer, so a peer that stops reading stalls only itself.
+        relay_units = ScenarioGrid.from_config(
+            replace(pinned_config, name="slow-relay", num_graphs=20)
+        ).units()
+        relay_ids = {u.unit_id for u in relay_units}
+        pad = "x" * 256 * 1024
+        sent = []
+
+        def worker(address):
+            lc = _LineConn(socket.create_connection(address, timeout=30.0))
+            lc.send({"type": "hello", "worker": "probe", "heartbeat": 5.0,
+                     "proto": PROTO_VERSION})
+            try:
+                while (message := lc.recv(timeout=30.0))["type"] != "shutdown":
+                    if message["type"] != "lease":
+                        continue
+                    for d in message["units"]:
+                        unit = WorkUnit.from_dict(d)
+                        if unit.unit_id in relay_ids:
+                            payload = {"n": len(sent), "pad": pad}
+                            sent.append((unit.unit_id, payload))
+                        else:
+                            payload = result_to_dict(unit.run())
+                        lc.send({"type": "result", "unit_id": unit.unit_id,
+                                 "result": payload})
+            except ConnectionError:
+                pass
+            finally:
+                lc.close()
+
+        with CampaignService(tmp_path / "svc", spawn_workers=0, lease=1) as service:
+            address = service.start()
+            slow = socket.socket()
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            slow.connect(address)
+            slow_lc = _LineConn(slow)
+            started = time.monotonic()
+            slow_lc.send({"type": "submit_units", "tenant": "slow",
+                          "units": [u.to_dict() for u in relay_units]})
+            client = ServiceClient(address)
+            other = client.submit({"config": pinned_config.to_dict()},
+                                  tenant="other")
+            probe = threading.Thread(target=worker, args=(address,))
+            probe.start()
+            try:
+                final = client.wait(other["job_id"], timeout=DEADLINE_S)
+                assert final["state"] == "done"
+                while len(sent) < len(relay_units):
+                    assert time.monotonic() - started < DEADLINE_S
+                    time.sleep(0.05)
+                time.sleep(max(0.0, started + 1.0 - time.monotonic()))
+                assert slow_lc.recv(timeout=DEADLINE_S)["type"] == "submitted"
+                received = []
+                while (message := slow_lc.recv(timeout=DEADLINE_S))["type"] == "result":
+                    received.append((message["unit_id"], message["result"]))
+                assert message["type"] == "job_done"
+            finally:
+                slow_lc.close()
+            assert received == sent
+        probe.join(timeout=DEADLINE_S)
+
+
+    def test_racing_workers_relay_every_unit_exactly_once(self, tmp_path, pinned_config):
+        # Stress: more worker connections than cores, 4-unit leases,
+        # stealing on and a tiny switch interval, so reader threads
+        # interleave inside every step.  Workers ack whole leases at
+        # once and ignore revokes, so steals race acks and stale copies
+        # arrive; the relay client must still see each unit exactly once.
+        units = ScenarioGrid.from_config(
+            replace(pinned_config, name="stress", num_graphs=150)
+        ).units()
+
+        def worker(address):
+            lc = _LineConn(socket.create_connection(address, timeout=30.0))
+            lc.send({"type": "hello", "worker": "w", "heartbeat": 5.0,
+                     "proto": PROTO_VERSION})
+            try:
+                while (message := lc.recv(timeout=30.0))["type"] != "shutdown":
+                    for d in message.get("units", ()):
+                        uid = WorkUnit.from_dict(d).unit_id
+                        lc.send({"type": "result", "unit_id": uid,
+                                 "result": {"id": uid}})
+            except (ConnectionError, OSError):
+                pass
+            finally:
+                lc.close()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CampaignService(tmp_path / "svc", spawn_workers=0, lease=4) as service:
+                address = service.start()
+                threads = [
+                    threading.Thread(target=worker, args=(address,)) for _ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                client = _LineConn(socket.create_connection(address, timeout=30.0))
+                client.send({"type": "submit_units", "tenant": "t",
+                             "units": [u.to_dict() for u in units]})
+                assert client.recv(timeout=DEADLINE_S)["type"] == "submitted"
+                received = []
+                while (message := client.recv(timeout=DEADLINE_S))["type"] == "result":
+                    assert message["result"] == {"id": message["unit_id"]}
+                    received.append(message["unit_id"])
+                assert message["type"] == "job_done"
+                client.close()
+        finally:
+            sys.setswitchinterval(switch)
+        for thread in threads:
+            thread.join(timeout=DEADLINE_S)
+            assert not thread.is_alive()
+        assert sorted(received) == sorted(u.unit_id for u in units)
 
 
 class TestClientSurface:

@@ -93,11 +93,9 @@ class TestServiceTtl:
                 job_id=name, tenant="default", priority=0,
                 seq=int(name.split("-")[1]), status=state,
             )
-            service._jobs[name] = job
-            service._order.append(job)
+            service._core.add_job(job, now=0.0)
         assert service.gc_now() == ["job-1"]
-        assert sorted(service._jobs) == ["job-2"]
-        assert [j.job_id for j in service._order] == ["job-2"]
+        assert [snap["job_id"] for snap in service.jobs()] == ["job-2"]
 
     def test_gc_now_without_ttl_is_a_noop(self, tmp_path):
         make_job_dir(tmp_path, "job-1", "done")

@@ -1,5 +1,10 @@
 """Socket-executor integration tests (localhost master + worker processes).
 
+Tests whose subject is a decision of the master core — requeue on a
+crash, the dead-man and no-activity deadlines, fail-fast when every
+worker is gone — drive the core with scripted workers on a virtual
+clock (``scripted_master.py``) instead: exact, and no sleeping.
+
 Marked ``distributed``: run only these with
 ``pytest -m distributed``, or skip them with ``-m "not distributed"``.
 Each campaign gets a 60 s no-activity timeout — a master that stops
@@ -11,19 +16,28 @@ import contextlib
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.campaign import run_grid
-from repro.experiments.executors import SocketExecutor
-from repro.experiments.grid import ScenarioGrid
+from repro.experiments.executors import (
+    WORKER_EXIT_ERROR,
+    WORKER_EXIT_FAULT_INJECTED,
+    WORKER_EXIT_OK,
+    WORKER_RESPAWN_LIMIT,
+    SocketExecutor,
+)
+from repro.experiments.executors.master_core import Close, Send
 from repro.experiments.executors.socket import (
     PROTO_VERSION,
-    WORKER_EXIT_OK,
     _LineConn,
     run_worker,
     sockets_available,
 )
+from repro.experiments.grid import ScenarioGrid, WorkUnit
+from repro.experiments.store import RunStore
+from scripted_master import ScriptedRun
 
 pytestmark = [
     pytest.mark.distributed,
@@ -67,78 +81,79 @@ class TestSocketExecutor:
         [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
 
-    def test_slow_heartbeat_worker_not_declared_dead(
-        self, pinned_config, pinned_serial_rows
-    ):
-        # The hello message carries the worker's own heartbeat interval;
-        # the master scales its deadness deadline per connection, so a
-        # worker beating slower than the master's default survives.
-        executor = SocketExecutor(
-            spawn_workers=[["--heartbeat", "2.0"]], timeout=DEADLINE_S
+    def test_slow_heartbeat_worker_not_declared_dead(self, pinned_config):
+        # The hello carries the worker's own heartbeat interval and the
+        # deadness deadline scales with it: a worker announcing 2 s
+        # beats survives 10 s of silence (past the master's 5 s
+        # default, inside its own 8 x 2 s), while one announcing 0.5 s
+        # is dropped after 5 s and its unit requeued.
+        units = ScenarioGrid.from_config(pinned_config).units()[:1]
+        store = RunStore()
+        run = ScriptedRun(
+            units, store,
+            [{"heartbeat": 2.0, "silent": True, "unit_seconds": 10.0}],
+        ).run()
+        assert run.computed == [(0, units[0].unit_id)]
+        assert run.exit_codes == [WORKER_EXIT_OK]
+        assert len(store) == 1
+
+        run = ScriptedRun(
+            units, RunStore(),
+            [{"heartbeat": 0.5, "silent": True, "unit_seconds": 10.0}],
         )
-        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
-        assert result.rows() == pinned_serial_rows
+        while run.now < 4.75:
+            run.step()
+        assert Close(1) not in run.actions
+        run.step()  # 5 s of silence
+        assert Close(1) in run.actions
+        assert list(run.job.pending) == units
 
     def test_no_workers_times_out(self, pinned_config):
-        executor = SocketExecutor(spawn_workers=0, timeout=1.0)
-        with pytest.raises(TimeoutError, match="workers connected"):
-            run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
+        # `timeout` is a no-activity deadline on the core's clock: with
+        # no worker connected, the quiet time grows with the clock and
+        # a master with timeout=1.0 raises at 1 s.
+        units = ScenarioGrid.from_config(pinned_config).units()
+        run = ScriptedRun(units, RunStore(), [])
+        for _ in range(4):
+            run.step()
+        assert run.now - run.core.last_activity == 1.0
+        assert run.job.status == "running"
 
     def test_slow_unit_with_live_heartbeats_not_timed_out(self, pinned_config):
-        # `timeout` is a no-activity deadline, not a per-unit bound: a
-        # worker that takes 3x the timeout to compute one unit while
-        # heartbeating must not kill the campaign.
-        import threading
-        import time
-
-        from repro.experiments.grid import ScenarioGrid, WorkUnit
-        from repro.experiments.store import RunStore, result_to_dict
-
+        # ... but not a per-unit bound: a worker taking 3x the timeout
+        # to compute one unit while heartbeating keeps the quiet time
+        # under its beat interval the whole way.
         units = ScenarioGrid.from_config(pinned_config).units()[:1]
-        executor = SocketExecutor(spawn_workers=0, timeout=1.0)
         store = RunStore()
-        errors = []
-
-        def master():
-            try:
-                executor.run(units, store)
-            except Exception as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=master)
-        thread.start()
-        while executor.address is None:
-            time.sleep(0.01)
-        lc = _LineConn(socket.create_connection(executor.address, timeout=10.0))
-        try:
-            lc.send({"type": "hello", "worker": "slow", "heartbeat": 0.3,
-                     "proto": PROTO_VERSION})
-            message = lc.recv(timeout=10.0)
-            assert message["type"] == "lease"
-            [unit] = [WorkUnit.from_dict(d) for d in message["units"]]
-            result = unit.run()
-            for _ in range(10):  # pretend the compute takes 3 s
-                time.sleep(0.3)
-                lc.send({"type": "heartbeat"})
-            lc.send({"type": "result", "unit_id": unit.unit_id,
-                     "result": result_to_dict(result)})
-            assert lc.recv(timeout=10.0)["type"] == "shutdown"
-        finally:
-            lc.close()
-            thread.join(timeout=10.0)
-        assert not errors
+        run = ScriptedRun(
+            units, store, [{"heartbeat": 0.3, "unit_seconds": 3.0}]
+        )
+        quiet = []
+        while run.job.status == "running":
+            run.step()
+            quiet.append(run.now - run.core.last_activity)
+        assert run.now >= 3.0
+        assert max(quiet) < 1.0
         assert len(store) == 1
 
     def test_all_spawned_workers_dead_fails_fast(self, pinned_config):
-        # A config whose units crash every worker (unknown algorithm name
-        # explodes inside run_rep) must not sit out the full timeout: the
-        # master notices all its spawned workers exited and raises.
-        from dataclasses import replace
-
+        # A config whose units crash every worker (an unknown algorithm
+        # name explodes inside run_rep): each slot is relaunched up to
+        # its budget, then the core reports every worker gone — what
+        # makes SocketExecutor.run raise instead of waiting out its
+        # timeout.
         poison = replace(pinned_config, algorithms=("caft", "no-such-algo"))
-        executor = SocketExecutor(spawn_workers=2, timeout=DEADLINE_S)
-        with pytest.raises(RuntimeError, match="spawned worker"):
-            run_grid(ScenarioGrid.from_config(poison), executor=executor)
+        run = ScriptedRun(
+            ScenarioGrid.from_config(poison).units(), RunStore(), [{}, {}]
+        )
+        for _ in range(100):
+            if run.core.workers_gone():
+                break
+            run.step()
+        assert run.core.workers_gone()
+        assert run.exit_codes == [WORKER_EXIT_ERROR] * (2 + 2 * WORKER_RESPAWN_LIMIT)
+        assert run.core.respawns == 2 * WORKER_RESPAWN_LIMIT
+        assert run.job.counts() == (0, 4)
 
     def test_store_backed_socket_campaign(
         self, pinned_config, pinned_serial_rows, tmp_path
@@ -161,45 +176,40 @@ class TestBatchLeases:
         [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
         assert result.rows() == pinned_serial_rows
 
-    def test_crash_mid_lease_requeues_remainder(
-        self, pinned_config, pinned_serial_rows
-    ):
+    def test_crash_mid_lease_requeues_remainder(self, pinned_config):
         # The fault worker completes one unit of its 2-unit lease and
-        # vanishes; per-unit acks mean only the *remainder* requeues —
-        # rows stay bit-identical and the injected fault exits distinctly.
-        # The survivor is throttled so it cannot finish the whole
-        # campaign before the fault worker takes a lease.
-        from repro.experiments.executors import (
-            WORKER_EXIT_FAULT_INJECTED,
-            WORKER_EXIT_OK,
-        )
-
-        executor = SocketExecutor(
-            spawn_workers=[["--max-units", "1"], ["--slow-factor", "4"]],
-            timeout=DEADLINE_S,
-            lease=2,
-        )
-        [result] = run_grid(ScenarioGrid.from_config(pinned_config), executor=executor)
-        assert result.rows() == pinned_serial_rows
-        assert sorted(executor.worker_exit_codes) == sorted(
-            [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
-        )
+        # vanishes; per-unit acks mean only the *remainder* requeues, to
+        # the survivor once its own lease drains — rows stay
+        # bit-identical and the injected fault exits distinctly.
+        units = ScenarioGrid.from_config(pinned_config).units()
+        store = RunStore()
+        run = ScriptedRun(units, store, [{"max_units": 1}, {}], lease=2).run()
+        ids = [u.unit_id for u in units]
+        assert run.computed == [(0, ids[0]), (1, ids[2]), (1, ids[3]), (1, ids[1])]
+        assert run.exit_codes == [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
+        assert store.rep_rows() == _serial_rep_rows(pinned_config)
 
     def test_crash_at_lease_boundary_requeues_next_lease(self, pinned_config):
-        # The fault worker completes its whole first lease (--max-units
-        # == lease size) and vanishes exactly at the lease boundary: the
-        # master has already claimed the next lease when the send/recv
-        # fails, and must requeue it rather than strand it in flight.
-        from dataclasses import replace
-
+        # The fault worker completes its whole first lease (max_units ==
+        # lease size) and vanishes exactly at the lease boundary: the
+        # master already granted it the next lease, and must requeue
+        # that lease rather than strand it in flight.
         cfg = replace(pinned_config, num_graphs=3)  # 6 units
-        executor = SocketExecutor(
-            spawn_workers=[["--max-units", "2"], []],
-            timeout=DEADLINE_S,
-            lease=2,
+        units = ScenarioGrid.from_config(cfg).units()
+        ids = [u.unit_id for u in units]
+        store = RunStore()
+        run = ScriptedRun(units, store, [{"max_units": 2}, {}], lease=2).run()
+        leased_to_fault = [
+            [WorkUnit.from_dict(d).unit_id for d in a.message["units"]]
+            for a in run.actions
+            if isinstance(a, Send) and a.conn == 1 and a.message["type"] == "lease"
+        ]
+        assert leased_to_fault == [ids[0:2], ids[4:6]]
+        assert [uid for slot, uid in run.computed if slot == 1] == (
+            ids[2:4] + ids[4:6]
         )
-        [result] = run_grid(ScenarioGrid.from_config(cfg), executor=executor)
-        assert result.rows() == run_grid(ScenarioGrid.from_config(cfg))[0].rows()
+        assert run.exit_codes == [WORKER_EXIT_FAULT_INJECTED, WORKER_EXIT_OK]
+        assert store.rep_rows() == _serial_rep_rows(cfg)
 
     def _drive_master(self, pinned_config, worker):
         """Run a master against a hand-rolled worker implementation."""

@@ -5,8 +5,8 @@ The bugs pinned here: an exception anywhere in ``SocketExecutor.run``
 subprocesses; the respawn budget was accounted per ``run()`` instead of
 per job; and ``--bind host:0`` announced the requested port 0 instead of
 the ephemeral port the OS actually bound.  :class:`WorkerPool` tests are
-pure (fake processes, no sockets); the executor-level tests are marked
-``distributed``.
+pure (fake processes and the master core, no sockets); the
+executor-level tests are marked ``distributed``.
 """
 
 import subprocess
@@ -23,6 +23,7 @@ from repro.experiments.executors import (
     WorkerPool,
     sockets_available,
 )
+from repro.experiments.executors.master_core import Job, MasterCore, Spawn
 
 
 class FakeProc:
@@ -52,6 +53,8 @@ class FakeProc:
 
 
 class TestWorkerPool:
+    """The pool launches and reports; the master core decides respawns."""
+
     def _pool(self, slots=1):
         spawned = []
 
@@ -64,37 +67,46 @@ class TestWorkerPool:
         pool.spawn_all()
         return pool, spawned
 
+    @staticmethod
+    def _supervise(pool, core):
+        """One tick of the master: report exits, carry out respawns."""
+        for slot, code in pool.exited():
+            for action in core.worker_exited(slot, code, now=0.0):
+                pool.respawn(action.slot)
+
     def test_respawn_budget_is_per_job(self):
         pool, spawned = self._pool()
+        core = MasterCore(heartbeat=0.5, slots=1)
         # First job: the slot crash-loops to its budget, then stays dead.
         for crashes in range(WORKER_RESPAWN_LIMIT):
             pool.procs[0].crash()
-            pool.poll_respawn()
-            assert pool.respawns == crashes + 1
+            self._supervise(pool, core)
+            assert core.respawns == crashes + 1
         pool.procs[0].crash()
-        pool.poll_respawn()
-        assert pool.respawns == WORKER_RESPAWN_LIMIT, (
+        self._supervise(pool, core)
+        assert core.respawns == WORKER_RESPAWN_LIMIT, (
             "budget exceeded within one job"
         )
+        assert core.workers_gone()
         # A new job resets the budget: the same slot is respawned again.
-        pool.new_job_epoch()
-        pool.poll_respawn()
-        assert pool.respawns == WORKER_RESPAWN_LIMIT + 1
-        assert pool.procs[0].poll() is None
+        assert core.add_job(Job("next"), now=0.0) == [Spawn(0)]
+        assert core.respawns == WORKER_RESPAWN_LIMIT + 1
+        assert not core.workers_gone()
 
     def test_clean_and_fault_exits_never_respawned(self):
         pool, spawned = self._pool(slots=2)
+        core = MasterCore(heartbeat=0.5, slots=2)
         pool.procs[0].crash(WORKER_EXIT_OK)
         pool.procs[1].crash(WORKER_EXIT_FAULT_INJECTED)
         for _ in range(3):
-            pool.poll_respawn()
-        assert pool.respawns == 0
+            self._supervise(pool, core)
+        assert core.respawns == 0
         assert pool.procs == spawned[:2]
         # ... even across a job boundary: the budget reset must not turn
         # a clean shutdown or an injected fault into a relaunch.
-        pool.new_job_epoch()
-        pool.poll_respawn()
-        assert pool.respawns == 0
+        assert core.add_job(Job("next"), now=0.0) == []
+        assert core.respawns == 0
+        assert core.workers_gone()
 
     def test_spawn_failure_terminates_already_started(self):
         spawned = []
@@ -118,7 +130,9 @@ class TestWorkerPool:
     def test_reap_all_includes_replaced_exit_codes(self):
         pool, spawned = self._pool()
         pool.procs[0].crash(9)
-        pool.poll_respawn()
+        assert pool.exited() == [(0, 9)]
+        pool.respawn(0)
+        assert pool.exited() == []
         pool.procs[0].crash(WORKER_EXIT_OK)
         codes = pool.reap_all()
         assert sorted(codes) == [WORKER_EXIT_OK, 9]
@@ -154,14 +168,12 @@ class TestMasterLifecycle:
         # The regression: an interrupt mid-campaign must terminate and
         # reap every --spawn-workers subprocess on the way out — no
         # child survives a raised run.
-        from repro.experiments.executors import socket as socket_mod
+        from repro.experiments.service import _Master
 
-        def interrupted(self, timeout):
+        def interrupted(self, job, timeout=None):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(
-            socket_mod._MasterState, "wait_done", interrupted
-        )
+        monkeypatch.setattr(_Master, "wait_ended", interrupted)
         procs = self._track_spawns(monkeypatch)
         executor = SocketExecutor(timeout=60.0, spawn_workers=2)
         with pytest.raises(KeyboardInterrupt):

@@ -1,13 +1,14 @@
 """Straggler-mitigation tests: speculation policy, work stealing, and
-the revoke/stale-ack races, pinned with scripted wire-protocol workers.
+the revoke/stale-ack races, pinned with hand-rolled wire-protocol workers.
 
 The conformance matrix (``executor_conformance.py``) proves the
 *outcome* — bit-identical rows under wedged workers, revoked leases,
 and speculative duplicates.  This module pins the *mechanism*: policy
 arithmetic, the exact revoke a victim receives, first-ack-wins in both
-orders of the revoke-vs-stale-ack race, a worker computing a unit leased
-back to it after a late revoke, connect backoff, and the master's
-bounded respawn of crashed local workers.
+orders of the revoke-vs-stale-ack race, the worker's queue update on a
+revoke, a worker computing a unit leased back to it after a late
+revoke, connect backoff, and the master's bounded respawn of crashed
+local workers.
 
 Scripted-worker and spawned-worker tests are marked ``distributed``
 like the rest of the socket suite.
@@ -16,6 +17,7 @@ like the rest of the socket suite.
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.experiments.executors.socket import (
     WORKER_EXIT_OK,
     _connect_with_backoff,
     _LineConn,
+    drop_revoked,
     run_worker,
     sockets_available,
 )
@@ -77,6 +80,32 @@ class TestSpeculationPolicy:
         # Slow units: slow_factor x EWMA dominates.
         assert policy.is_straggler(2.9, 1.0) is False
         assert policy.is_straggler(3.1, 1.0) is True
+
+
+class TestDropRevoked:
+    """The worker's queue update on ``revoke``, without sockets."""
+
+    @staticmethod
+    def _ids(queue):
+        return [u.unit_id for u in queue]
+
+    def test_drops_the_oldest_pending_copy_of_each_id(self, pinned_config):
+        a, b, c, d = ScenarioGrid.from_config(pinned_config).units()
+        # A lease sent after the steal handed `b` back before the revoke
+        # landed: only the older copy goes.
+        pending = deque([a, b, c, b])
+        kept = drop_revoked(pending, [b.unit_id, c.unit_id])
+        assert self._ids(kept) == [a.unit_id, b.unit_id]
+        assert self._ids(pending) == [a.unit_id, b.unit_id, c.unit_id, b.unit_id]
+
+    def test_started_or_finished_ids_leave_no_trace(self, pinned_config):
+        # `a` was already started (popped) when the revoke arrived: the
+        # revoke is moot, and a later lease of `a` must be computed.
+        a, b, c, d = ScenarioGrid.from_config(pinned_config).units()
+        kept = drop_revoked(deque([b]), [a.unit_id])
+        assert self._ids(kept) == [b.unit_id]
+        kept.append(a)
+        assert self._ids(drop_revoked(kept, [])) == [b.unit_id, a.unit_id]
 
 
 class TestParseSteal:
@@ -418,3 +447,18 @@ class TestWorkerRespawn:
         assert result.rows() == pinned_serial_rows
         assert executor.worker_respawns >= 1
         assert WORKER_EXIT_ERROR in executor.worker_exit_codes
+
+    def test_respawn_count_is_per_run(self, pinned_config, pinned_serial_rows):
+        # The only worker crashes after 3 of the 4 units: one relaunch
+        # finishes the campaign.  A second run of the same executor
+        # reports its own relaunch, not a running total.
+        executor = SocketExecutor(
+            spawn_workers=[["--die-after", "3"]], timeout=DEADLINE_S
+        )
+        for _ in range(2):
+            [result] = run_grid(
+                ScenarioGrid.from_config(pinned_config), executor=executor
+            )
+            assert result.rows() == pinned_serial_rows
+            assert executor.worker_respawns == 1
+            assert executor.worker_exit_codes == [WORKER_EXIT_ERROR, WORKER_EXIT_OK]
