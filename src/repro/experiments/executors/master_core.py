@@ -355,36 +355,34 @@ class MasterCore:
 
     def hello(self, conn: int, message: dict, now: float) -> list[Action]:
         self.last_activity = now
+        beat = message.get("heartbeat", self.heartbeat)
         if message.get("proto") != PROTO_VERSION:
             # Every peer ships from this repo and speaks one version; a
             # stale or foreign worker is turned away before it can lease.
-            self._out += [
-                Send(conn, {
-                    "type": "error",
-                    "error": f"wire protocol {message.get('proto')!r} is not "
-                             f"supported: this master speaks {PROTO_VERSION}",
-                    "key": "proto",
-                }),
-                Close(conn),
-            ]
+            self._refuse(
+                conn, "proto", f"wire protocol {message.get('proto')!r} is not "
+                               f"supported: this master speaks {PROTO_VERSION}",
+            )
+        elif not isinstance(beat, (int, float)):
+            self._refuse(conn, "heartbeat", f"heartbeat {beat!r} is not a number")
         elif self.stopping:
             self._out += [Send(conn, SHUTDOWN), Close(conn)]
         else:
             # Honor the worker's own heartbeat cadence (it may have been
             # started with --heartbeat much larger than the master's).
-            beat = float(message.get("heartbeat", self.heartbeat))
             dead_after = max(self.dead_after, beat * DEAD_AFTER_BEATS)
             self.workers[conn] = _Worker(conn, dead_after, now)
         return self._flush(now)
 
-    def message(self, conn: int, message: dict, now: float) -> list[Action]:
-        """A worker's ``heartbeat`` or ``result``; anything else is a
-        buggy worker and loses its connection (its lease requeues)."""
+    def message(self, conn: int, message, now: float) -> list[Action]:
+        """A worker's ``heartbeat`` or ``result``; anything else (a line
+        that is no JSON object included) is a buggy worker and loses its
+        connection (its lease requeues)."""
         self.last_activity = now
         worker = self.workers.get(conn)
         if worker is not None:
             worker.deadline = now + worker.dead_after
-            kind = message.get("type")
+            kind = message.get("type") if isinstance(message, dict) else None
             if kind == "result":
                 self._result(worker, message, now)
             elif kind != "heartbeat":
@@ -519,29 +517,34 @@ class MasterCore:
     def _result(self, worker: _Worker, message: dict, now: float) -> None:
         """Route an ack: to the worker's lease when the unit is still
         its to ack, else — as a ``"stale"`` attempt — to the job that
-        once leased it here.  A result for a unit never leased here is
-        a buggy worker."""
+        once leased it here.  A result for a unit never leased here, or
+        one whose payload does not decode, is a buggy worker: it loses
+        its connection before anything is taken off its lease, so the
+        whole lease requeues."""
         unit_id = message.get("unit_id")
         lease = worker.lease
         if lease is not None:
             lease.last_progress = now  # any ack is progress
-        if lease is not None and unit_id in lease.remaining:
-            job, attempt = lease.job, lease.attempt
-            unit = lease.remaining.pop(unit_id)
+        try:
+            current = lease is not None and unit_id in lease.remaining
+            job = lease.job if current else worker.ever_leased[unit_id]
+            unit = job.units[unit_id]
+            result = message["result"]
+            if job.store is not None:
+                result = self.decode(result, unit)
+        except (KeyError, TypeError, ValueError):
+            return self._drop(worker, close=True)
+        if current:
+            del lease.remaining[unit_id]
             seconds = message.get("seconds")
-            if seconds is not None:
+            if isinstance(seconds, (int, float)):
                 job.lease_policy.observe(float(seconds))
-        else:
-            job, attempt = worker.ever_leased.get(unit_id), "stale"
-            unit = job.units.get(unit_id) if job is not None else None
-            if unit is None:
-                self._drop(worker, close=True)
-                return
-        self._complete(job, unit, message["result"], attempt)
+        self._complete(job, unit, result, lease.attempt if current else "stale")
         if lease is not None and worker.lease is lease and not lease.remaining:
             self._retire(worker)  # drained: the closing dispatch refills it
 
-    def _complete(self, job: Job, unit: WorkUnit, payload: dict, attempt: str) -> None:
+    def _complete(self, job: Job, unit: WorkUnit, result, attempt: str) -> None:
+        """Record a decoded result (a relay job's raw payload)."""
         if job.status == "cancelled":
             return
         # First ack wins: the store's idempotent append decides, so a
@@ -549,13 +552,13 @@ class MasterCore:
         # replayed delivery) is counted in dedup_stats under its attempt
         # tag — never stored, never double-progressed.
         if job.store is not None:
-            if not job.store.append(unit, self.decode(payload, unit), attempt=attempt):
+            if not job.store.append(unit, result, attempt=attempt):
                 return
         elif unit.unit_id in job.done:
             return
         else:
             self._out.append(Send(job.client, {
-                "type": "result", "unit_id": unit.unit_id, "result": payload,
+                "type": "result", "unit_id": unit.unit_id, "result": result,
             }))
         job.done.add(unit.unit_id)
         if job.progress is not None:
@@ -579,6 +582,11 @@ class MasterCore:
                 Close(job.client),
             ]
         job.ended()
+
+    def _refuse(self, conn: int, key: str, error: str) -> None:
+        self._out += [
+            Send(conn, {"type": "error", "error": error, "key": key}), Close(conn)
+        ]
 
     def _retire(self, worker: _Worker) -> None:
         del worker.lease.job.leases[worker.conn]

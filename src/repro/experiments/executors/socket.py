@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import random
+import select
 import socket
 import subprocess
 import sys
@@ -108,11 +108,18 @@ def sockets_available() -> bool:
         return False
 
 
-class _LineConn:
-    """Newline-delimited JSON over one TCP socket, write-locked.
+def _encode(message: dict) -> bytes:
+    return (json.dumps(message, separators=(",", ":")) + "\n").encode()
 
-    Workers write from two threads (results from the main loop,
-    heartbeats from a daemon); the lock keeps lines atomic.
+
+class _LineConn:
+    """Newline-delimited JSON over one TCP socket.
+
+    Workers and clients block in :meth:`send` and :meth:`recv`; a worker
+    sends from two threads (results from the main loop, heartbeats from
+    a daemon), so sends are locked to keep lines atomic.  The master's
+    loop reads a readable socket with :meth:`fill` and takes whole lines
+    with :meth:`pop_line` — the same buffer either way.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -121,7 +128,7 @@ class _LineConn:
         self._wlock = threading.Lock()
 
     def send(self, message: dict) -> None:
-        data = (json.dumps(message, separators=(",", ":")) + "\n").encode()
+        data = _encode(message)
         with self._wlock:
             self.sock.sendall(data)
 
@@ -133,12 +140,7 @@ class _LineConn:
         ``sock.makefile`` would be poisoned by it) for the next call.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            newline = self._rbuf.find(b"\n")
-            if newline >= 0:
-                line = bytes(self._rbuf[: newline + 1])
-                del self._rbuf[: newline + 1]
-                return json.loads(line)
+        while (line := self.pop_line()) is None:
             if deadline is None:
                 self.sock.settimeout(None)
             else:
@@ -146,17 +148,29 @@ class _LineConn:
                 if remaining <= 0:
                     raise socket.timeout("no complete line before deadline")
                 self.sock.settimeout(remaining)
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("peer closed the connection")
-            self._rbuf.extend(chunk)
+            self.fill()
+        return json.loads(line)
 
-    def shutdown(self) -> None:
-        """End both directions now; wakes a thread blocked in ``recv``."""
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+    def ready(self) -> bool:
+        """Whether :meth:`recv` has something to start on without
+        waiting: a whole line buffered, or bytes (or EOF) readable."""
+        return b"\n" in self._rbuf or bool(select.select([self.sock], [], [], 0)[0])
+
+    def fill(self) -> None:
+        """Buffer what one read of the socket returns."""
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("peer closed the connection")
+        self._rbuf.extend(chunk)
+
+    def pop_line(self) -> Optional[bytes]:
+        """The next whole buffered line, or None."""
+        newline = self._rbuf.find(b"\n")
+        if newline < 0:
+            return None
+        line = bytes(self._rbuf[: newline + 1])
+        del self._rbuf[: newline + 1]
+        return line
 
     def close(self) -> None:
         try:
@@ -342,12 +356,12 @@ class SocketExecutor:
             if self.on_listen is not None:
                 self.on_listen(self.address)
             master.start_workers()
-            while not master.wait_ended(job):
-                # Feeds the clock and worker exits (the core relaunches
-                # genuine crashers); `quiet` is how long no worker has
-                # said anything — heartbeats count, so `timeout` bounds
-                # silence, not the run or a single unit.
-                quiet, gone = master.tick()
+            while job.status == "running":
+                # The master's loop runs on this thread, a turn at a
+                # time; `quiet` is how long no worker has said anything
+                # — heartbeats count, so `timeout` bounds silence, not
+                # the run or a single unit.
+                quiet, gone = master.turn()
                 if self.timeout is not None and quiet >= self.timeout:
                     missing = job.remaining()
                     raise TimeoutError(
@@ -440,15 +454,15 @@ def run_worker(
     """Connect to a campaign master and compute units until shutdown.
 
     The body of ``repro-ftsched campaign worker HOST:PORT``.  A daemon
-    thread heartbeats for
-    the life of the connection so the master can tell "still computing"
-    from "dead"; a second daemon owns all socket reads and feeds an
-    inbox queue, so mid-lease control traffic — a ``revoke`` — is
-    seen between units, not after the whole lease (:func:`drop_revoked`).
-    ``idle_timeout`` bounds how long the worker waits for the master's
-    next message (keepalive plus a recv timeout), so a worker orphaned
-    by a master host that died without closing the TCP connection exits
-    instead of blocking forever.
+    thread heartbeats for the life of the connection so the master can
+    tell "still computing" from "dead".  Between units the worker reads
+    whatever the master has sent without blocking, so mid-lease control
+    traffic — a ``revoke`` — is seen between units, not after the whole
+    lease (:func:`drop_revoked`); it blocks for the master's next
+    message only when it has no pending work, and then for at most
+    ``idle_timeout`` (keepalive plus a recv timeout), so a worker
+    orphaned by a master host that died without closing the TCP
+    connection exits instead of blocking forever.
 
     Fault injection (never used in production):
 
@@ -494,37 +508,15 @@ def run_worker(
             except OSError:
                 return
 
-    inbox: queue.Queue = queue.Queue()
-
-    def _read() -> None:
-        # All reads happen on this thread: the main loop computes units
-        # and polls the inbox between them, so a mid-lease revoke is
-        # acted on before the next unit starts.  EOF/timeout posts the
-        # None sentinel and the main loop exits.
-        try:
-            while True:
-                inbox.put(lc.recv(timeout=idle_timeout))
-        except (ConnectionError, OSError, json.JSONDecodeError):
-            inbox.put(None)
-
     threading.Thread(target=_beat, name="campaign-heartbeat", daemon=True).start()
-    threading.Thread(target=_read, name="campaign-worker-read", daemon=True).start()
     pending: deque[WorkUnit] = deque()
     done = 0
     try:
         while True:
-            # Ingest control traffic: block when out of local work,
-            # otherwise just drain whatever has already arrived.
-            block = not pending
-            while True:
-                try:
-                    message = inbox.get(block=block)
-                except queue.Empty:
-                    break
-                if message is None:
-                    # Connection gone: master shut down uncleanly, or
-                    # the idle timeout expired with nothing to do.
-                    return WORKER_EXIT_OK if done else WORKER_EXIT_ERROR
+            # Block for the master only when out of work; otherwise take
+            # just what has already arrived.
+            while not pending or lc.ready():
+                message = lc.recv(timeout=idle_timeout)
                 kind = message.get("type")
                 if kind == "shutdown":
                     if verbose:
@@ -545,7 +537,6 @@ def run_worker(
                             file=sys.stderr,
                         )
                     pending = drop_revoked(pending, message.get("unit_ids", ()))
-                block = not pending
             unit = pending.popleft()
             if verbose:
                 print(f"worker {label}: {unit.unit_id}", file=sys.stderr)
@@ -577,7 +568,9 @@ def run_worker(
                 # code, so the master's respawn path (which ignores the
                 # injected-fault code above) kicks in.
                 return WORKER_EXIT_ERROR
-    except (ConnectionError, OSError):
+    except (ConnectionError, OSError, json.JSONDecodeError):
+        # Connection gone: the master shut down uncleanly, or the idle
+        # timeout expired with nothing to do.
         return WORKER_EXIT_OK if done else WORKER_EXIT_ERROR
     finally:
         stop.set()

@@ -1,7 +1,7 @@
 """The campaign master, and the persistent multi-tenant service on it.
 
 :class:`_Master` is the one master in this package: a listening
-socket, a local worker pool and one reader per connection around a
+socket, a local worker pool and one ``selectors`` loop around a
 :class:`~repro.experiments.executors.master_core.MasterCore`, which
 makes every decision (leases, crash requeue, stealing, speculation,
 first-ack-wins dedup, fair share, respawns) from events and an
@@ -66,13 +66,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import queue
+import selectors
 import shutil
 import socket
 import subprocess
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -87,6 +88,7 @@ from repro.experiments.executors.base import (
     parse_steal,
 )
 from repro.experiments.executors.master_core import (
+    Close,
     Job,
     MasterCore,
     Send,
@@ -96,6 +98,7 @@ from repro.experiments.executors.socket import (
     DEFAULT_HEARTBEAT,
     WorkerPool,
     _connect_with_backoff,
+    _encode,
     _LineConn,
 )
 from repro.experiments.grid import WorkUnit
@@ -114,7 +117,7 @@ SERVICE_FILE_NAME = "service.json"
 #: how long a clean :meth:`_Master.stop` waits for workers to take their
 #: ``shutdown`` before terminating whatever is still running
 STOP_GRACE_S = 2.0
-#: how often the master's ticker feeds the core the clock (dead-man
+#: how often the master's loop feeds the core the clock (dead-man
 #: deadlines, speculation stalls) and local worker exits (respawns)
 TICK_S = 0.1
 
@@ -243,65 +246,48 @@ def _decode_result(payload: dict, unit: WorkUnit):
     return result_from_dict(payload, unit.granularity, unit.rep)
 
 
-class _Conn:
-    """One accepted connection: its reader is the master's handler
-    thread, its writer a thread of its own.
+def _type(message) -> Optional[str]:
+    return message.get("type") if isinstance(message, dict) else None
 
-    Messages are written in order, off the caller's thread and with no
-    timeout, so a peer that stops reading stalls only this connection —
-    never the core's lock or another peer.  The writer closes the socket
-    once everything queued before :meth:`close` is written."""
 
-    def __init__(self, conn_id: int, lc: _LineConn) -> None:
+class _Peer(_LineConn):
+    """One accepted connection: its line buffer, its queued output, and
+    the ``kind`` its first message made it (worker, client or relay)."""
+
+    def __init__(self, conn_id: int, sock: socket.socket, now: float) -> None:
+        super().__init__(sock)
         self.id = conn_id
-        self.lc = lc
-        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._writer = threading.Thread(
-            target=self._write, name="campaign-master-write", daemon=True
-        )
-        self._writer.start()
-
-    def send(self, message: dict) -> None:
-        self._outbox.put(message)
-
-    def close(self) -> None:
-        self._outbox.put(None)
-
-    def flush(self, deadline: float) -> None:
-        """Wait (until ``deadline``) for the writer to drain and close."""
-        self._writer.join(max(0.0, deadline - time.monotonic()))
-
-    def _write(self) -> None:
-        try:
-            while (message := self._outbox.get()) is not None:
-                self.lc.send(message)
-        except OSError:
-            pass  # the peer is gone; its reader reports the disconnect
-        finally:
-            self.lc.shutdown()
-            self.lc.close()
+        self.opened = now
+        self.kind: Optional[str] = None
+        #: a relay client's job
+        self.job_id: Optional[str] = None
+        self.outbox = bytearray()
+        #: close once the outbox is written
+        self.closing = False
 
 
 class _Master:
     """The sockets and processes around a
     :class:`~repro.experiments.executors.master_core.MasterCore`: the
-    listening socket, the local :class:`WorkerPool`, one reader thread
-    per connection turning lines into core events, and :meth:`tick`,
-    which feeds the core the clock and local worker exits.  One lock
-    guards the core; under it, actions only queue messages for the
-    connections' writers (and launch respawned workers), so no socket
-    read or write happens while it is held (DESIGN.md, "The master
-    core").
+    listening socket, the local :class:`WorkerPool`, and one
+    ``selectors`` loop (:meth:`turn`) that turns the lines it reads into
+    core events, feeds the core the clock and local worker exits every
+    :data:`TICK_S`, and writes each connection's queued output without
+    blocking, so a peer that stops reading stalls only itself.  One lock
+    guards the core and the queued output for in-process callers
+    (:meth:`add_job`, the service's verbs), which wake the loop through
+    a socket pair (DESIGN.md, "The master core").
 
     Root-less — jobs live in memory and results go to the store each job
     was registered with.  :class:`CampaignService` adds the durable root
-    and the client verbs; :class:`~repro.experiments.executors.socket.
-    SocketExecutor` registers one job (:meth:`add_job`) on its own store
-    and stops the master when it completes.  ``spawn_workers`` is an int
-    or a sequence of extra-argv lists (one local ``campaign worker``
+    and the client verbs and turns the loop on a thread of its own;
+    :class:`~repro.experiments.executors.socket.SocketExecutor` registers
+    one job (:meth:`add_job`) on its own store and turns the loop on the
+    caller's thread until the job ends.  ``spawn_workers`` is an int or
+    a sequence of extra-argv lists (one local ``campaign worker``
     subprocess each); external ``repro-ftsched campaign worker``
-    processes can connect at any time.  ``lease`` / ``speculate`` / ``steal`` are the defaults
-    every job is leased with.
+    processes can connect at any time.  ``lease`` / ``speculate`` /
+    ``steal`` are the defaults every job is leased with.
     """
 
     def __init__(
@@ -326,8 +312,7 @@ class _Master:
         self._server: Optional[socket.socket] = None
         self._pool: Optional[WorkerPool] = None
         self._stop = threading.Event()
-        #: guards the core; notified after every event
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
         self._core = MasterCore(
             heartbeat,
             SpeculationPolicy.from_spec(speculate),
@@ -336,19 +321,27 @@ class _Master:
             decode=_decode_result,
             now=time.monotonic(),
         )
-        self._conns: dict[int, _Conn] = {}
+        self._peers: dict[int, _Peer] = {}
         self._conn_ids = itertools.count(1)
         self._seq = 0
+        self._sel: Optional[selectors.BaseSelector] = None
+        self._waker: Optional[socket.socket] = None
+        self._next_tick = 0.0
+        #: the thread turning the loop, when it is not the caller's
+        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------ lifecycle
 
     def listen(self) -> tuple[str, int]:
         """Bind and start accepting; returns the actually-bound address."""
         self._server = socket.create_server((self.host, self.port))
+        self._server.setblocking(False)
         self.address = self._server.getsockname()[:2]
-        threading.Thread(
-            target=self._accept_loop, name="campaign-master-accept", daemon=True
-        ).start()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._server, selectors.EVENT_READ)
+        wakee, self._waker = socket.socketpair()
+        self._waker.setblocking(False)
+        self._sel.register(wakee, selectors.EVENT_READ)
         return self.address
 
     def start_workers(self) -> None:
@@ -356,25 +349,27 @@ class _Master:
         self._pool = WorkerPool(self._worker_specs, self._spawn_worker)
         self._pool.spawn_all()
 
-    def tick(self) -> tuple[float, bool]:
-        """Feed the core the clock and the local workers' exits.
-        Returns how long no worker has said anything, and whether every
-        worker is gone for good."""
-        exits = self._pool.exited() if self._pool is not None else []
+    def turn(self) -> tuple[float, bool]:
+        """One pass of the loop: wait for I/O until the next tick is
+        due, turn what was read into core events, tick when due, and
+        write what is queued.  Returns how long no worker has said
+        anything, and whether every worker is gone for good."""
+        timeout = max(0.0, self._next_tick - time.monotonic())
+        for key, mask in self._sel.select(timeout):
+            if key.fileobj is self._server:
+                self._accept()
+            elif key.data is None:
+                key.fileobj.recv(4096)  # a wake-up: the writes below
+            elif mask & selectors.EVENT_READ:
+                self._read(key.data)
+        now = time.monotonic()
+        if now >= self._next_tick:
+            self._next_tick = now + TICK_S
+            self._tick(now)
         with self._lock:
-            now = time.monotonic()
-            actions = self._core.tick(now)
-            for slot, code in exits:
-                actions += self._core.worker_exited(slot, code, now)
-            self._apply(actions)
+            for peer in [p for p in self._peers.values() if p.outbox or p.closing]:
+                self._write(peer)
             return now - self._core.last_activity, self._core.workers_gone()
-
-    def wait_ended(self, job: Job, timeout: float = TICK_S) -> bool:
-        """Wait up to ``timeout`` for ``job`` to leave ``running``."""
-        with self._lock:
-            if job.status == "running":
-                self._lock.wait(timeout)
-            return job.status != "running"
 
     @property
     def respawns(self) -> int:
@@ -389,27 +384,32 @@ class _Master:
         a service's stay ``running`` on disk so the next start resumes
         them."""
         self._stop.set()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
+        self._wake()
+        if self._thread is not None:
+            self._thread.join()
         with self._lock:
             self._apply(self._core.stop(time.monotonic()))
-            conns = list(self._conns.values())
+            self._apply([Close(conn) for conn in self._peers])
         deadline = time.monotonic() + (STOP_GRACE_S if clean else 0.0)
-        for conn in conns:
-            conn.close()  # after the shutdown or reply already queued
-            conn.flush(deadline)
+        if self._sel is not None:
+            self._sel.unregister(self._server)
+            self._server.close()
+            while self._peers and time.monotonic() < deadline:
+                self.turn()
+            for key in self._sel.get_map().values():
+                key.fileobj.close()  # peers left, and the wake-up pair
+            self._waker.close()
+            self._sel.close()
+            self._sel = None
         codes: list[int] = []
         if self._pool is not None:
-            procs = self._pool.procs
-            while time.monotonic() < deadline and any(p.poll() is None for p in procs):
-                time.sleep(0.05)
+            for proc in self._pool.procs:
+                try:
+                    proc.wait(max(0.0, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    break
             self._pool.terminate_all()
             codes = self._pool.reap_all()
-        for conn in conns:
-            conn.lc.shutdown()
         return codes
 
     def __enter__(self):
@@ -423,6 +423,7 @@ class _Master:
     def add_job(self, job: Job) -> None:
         """Register a job; its units are leasable at once."""
         self._step(self._core.add_job, job)
+        self._wake()
 
     def _next_seq(self) -> int:
         with self._lock:
@@ -448,72 +449,107 @@ class _Master:
 
     def _apply(self, actions) -> None:
         """Carry out core actions; called with the lock held.  Sends and
-        closes only queue work for the connections' writers."""
+        closes only queue work for the loop's next write."""
         for action in actions:
             if isinstance(action, Spawn):
                 self._pool.respawn(action.slot)
-                continue
-            conn = self._conns.get(action.conn)
-            if conn is None:
-                continue
-            if isinstance(action, Send):
-                conn.send(action.message)
-            else:
-                conn.close()
-        self._lock.notify_all()
+            elif (peer := self._peers.get(action.conn)) is not None:
+                if isinstance(action, Send):
+                    peer.outbox += _encode(action.message)
+                else:
+                    peer.closing = True
+
+    def _wake(self) -> None:
+        """Have the loop take a turn now, to write what was queued from
+        another thread."""
+        if self._waker is not None:
+            try:
+                self._waker.send(b"\0")
+            except OSError:
+                pass  # stopped, or a wake-up already pending
+
+    def _tick(self, now: float) -> None:
+        """Feed the core the clock and the local workers' exits, and
+        close connections that sent no first line within the dead-man
+        deadline."""
+        exits = self._pool.exited() if self._pool is not None else []
+        for peer in list(self._peers.values()):
+            if peer.kind is None and now - peer.opened >= self._core.dead_after:
+                self._hang_up(peer)
+        with self._lock:
+            actions = self._core.tick(now)
+            for slot, code in exits:
+                actions += self._core.worker_exited(slot, code, now)
+            self._apply(actions)
 
     # ------------------------------------------------------------- serving
 
-    def _accept_loop(self) -> None:
-        self._server.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="campaign-master-conn",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        """The connection's reader: classify it by its first message."""
-        lc = _LineConn(sock)
+    def _accept(self) -> None:
         try:
-            first = lc.recv(timeout=self._core.dead_after)
-        except (ConnectionError, OSError, json.JSONDecodeError):
-            lc.close()
+            sock, _addr = self._server.accept()
+        except OSError:
+            return  # the peer gave up before it was accepted
+        sock.setblocking(False)
+        peer = _Peer(next(self._conn_ids), sock, time.monotonic())
+        self._peers[peer.id] = peer
+        self._sel.register(sock, selectors.EVENT_READ, peer)
+
+    def _read(self, peer: _Peer) -> None:
+        try:
+            peer.fill()
+        except BlockingIOError:
             return
-        sock.settimeout(None)  # no read timeout may leak into the writer's sends
-        conn = _Conn(next(self._conn_ids), lc)
-        with self._lock:
-            self._conns[conn.id] = conn
+        except OSError:  # EOF included
+            return self._hang_up(peer)
+        while not peer.closing and (line := peer.pop_line()) is not None:
+            try:
+                message = json.loads(line)
+            except ValueError:
+                message = None  # served like any other malformed message
+            try:
+                self._serve(peer, message)
+            except Exception:  # a bug costs its connection, not the master
+                traceback.print_exc()
+                self._hang_up(peer)
+
+    def _write(self, peer: _Peer) -> None:
+        """Write what the peer's socket takes now; called with the lock
+        held.  A closing peer is closed once its outbox is empty."""
         try:
-            self._dispatch(conn, first)
-        except (ConnectionError, OSError, json.JSONDecodeError):
+            while peer.outbox:
+                del peer.outbox[: peer.sock.send(peer.outbox)]
+        except BlockingIOError:
             pass
-        finally:
-            with self._lock:
-                self._conns.pop(conn.id, None)
-                conn.close()
+        except OSError:  # gone: reading it next reports the hang-up
+            peer.outbox.clear()
+        if peer.closing and not peer.outbox:
+            self._sel.unregister(peer.sock)
+            peer.close()
+            del self._peers[peer.id]
+        else:  # a closing peer is no longer read
+            events = selectors.EVENT_WRITE if peer.outbox else 0
+            if not peer.closing:
+                events |= selectors.EVENT_READ
+            self._sel.modify(peer.sock, events, peer)
 
-    def _dispatch(self, conn: _Conn, first: dict) -> None:
-        """Serve one connection by its first message; a root-less master
-        serves workers only."""
-        if first.get("type") == "hello":
-            self._serve_worker(conn, first)
+    def _hang_up(self, peer: _Peer) -> None:
+        """A connection ends: the core learns a worker or relay client
+        is gone, and what is queued for it is written before it closes."""
+        with self._lock:
+            if peer.kind in ("worker", "relay"):
+                self._apply(self._core.disconnect(peer.id, time.monotonic()))
+            peer.closing = True
 
-    def _serve_worker(self, conn: _Conn, hello: dict) -> None:
-        try:
-            self._step(self._core.hello, conn.id, hello)
-            while True:
-                self._step(self._core.message, conn.id, conn.lc.recv())
-        finally:
-            self._step(self._core.disconnect, conn.id)
+    def _serve(self, peer: _Peer, message) -> None:
+        """Feed one message to the core.  The first classifies the
+        connection; a root-less master serves workers only."""
+        if peer.kind == "worker":
+            self._step(self._core.message, peer.id, message)
+        elif peer.kind is None and _type(message) == "hello":
+            peer.kind = "worker"
+            self._step(self._core.hello, peer.id, message)
+        else:
+            self._hang_up(peer)
 
     # ----------------------------------------------------------- processes
 
@@ -594,20 +630,16 @@ class CampaignService(_Master):
             {"host": address[0], "port": address[1], "pid": os.getpid()},
         )
         self.start_workers()
-        threading.Thread(
-            target=self._supervise_loop,
-            name="campaign-service-supervise",
-            daemon=True,
-        ).start()
+        self._thread = threading.Thread(
+            target=self._loop, name="campaign-service", daemon=True
+        )
+        self._thread.start()
         return address
 
     def serve_forever(self) -> None:
-        """Block until :meth:`stop` (the CLI's foreground loop)."""
-        while not self._stop.wait(timeout=0.5):
-            if self.job_ttl is not None:
-                interval = max(1.0, min(self.job_ttl, 60.0))
-                if time.monotonic() - self._last_gc >= interval:
-                    self.gc_now()
+        """Block until :meth:`request_stop` or :meth:`stop` (the CLI's
+        foreground wait)."""
+        self._stop.wait()
 
     def stop(self, clean: bool = True) -> list[int]:
         codes = super().stop(clean)
@@ -642,9 +674,15 @@ class CampaignService(_Master):
     def jobs_dir(self) -> Path:
         return self.root / "jobs"
 
-    def _supervise_loop(self) -> None:
-        while not self._stop.wait(timeout=TICK_S):
-            self.tick()
+    def _loop(self) -> None:
+        """The service's one thread: turn the loop until stopped, and
+        sweep expired job directories every ``job_ttl`` (1 s to 60 s)."""
+        while not self._stop.is_set():
+            self.turn()
+            if self.job_ttl is not None:
+                interval = max(1.0, min(self.job_ttl, 60.0))
+                if time.monotonic() - self._last_gc >= interval:
+                    self.gc_now()
 
     # ------------------------------------------------------------ recovery
 
@@ -740,16 +778,23 @@ class CampaignService(_Master):
         ``jsonl`` so every service job survives a restart — and its
         executor field is dropped (the service *is* the executor)."""
         tenant, priority = self._check_tenant(tenant, priority)
+        if not isinstance(data, Mapping):
+            raise CampaignConfigError(
+                f"bad spec: expected an object, got {type(data).__name__}",
+                key="spec",
+            )
         seq = self._next_seq()
         job_id = f"job-{seq:06d}"
         job_dir = self.jobs_dir / job_id
         store_dir = job_dir / "store"
         payload = dict(data)
-        store_tbl = dict(payload.get("store") or {})
-        if store_tbl.get("backend") in (None, "memory"):
-            store_tbl["backend"] = "jsonl"
-        store_tbl["directory"] = str(store_dir)
-        payload["store"] = store_tbl
+        store_tbl = payload.get("store") or {}
+        if isinstance(store_tbl, Mapping):  # else from_dict names the error
+            store_tbl = dict(store_tbl)
+            if store_tbl.get("backend") in (None, "memory"):
+                store_tbl["backend"] = "jsonl"
+            store_tbl["directory"] = str(store_dir)
+            payload["store"] = store_tbl
         spec = CampaignSpec.from_dict(payload)
         spec = replace(spec, executor=ExecutorSpec())
         grid = spec.grid()
@@ -782,7 +827,7 @@ class CampaignService(_Master):
 
     def _job(self, job_id: str) -> ServiceJob:
         with self._lock:
-            job = self._core.jobs.get(job_id)
+            job = self._core.jobs.get(job_id) if isinstance(job_id, str) else None
         if job is None:
             raise CampaignConfigError(f"unknown job {job_id!r}", key="job_id")
         return job
@@ -802,29 +847,34 @@ class CampaignService(_Master):
         reports the state they already reached)."""
         job = self._job(job_id)
         self._step(self._core.cancel_job, job_id)
+        self._wake()
         return job.snapshot()
 
     # ------------------------------------------------------------- serving
 
-    def _dispatch(self, conn: _Conn, first: dict) -> None:
-        kind = first.get("type")
-        if kind == "hello":
-            self._serve_worker(conn, first)
-        elif kind == "submit_units":
-            self._serve_relay_client(conn, first)
+    def _serve(self, peer: _Peer, message) -> None:
+        """A worker, a request/response client (``submit`` / ``status``
+        / ``jobs`` / ``cancel``, answered one by one until it hangs up)
+        or a relay client, which may only ``cancel`` its job."""
+        kind = _type(message)
+        if peer.kind is None and kind == "submit_units":
+            self._open_relay(peer, message)
+        elif peer.kind == "relay":
+            if kind == "cancel":
+                self._send(peer, {"type": "cancelled", **self.cancel(peer.job_id)})
+                self._hang_up(peer)
+        elif peer.kind == "client" or (peer.kind is None and kind != "hello"):
+            peer.kind = "client"
+            self._send(peer, self._client_reply(message))
         else:
-            self._serve_client(conn, first)
+            super()._serve(peer, message)
 
-    def _serve_client(self, conn: _Conn, first: dict) -> None:
-        """Request/response client connection (``submit`` / ``status`` /
-        ``jobs`` / ``cancel``); serves until the client hangs up."""
-        message = first
-        while True:
-            conn.send(self._client_reply(message))
-            message = conn.lc.recv()
+    def _send(self, peer: _Peer, message: dict) -> None:
+        with self._lock:
+            self._apply([Send(peer.id, message)])
 
-    def _client_reply(self, message: dict) -> dict:
-        kind = message.get("type")
+    def _client_reply(self, message) -> dict:
+        kind = _type(message)
         try:
             if kind == "submit":
                 snap = self.submit_spec(
@@ -843,11 +893,11 @@ class CampaignService(_Master):
         except CampaignConfigError as exc:
             return {"type": "error", "error": str(exc), "key": exc.key}
 
-    def _serve_relay_client(self, conn: _Conn, first: dict) -> None:
-        """A ``submit_units`` connection: register a relay job whose
-        results, then ``job_done``, the core sends back here.  Whatever
-        ends this connection cancels the job: its results would have
-        nowhere to go."""
+    def _open_relay(self, peer: _Peer, first: dict) -> None:
+        """Register a ``submit_units`` job whose results, then
+        ``job_done``, the core sends back to this peer.  Whatever ends
+        the connection cancels the job: its results would have nowhere
+        to go."""
         try:
             units = [WorkUnit.from_dict(d) for d in first.get("units") or []]
             tenant, priority = self._check_tenant(
@@ -856,22 +906,17 @@ class CampaignService(_Master):
             if not units:
                 raise CampaignConfigError("submit_units with no units")
         except (CampaignConfigError, KeyError, TypeError, ValueError) as exc:
-            conn.send({"type": "error", "error": str(exc), "key": None})
+            self._send(peer, {"type": "error", "error": str(exc), "key": None})
+            self._hang_up(peer)
             return
         seq = self._next_seq()
         job = ServiceJob(
             f"job-{seq:06d}", seq, tenant, priority, units=units,
-            client=conn.id, lease_policy=self._job_lease_policy(None),
+            client=peer.id, lease_policy=self._job_lease_policy(None),
         )
-        conn.send({"type": "submitted", **job.snapshot()})
-        try:
-            self.add_job(job)
-            while True:
-                if conn.lc.recv().get("type") == "cancel":
-                    conn.send({"type": "cancelled", **self.cancel(job.job_id)})
-                    return
-        finally:
-            self._step(self._core.disconnect, conn.id)
+        peer.kind, peer.job_id = "relay", job.job_id
+        self._send(peer, {"type": "submitted", **job.snapshot()})
+        self.add_job(job)
 
 
 # ------------------------------------------------------------------ clients

@@ -114,8 +114,7 @@ class RunStore:
     ``RunStore(None)`` is the ephemeral in-memory store every default
     campaign uses; ``RunStore(directory)`` persists rows as they complete
     and reloads them on construction, which is all resume needs.  Appends
-    are thread-safe (the socket master appends from one handler thread
-    per worker) and idempotent per unit id (requeue races after a
+    are thread-safe and idempotent per unit id (requeue races after a
     presumed-dead worker reconnects cannot duplicate rows).
     """
 

@@ -95,3 +95,33 @@ def test_relay_client_disconnect_cancels_its_job(pinned_config):
     # The worker's outstanding units are revoked; it is idle again.
     assert [a.message["type"] for a in actions] == ["revoke"]
     assert core.workers[1].lease is None
+
+
+def test_malformed_result_requeues_the_whole_lease(pinned_config):
+    # Each bad line closes only its worker, before anything leaves the
+    # lease: both units go to the next worker and the job completes.
+    units = ScenarioGrid.from_config(pinned_config).units()[:2]
+    uid = units[0].unit_id
+    for bad in (
+        {"type": "result", "unit_id": uid, "result": {"bogus": 1}},
+        {"type": "result", "unit_id": uid},
+        {"type": "result", "unit_id": [uid], "result": {}},
+        [1, 2],
+        None,
+    ):
+        core = MasterCore(heartbeat=0.5, steal=False)
+        job = Job("j", units, RunStore(), LeasePolicy(size=2))
+        core.add_job(job, now=0.0)
+        core.hello(1, _hello(), now=0.0)
+        assert core.message(1, bad, now=1.0) == [Close(1)], bad
+        assert _leases(core.hello(2, _hello(), now=1.0), 2) == [[u.rep for u in units]]
+        for unit in units:
+            core.message(2, {"type": "result", "unit_id": unit.unit_id,
+                             "result": result_to_dict(unit.run())}, now=2.0)
+        assert job.status == "done" and job.counts() == (2, 2)
+
+
+def test_non_numeric_heartbeat_is_refused_and_closed():
+    actions = MasterCore(heartbeat=0.5).hello(1, _hello(heartbeat="fast"), now=0.0)
+    assert [type(a) for a in actions] == [Send, Close]
+    assert actions[0].message["key"] == "heartbeat"

@@ -9,11 +9,17 @@ the same config — across concurrent tenants, fair-share scheduling,
 worker faults, cancellation, and a restart of the service itself.
 """
 
+import json
+import os
+import re
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +40,7 @@ from repro.experiments.service import CampaignService, ServiceClient
 from repro.experiments.store import RunStore, open_store, result_to_dict
 from repro.utils.errors import CampaignConfigError
 
+import repro
 import executor_conformance as ec
 from scripted_master import ScriptedRun
 
@@ -458,3 +465,100 @@ class TestClientSurface:
             with pytest.raises(CampaignConfigError) as excinfo:
                 ServiceClient(address).status("job-999999")
             assert excinfo.value.key == "job_id"
+
+    def test_malformed_requests_get_an_error_and_the_service_keeps_serving(
+        self, tmp_path
+    ):
+        with CampaignService(tmp_path / "svc", spawn_workers=0) as service:
+            address = service.start()
+            for line in (
+                b'{"type":"submit","spec":[1]}\n',
+                b'{"type":"status","job_id":["x"]}\n',
+                b'[1,2]\n',
+                b'not json\n',
+            ):
+                lc = _LineConn(socket.create_connection(address, timeout=10.0))
+                try:
+                    lc.sock.sendall(line)
+                    assert lc.recv(timeout=10.0)["type"] == "error", line
+                finally:
+                    lc.close()
+            assert ServiceClient(address).jobs() == []
+
+
+class TestServiceLoop:
+    def test_no_thread_per_connection(self, tmp_path):
+        # One loop thread serves every connection: 20 idle clients and a
+        # worker add none.
+        before = set(threading.enumerate())
+        peers = []
+        with CampaignService(tmp_path / "svc", spawn_workers=0) as service:
+            address = service.start()
+            started = set(threading.enumerate()) - before
+            assert len(started) == 1
+            try:
+                for _ in range(20):
+                    lc = _LineConn(socket.create_connection(address, timeout=10.0))
+                    peers.append(lc)
+                    lc.send({"type": "jobs"})
+                    assert lc.recv(timeout=10.0) == {"type": "jobs", "jobs": []}
+                worker = _LineConn(socket.create_connection(address, timeout=10.0))
+                peers.append(worker)
+                worker.send({"type": "hello", "worker": "idle", "heartbeat": 5.0,
+                             "proto": PROTO_VERSION})
+                deadline = time.monotonic() + DEADLINE_S
+                while not service._core.workers:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                assert set(threading.enumerate()) - before == started
+            finally:
+                for lc in peers:
+                    lc.close()
+
+
+class TestServiceCli:
+    def test_start_submit_status_jobs_cancel_gc_and_sigterm(
+        self, tmp_path, pinned_config
+    ):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        root = tmp_path / "svc"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"config": pinned_config.to_dict()}))
+
+        def cli(*args):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "service", *args],
+                env=env, capture_output=True, text=True, timeout=DEADLINE_S,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        service = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "service", "start",
+             "--root", str(root), "--bind", "127.0.0.1:0", "--workers", "1"],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            host, port = re.search(
+                r"listening on (\S+):(\d+) ", service.stdout.readline()
+            ).groups()
+            address = ("--address", f"{host}:{port}")
+            out = cli("submit", str(spec), *address, "--wait")
+            assert out.splitlines()[-1].split()[:2] == ["job-000001", "done"]
+            assert cli("status", "job-000001", *address).split()[1] == "done"
+            big = cli("submit", str(spec), *address, "--override", "graphs=300")
+            assert big.split()[:2] == ["job-000002", "running"]
+            assert cli("cancel", "job-000002", *address).split()[1] == "cancelled"
+            assert [line.split()[:2] for line in cli("jobs", *address).splitlines()] == [
+                ["job-000001", "done"], ["job-000002", "cancelled"],
+            ]
+            assert "pruned 2 terminal job dir(s)" in cli(
+                "gc", "--root", str(root), "--job-ttl", "0"
+            )
+            service.send_signal(signal.SIGTERM)
+            assert service.wait(timeout=DEADLINE_S) == 0
+        finally:
+            if service.poll() is None:
+                service.kill()
+                service.wait()
+            service.stdout.close()

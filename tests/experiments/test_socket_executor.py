@@ -390,7 +390,7 @@ class TestStaleHello:
     )
     @pytest.mark.parametrize("kind", ["socket", "service"])
     def test_stale_hello_is_refused(self, kind, hello, pinned_config, tmp_path):
-        # Both masters serve workers through the same _serve_worker: a
+        # Both masters serve workers through the same loop and core: a
         # hello without the one protocol version gets `error` and a
         # closed connection before anything is leased, and the job still
         # completes on a current worker.

@@ -170,10 +170,10 @@ class TestMasterLifecycle:
         # child survives a raised run.
         from repro.experiments.service import _Master
 
-        def interrupted(self, job, timeout=None):
+        def interrupted(self):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(_Master, "wait_ended", interrupted)
+        monkeypatch.setattr(_Master, "turn", interrupted)
         procs = self._track_spawns(monkeypatch)
         executor = SocketExecutor(timeout=60.0, spawn_workers=2)
         with pytest.raises(KeyboardInterrupt):
